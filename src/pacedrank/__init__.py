@@ -22,7 +22,7 @@ from .core import (
 from .data import SplitSpec, SynthSpec, load_features, save_features, skewed_synth, split, synth_generate
 from .embed import map_image, map_text, score_matrix, similarity
 from .evaluation import EvalResult, RankedList, average_precision, mean_ap, random_baseline, retrieve
-from .loss import Gradient, LossVector, all_losses, grad_params, objective, tetrad_loss
+from .loss import LossVector, all_losses, grad_params, objective, tetrad_loss
 from .spl import (
     OracleDiagnostics,
     WeightSolution,
@@ -51,7 +51,6 @@ __all__ = [
     "Dataset",
     "EmbeddingParams",
     "EvalResult",
-    "Gradient",
     "GroupedVector",
     "ImportanceVector",
     "LossConfig",

@@ -9,6 +9,7 @@ only parse arguments, move files, and format. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -18,7 +19,7 @@ from typing import Optional
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .errors import ConfigInvalid, NonFiniteObjective, PacedRankError
+from .errors import ConfigInvalid, InvalidCutoff, NonFiniteObjective, PacedRankError
 from .gradcheck import run_gradient_check
 from .trainer import (
     Checkpoint,
@@ -35,23 +36,6 @@ _SPLIT_KEYS = {"train", "validation", "test", "seed"}
 _EVAL_KEYS = {"direction", "r", "mode"}
 
 GRADCHECK_TOLERANCE = 1e-5
-
-
-def _threads_hint(args) -> int:
-    """Worker-count hint from --threads or SCCM_THREADS; informational.
-
-    All computation is vectorized in a single process with fixed reduction
-    orders, so results never depend on this value.
-    """
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get("SCCM_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigInvalid(f"SCCM_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _fail(message: str, code: int) -> int:
@@ -97,6 +81,19 @@ def _check_keys(section, allowed: set, where: str) -> None:
         raise ConfigInvalid(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+@contextlib.contextmanager
+def _section(where: str):
+    """Report a missing key or a wrongly typed value in a config section as ConfigInvalid.
+
+    Building a spec fails with TypeError on a missing key, and validating or
+    using it fails with TypeError on a value of the wrong type.
+    """
+    try:
+        yield
+    except TypeError as exc:
+        raise ConfigInvalid(f"invalid {where} section: {exc}") from exc
+
+
 def _parse_run_config(config: dict):
     import dataclasses
 
@@ -114,8 +111,9 @@ def _parse_run_config(config: dict):
         _check_keys(data_sec["synth"], _SYNTH_KEYS, "data.synth")
         synth_sec = dict(data_sec["synth"])
         hard = synth_sec.pop("hard_fraction", None)
-        spec = data_mod.SynthSpec(**synth_sec)
-        dataset = data_mod.skewed_synth(spec, hard) if hard is not None else data_mod.synth_generate(spec)
+        with _section("data.synth"):  # a float n passes the spec and fails in the generator
+            spec = data_mod.SynthSpec(**synth_sec)
+            dataset = data_mod.skewed_synth(spec, hard) if hard is not None else data_mod.synth_generate(spec)
     else:
         if "images" not in data_sec or "texts" not in data_sec:
             raise ConfigInvalid("data section requires images and texts paths (or synth)")
@@ -128,13 +126,15 @@ def _parse_run_config(config: dict):
 
     split_sec = config.get("split", {})
     _check_keys(split_sec, _SPLIT_KEYS, "split")
-    split_spec = data_mod.SplitSpec(**split_sec)
+    with _section("split"):
+        split_spec = data_mod.SplitSpec(**split_sec)
 
     train_sec = config.get("train", {})
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     _check_keys(train_sec, known, "train")
-    train_cfg = TrainConfig(**train_sec)
-    train_cfg.validate()
+    with _section("train"):
+        train_cfg = TrainConfig(**train_sec)
+        train_cfg.validate()
 
     eval_sec = config.get("eval", {})
     _check_keys(eval_sec, _EVAL_KEYS, "eval")
@@ -149,7 +149,10 @@ def _parse_run_config(config: dict):
 def _parse_r(text) -> "int | str":
     if isinstance(text, str) and text.lower() == "all":
         return "all"
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {text!r}") from exc
 
 
 def _fmt(value) -> str:
@@ -207,7 +210,6 @@ def cmd_train(args) -> int:
         "test_map_i2t": test_i2t.mean,
         "test_map_t2i": test_t2i.mean,
         "eval": eval_cfg,
-        "threads": _threads_hint(args),
         "sizes": {"train": train_ds.n, "validation": val_ds.n, "test": test_ds.n},
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", metavar="KEY=VALUE",
         help="override a config entry, dotted keys allowed (e.g. train.margin=0.2)",
     )
-    p_train.add_argument("--threads", type=int, default=None, help="worker-count hint")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a paired dataset")

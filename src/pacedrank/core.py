@@ -23,6 +23,15 @@ from .errors import (
 )
 
 
+DIRECTIONS = ("i2t", "t2i")  # image queries over texts, text queries over images
+
+
+def check_direction(direction: str) -> None:
+    """Raise ConfigInvalid unless direction is one of DIRECTIONS."""
+    if direction not in DIRECTIONS:
+        raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
@@ -79,7 +88,11 @@ def validate_dataset(images, texts, ids: Optional[Sequence[str]] = None) -> Data
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Affine-plus-sigmoid map parameters for both modalities."""
+    """Affine-plus-sigmoid map parameters for both modalities.
+
+    Gradients use the same container: one partial-derivative array per
+    parameter, in the same order.
+    """
 
     W1: np.ndarray  # d x p
     b1: np.ndarray  # d
@@ -97,6 +110,26 @@ class EmbeddingParams:
     @property
     def q(self) -> int:
         return self.W2.shape[1]
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return (self.W1, self.b1, self.W2, self.b2)
+
+    def norm_sq(self) -> float:
+        """Sum of squares of every entry, accumulated component by component."""
+        return float(
+            np.sum(self.W1 * self.W1)
+            + np.sum(self.b1 * self.b1)
+            + np.sum(self.W2 * self.W2)
+            + np.sum(self.b2 * self.b2)
+        )
+
+    def is_finite(self) -> bool:
+        return all(bool(np.isfinite(arr).all()) for arr in self.arrays)
+
+    def axpy(self, alpha: float, x: "EmbeddingParams") -> "EmbeddingParams":
+        """self + alpha * x, component by component; alpha = -step is a descent step."""
+        return EmbeddingParams(*(a + alpha * b for a, b in zip(self.arrays, x.arrays)))
 
     @classmethod
     def from_arrays(cls, W1, b1, W2, b2) -> "EmbeddingParams":

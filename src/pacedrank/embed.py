@@ -114,10 +114,19 @@ def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float
     return s
 
 
-def score_matrix(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> np.ndarray:
-    """All-pairs scores for a dataset: entry (k, j) scores image k against text j."""
+def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False):
+    """The one forward pass: embeddings H (images), G (texts) and scores S.
+
+    S has image queries as rows. Text queries read S.T with the two sides
+    swapped; that is bit-identical to scoring them directly, since every
+    entry multiplies the same pairs and sums them in the same order.
+    """
     H = embed_images(params, dataset.images)
     G = embed_texts(params, dataset.texts)
-    if normalized:
-        return normalized_scores(H, G)
-    return inner_scores(H, G)
+    S = normalized_scores(H, G) if normalized else inner_scores(H, G)
+    return H, G, S
+
+
+def score_matrix(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> np.ndarray:
+    """All-pairs scores for a dataset: entry (k, j) scores image k against text j."""
+    return forward(params, dataset, normalized)[2]

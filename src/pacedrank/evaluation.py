@@ -14,12 +14,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, EmbeddingParams
-from .embed import embed_images, embed_texts, inner_scores, normalized_scores, map_image, map_text
+from .core import Dataset, EmbeddingParams, check_direction
+from .embed import embed_images, embed_texts, forward, inner_scores, normalized_scores, map_image, map_text
 from .errors import ConfigInvalid, DimensionMismatch, InvalidCutoff
 
 MODES = ("by_relevant", "by_r")
-DIRECTIONS = ("i2t", "t2i")
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def retrieve(
     query_index: Optional[int] = None,
 ) -> RankedList:
     """Rank a corpus of the opposite modality against one query vector."""
-    if direction not in DIRECTIONS:
-        raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    check_direction(direction)
     corpus = np.asarray(corpus, dtype=np.float64)
     if corpus.ndim != 2:
         raise DimensionMismatch("corpus must be a feature matrix")
@@ -135,12 +133,9 @@ def mean_ap(
     normalized: bool = False,
 ) -> EvalResult:
     """mAP over all queries of a paired test set; relevance is the aligned item."""
-    if direction not in DIRECTIONS:
-        raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    check_direction(direction)
     _check_mode(mode)
-    H = embed_images(params, dataset_test.images)
-    G = embed_texts(params, dataset_test.texts)
-    S = normalized_scores(H, G) if normalized else inner_scores(H, G)
+    S = forward(params, dataset_test, normalized)[2]
     if direction == "t2i":
         S = S.T  # rows become text queries over image items
     n = dataset_test.n
@@ -169,8 +164,7 @@ def random_baseline(
     mode: str = "by_relevant",
 ) -> float:
     """Mean mAP of uniformly random rankings, the floor for trained models."""
-    if direction not in DIRECTIONS:
-        raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    check_direction(direction)
     _check_mode(mode)
     if trials < 1:
         raise ConfigInvalid("trials must be at least 1")

@@ -9,6 +9,7 @@ make the comparison meaningless.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .core import (
     build_tetrads,
     validate_dataset,
 )
-from .loss import all_losses, grad_params, ridge_value, weighted_sum_from
+from .loss import _hinge_args, _query_view, all_losses, grad_params, ridge_value, weighted_sum_from
 
 KINK_BAND = 1e-6
 
@@ -73,15 +74,8 @@ def make_instance(
 
 
 def _min_kink_distance(params, dataset, tetrads, cfg, direction, normalized) -> float:
-    from .embed import embed_images, embed_texts, inner_scores, normalized_scores
-    from .loss import _oriented
-
-    params2, data2, _ = _oriented(params, dataset, direction)
-    H = embed_images(params2, data2.images)
-    G = embed_texts(params2, data2.texts)
-    S = normalized_scores(H, G) if normalized else inner_scores(H, G)
-    ks, js = tetrads.flat_queries, tetrads.flat_negatives
-    args = S[ks, js] - S[ks, ks] + cfg.margin
+    *_, S = _query_view(params, dataset, direction, normalized)
+    args = _hinge_args(S, tetrads, cfg.margin)
     return float(np.min(np.abs(args))) if len(args) else np.inf
 
 
@@ -99,17 +93,11 @@ def numeric_gradient(inst: GradCheckInstance, h: float = 1e-5):
             plus[i] += h
             minus = src.copy()
             minus[i] -= h
-            p_plus = _replace(base, name, plus.reshape(arr.shape))
-            p_minus = _replace(base, name, minus.reshape(arr.shape))
+            p_plus = dataclasses.replace(base, **{name: plus.reshape(arr.shape)})
+            p_minus = dataclasses.replace(base, **{name: minus.reshape(arr.shape)})
             flat[i] = (_smooth(p_plus, inst) - _smooth(p_minus, inst)) / (2.0 * h)
         parts.append(grad)
     return tuple(parts)
-
-
-def _replace(params: EmbeddingParams, name: str, value: np.ndarray) -> EmbeddingParams:
-    fields = {"W1": params.W1, "b1": params.b1, "W2": params.W2, "b2": params.b2}
-    fields[name] = value
-    return EmbeddingParams(fields["W1"], fields["b1"], fields["W2"], fields["b2"])
 
 
 def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float = 0.0) -> float:
@@ -121,7 +109,7 @@ def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float 
     analytic = grad_params(inst.params, inst.dataset, inst.tetrads, inst.v, inst.cfg, inst.direction, inst.normalized)
     numeric = numeric_gradient(inst, h)
     worst = 0.0
-    for a, ncomp in zip((analytic.dW1, analytic.db1, analytic.dW2, analytic.db2), numeric):
+    for a, ncomp in zip(analytic.arrays, numeric):
         a = a + corrupt
         err = np.abs(a - ncomp) / np.maximum(1.0, np.abs(ncomp))
         worst = max(worst, float(err.max()))

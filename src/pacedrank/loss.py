@@ -14,8 +14,6 @@ either value even at the bit level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -27,11 +25,10 @@ from .core import (
     PacingState,
     Tetrad,
     TetradSet,
+    check_direction,
 )
-from .embed import embed_images, embed_texts, inner_scores, normalized_scores, similarity
+from .embed import forward
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange, NonFiniteValue
-
-DIRECTIONS = ("i2t", "t2i")
 
 
 class LossVector(GroupedVector):
@@ -46,45 +43,23 @@ class LossVector(GroupedVector):
                 raise ConfigInvalid("losses must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Gradient:
-    """Partial derivatives with the same shapes as EmbeddingParams."""
+def _query_view(params: EmbeddingParams, dataset: Dataset, direction: str, normalized: bool):
+    """The forward pass with queries as rows: (X, Z, H, G, S).
 
-    dW1: np.ndarray
-    db1: np.ndarray
-    dW2: np.ndarray
-    db2: np.ndarray
-
-    def norm_sq(self) -> float:
-        return float(
-            np.sum(self.dW1 * self.dW1)
-            + np.sum(self.db1 * self.db1)
-            + np.sum(self.dW2 * self.dW2)
-            + np.sum(self.db2 * self.db2)
-        )
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.dW1).all()
-            and np.isfinite(self.db1).all()
-            and np.isfinite(self.dW2).all()
-            and np.isfinite(self.db2).all()
-        )
-
-
-def _oriented(params: EmbeddingParams, dataset: Dataset, direction: str):
-    """View the problem so that queries are always on the image side.
-
-    For the text-query direction the two modalities swap roles; gradients
-    computed in the swapped view are swapped back by the caller.
+    X/H are the query side's features and embeddings, Z/G the item side's.
+    For t2i this is the image-query pass transposed (see embed.forward).
     """
+    check_direction(direction)
+    H, G, S = forward(params, dataset, normalized)
     if direction == "i2t":
-        return params, dataset, False
-    if direction == "t2i":
-        swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
-        swapped_data = Dataset(dataset.texts, dataset.images, dataset.ids)
-        return swapped_params, swapped_data, True
-    raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        return dataset.images, dataset.texts, H, G, S
+    return dataset.texts, dataset.images, G, H, S.T
+
+
+def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
+    """S_kj - S_kk + margin for every tetrad, with query rows in S."""
+    ks = tetrads.flat_queries
+    return S[ks, tetrads.flat_negatives] - S[ks, ks] + margin
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -112,23 +87,20 @@ def tetrad_loss(
     direction: str = "i2t",
     normalized: bool = False,
 ) -> float:
-    """Hinge loss of a single tetrad: max(0, y*(S_kj - S_kk) + margin)."""
-    params2, data2, _ = _oriented(params, dataset, direction)
-    n = data2.n
+    """Hinge loss of a single tetrad: max(0, y*(S_kj - S_kk) + margin).
+
+    Only the tetrad's own two pairs are embedded and scored, so comparing
+    this with all_losses compares a two-row pass against a full one.
+    """
+    n = dataset.n
     if not (0 <= t.query_index < n) or not (0 <= t.negative_index < n):
         raise IndexOutOfRange(
             f"tetrad ({t.query_index}, {t.negative_index}) outside dataset of size {n}"
         )
-    x = data2.images[t.query_index]
-    s_aligned = similarity(params2, x, data2.texts[t.query_index], normalized)
-    s_negative = similarity(params2, x, data2.texts[t.negative_index], normalized)
-    return max(0.0, t.label * (s_negative - s_aligned) + cfg.margin)
-
-
-def _scores(params2: EmbeddingParams, data2: Dataset, normalized: bool) -> np.ndarray:
-    H = embed_images(params2, data2.images)
-    G = embed_texts(params2, data2.texts)
-    return normalized_scores(H, G) if normalized else inner_scores(H, G)
+    rows = [t.query_index, t.negative_index]
+    pair = Dataset(dataset.images[rows], dataset.texts[rows])
+    *_, S = _query_view(params, pair, direction, normalized)
+    return max(0.0, t.label * float(S[0, 1] - S[0, 0]) + cfg.margin)
 
 
 def all_losses(
@@ -140,13 +112,9 @@ def all_losses(
     normalized: bool = False,
 ) -> LossVector:
     """Hinge losses for every tetrad, from a single score-matrix evaluation."""
-    params2, data2, _ = _oriented(params, dataset, direction)
-    _check_tetrads(tetrads, data2.n)
-    S = _scores(params2, data2, normalized)
-    ks = tetrads.flat_queries
-    js = tetrads.flat_negatives
-    args = S[ks, js] - S[ks, ks] + cfg.margin
-    return LossVector(np.maximum(0.0, args), tetrads.offsets)
+    _check_tetrads(tetrads, dataset.n)
+    *_, S = _query_view(params, dataset, direction, normalized)
+    return LossVector(np.maximum(0.0, _hinge_args(S, tetrads, cfg.margin)), tetrads.offsets)
 
 
 def weighted_sum_from(losses: LossVector, v: ImportanceVector) -> float:
@@ -218,30 +186,21 @@ def grad_loss_term(
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
-) -> Gradient:
+) -> EmbeddingParams:
     """Gradient of the weighted hinge term alone (no ridge).
 
     A tetrad contributes iff its hinge argument is strictly positive; at the
     kink the contribution is 0. The chain rule runs through the sigmoid
     (sigma' = sigma * (1 - sigma)) into W1/b1 on the query side and W2/b2 on
-    the item side of the oriented view.
+    the item side of the query view; for t2i the two are swapped back.
     """
     _check_aligned(tetrads, v)
-    params2, data2, swapped = _oriented(params, dataset, direction)
-    _check_tetrads(tetrads, data2.n)
-    X, Z = data2.images, data2.texts
-    n = data2.n
-    H = embed_images(params2, X)
-    G = embed_texts(params2, Z)
-    S = normalized_scores(H, G) if normalized else inner_scores(H, G)
+    _check_tetrads(tetrads, dataset.n)
+    X, Z, H, G, S = _query_view(params, dataset, direction, normalized)
+    coef = np.where(_hinge_args(S, tetrads, cfg.margin) > 0.0, v.values, 0.0)
 
-    ks = tetrads.flat_queries
-    js = tetrads.flat_negatives
-    args = S[ks, js] - S[ks, ks] + cfg.margin
-    coef = np.where(args > 0.0, v.values, 0.0)
-
-    C = np.zeros((n, n))
-    C[ks, js] = coef
+    C = np.zeros((dataset.n, dataset.n))
+    C[tetrads.flat_queries, tetrads.flat_negatives] = coef
     s_row = C.sum(axis=1)
 
     if not normalized:
@@ -267,9 +226,9 @@ def grad_loss_term(
     dW_item = dG.T @ Z
     db_item = dG.sum(axis=0)
 
-    if swapped:
-        return Gradient(dW_item, db_item, dW_query, db_query)
-    return Gradient(dW_query, db_query, dW_item, db_item)
+    if direction == "t2i":
+        return EmbeddingParams(dW_item, db_item, dW_query, db_query)
+    return EmbeddingParams(dW_query, db_query, dW_item, db_item)
 
 
 def grad_params(
@@ -280,7 +239,7 @@ def grad_params(
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
-) -> Gradient:
+) -> EmbeddingParams:
     """Gradient of ridge + weighted hinge term with respect to all parameters."""
     g = grad_loss_term(params, dataset, tetrads, v, cfg, direction, normalized)
-    return Gradient(params.W1 + g.dW1, g.db1, params.W2 + g.dW2, g.db2)
+    return EmbeddingParams(params.W1 + g.W1, g.b1, params.W2 + g.W2, g.b2)

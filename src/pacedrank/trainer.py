@@ -46,7 +46,6 @@ from .errors import (
 )
 from .evaluation import mean_ap
 from .loss import (
-    Gradient,
     LossVector,
     all_losses,
     grad_loss_term,
@@ -159,7 +158,6 @@ class _Block:
     tetrads: TetradSet
     direction: str
     v: Optional[ImportanceVector]
-    losses: Optional[LossVector] = None
 
 
 def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingParams:
@@ -169,63 +167,50 @@ def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingPa
     return EmbeddingParams.from_arrays(W1, np.zeros(d), W2, np.zeros(d))
 
 
-def _add_scaled(params: EmbeddingParams, step: float, grad: Gradient) -> EmbeddingParams:
-    return EmbeddingParams(
-        params.W1 - step * grad.dW1,
-        params.b1 - step * grad.db1,
-        params.W2 - step * grad.dW2,
-        params.b2 - step * grad.db2,
-    )
-
-
-def _smooth_value(params, dataset, blocks, cfg: TrainConfig) -> float:
-    total = ridge_value(params)
+def _block_losses(params, dataset, blocks, cfg: TrainConfig) -> list[LossVector]:
     lcfg = cfg.loss_config()
     try:
-        for b in blocks:
-            losses = all_losses(params, dataset, b.tetrads, lcfg, b.direction, cfg.normalized_similarity)
-            total += weighted_sum_from(losses, b.v)
+        return [
+            all_losses(params, dataset, b.tetrads, lcfg, b.direction, cfg.normalized_similarity)
+            for b in blocks
+        ]
     except NonFiniteValue as exc:
         raise NonFiniteObjective(str(exc)) from exc
+
+
+def _smooth_from(params, blocks, losses: list[LossVector]) -> float:
+    """ridge + each block's weighted loss sum, accumulated in block order."""
+    total = ridge_value(params)
+    for b, block_losses in zip(blocks, losses):
+        total += weighted_sum_from(block_losses, b.v)
     return total
 
 
-def _smooth_grad(params, dataset, blocks, cfg: TrainConfig) -> Gradient:
-    dW1 = params.W1.copy()
-    db1 = np.zeros_like(params.b1)
-    dW2 = params.W2.copy()
-    db2 = np.zeros_like(params.b2)
-    lcfg = cfg.loss_config()
-    for b in blocks:
-        g = grad_loss_term(params, dataset, b.tetrads, b.v, lcfg, b.direction, cfg.normalized_similarity)
-        dW1 += g.dW1
-        db1 += g.db1
-        dW2 += g.dW2
-        db2 += g.db2
-    return Gradient(dW1, db1, dW2, db2)
-
-
-def _full_objective(params, dataset, blocks, pacing, cfg: TrainConfig) -> float:
-    total = _smooth_value(params, dataset, blocks, cfg)
+def _with_penalties(smooth: float, blocks, pacing: PacingState) -> float:
+    """The full objective: each block's selection penalty added in block order."""
+    total = smooth
     for b in blocks:
         total += selection_penalty(b.v, pacing)
     return total
 
 
-def _refresh_losses(params, dataset, blocks, cfg: TrainConfig) -> None:
+def _smooth_value(params, dataset, blocks, cfg: TrainConfig) -> float:
+    return _smooth_from(params, blocks, _block_losses(params, dataset, blocks, cfg))
+
+
+def _smooth_grad(params, dataset, blocks, cfg: TrainConfig) -> EmbeddingParams:
+    # the ridge term's gradient is W1, W2 themselves; biases are not penalized
+    grad = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
     lcfg = cfg.loss_config()
-    try:
-        for b in blocks:
-            b.losses = all_losses(
-                params, dataset, b.tetrads, lcfg, b.direction, cfg.normalized_similarity
-            )
-    except NonFiniteValue as exc:
-        raise NonFiniteObjective(str(exc)) from exc
+    for b in blocks:
+        g = grad_loss_term(params, dataset, b.tetrads, b.v, lcfg, b.direction, cfg.normalized_similarity)
+        grad = grad.axpy(1.0, g)
+    return grad
 
 
 def line_search(
     params: EmbeddingParams,
-    grad: Gradient,
+    grad: EmbeddingParams,
     value_fn: Callable[[EmbeddingParams], float],
     current_value: float,
     cfg: TrainConfig,
@@ -242,7 +227,7 @@ def line_search(
         return 0.0, params, current_value
     step = cfg.initial_step
     for _ in range(max_backtracks):
-        trial = _add_scaled(params, step, grad)
+        trial = params.axpy(-step, grad)
         value = value_fn(trial)
         if np.isfinite(value) and value <= current_value - cfg.sufficient_decrease * step * gnorm2:
             return step, trial, value
@@ -335,16 +320,19 @@ def train(
         blocks.append(_Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
-    _refresh_losses(params, dataset, blocks, cfg)
-    lam0 = max(spl.init_lambda(_concat_grouped([b.losses for b in blocks]), cfg.init_fraction), _MIN_LAMBDA)
+    losses = _block_losses(params, dataset, blocks, cfg)
+    lam0 = max(spl.init_lambda(_concat_grouped(losses), cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(
         lam=lam0,
         gamma=cfg.gamma_ratio * lam0,
         lam_growth=cfg.lam_growth,
         gamma_growth=cfg.gamma_growth,
     )
-    for b in blocks:
-        b.v = spl.update_importance(b.losses, pacing)
+    for b, block_losses in zip(blocks, losses):
+        b.v = spl.update_importance(block_losses, pacing)
+    # the smooth part at the current (params, v); every objective the loop
+    # records is derived from one loss evaluation per block after the W-step
+    smooth = _smooth_from(params, blocks, losses)
 
     prev_smooth: Optional[float] = None
     prev_mass: Optional[float] = None
@@ -354,14 +342,15 @@ def train(
     since_best = 0
 
     for it in range(1, cfg.max_outer_iters + 1):
-        obj_entry = _full_objective(params, dataset, blocks, pacing, cfg)
+        obj_entry = _with_penalties(smooth, blocks, pacing)
         params, inner_steps = _optimize_blocks(params, dataset, blocks, cfg)
-        obj_after_w = _full_objective(params, dataset, blocks, pacing, cfg)
+        losses = _block_losses(params, dataset, blocks, cfg)
+        obj_after_w = _with_penalties(_smooth_from(params, blocks, losses), blocks, pacing)
 
-        _refresh_losses(params, dataset, blocks, cfg)
-        for b in blocks:
-            b.v = spl.update_importance(b.losses, pacing)
-        obj_after_v = _full_objective(params, dataset, blocks, pacing, cfg)
+        for b, block_losses in zip(blocks, losses):
+            b.v = spl.update_importance(block_losses, pacing)
+        smooth = _smooth_from(params, blocks, losses)
+        obj_after_v = _with_penalties(smooth, blocks, pacing)
         if not (np.isfinite(obj_entry) and np.isfinite(obj_after_w) and np.isfinite(obj_after_v)):
             raise NonFiniteObjective(f"objective became non-finite at iteration {it}")
 
@@ -376,7 +365,6 @@ def train(
                 normalized=cfg.normalized_similarity,
             ).mean
 
-        smooth_now = _smooth_value(params, dataset, blocks, cfg)
         history.records.append(
             HistoryRecord(
                 iteration=it,
@@ -404,12 +392,12 @@ def train(
                     return best_params, history
 
         if prev_smooth is not None:
-            rel_obj = abs(smooth_now - prev_smooth) / max(1.0, abs(prev_smooth))
+            rel_obj = abs(smooth - prev_smooth) / max(1.0, abs(prev_smooth))
             rel_mass = abs(mass - prev_mass) / max(1.0, prev_mass)
             stable = stable + 1 if (rel_obj < cfg.rel_tol and rel_mass < cfg.rel_tol) else 0
             if stable >= 2:
                 break
-        prev_smooth, prev_mass = smooth_now, mass
+        prev_smooth, prev_mass = smooth, mass
         pacing = spl.advance_pacing(pacing)
 
     if cfg.early_stop_patience is not None and best_val > -np.inf:
@@ -480,7 +468,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     body += struct.pack("<I", ckpt.version)
     body += struct.pack("<I", len(header))
     body += header
-    for arr in (ckpt.params.W1, ckpt.params.b1, ckpt.params.W2, ckpt.params.b2):
+    for arr in ckpt.params.arrays:
         body += _pack_matrix(arr)
     body += hashlib.sha256(bytes(body)).digest()[:8]
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -126,6 +126,23 @@ class TestTrainCommand:
         history = (tmp_path / "run" / "history.csv").read_text().strip().splitlines()
         assert len(history) - 1 == 1
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("data", {"synth": {"latent": 3, "p": 6, "q": 6}}),
+            ("data", {"synth": {"n": 24.5, "latent": 3, "p": 6, "q": 6}}),
+            ("train", {"embedding_dim": "4"}),
+            ("split", {"train": "half", "validation": 0.25, "test": 0.25}),
+        ],
+        ids=["synth-without-n", "synth-float-n", "train-string-dim", "split-string-fraction"],
+    )
+    def test_malformed_section_exits_one(self, tmp_path, capsys, section, value):
+        path, _ = write_config(tmp_path, **{section: value})
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ")
+        assert not (tmp_path / "run").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         path_a, _ = write_config(tmp_path, output_dir=str(tmp_path / "a"))
         main(["train", "--config", str(path_a)])
@@ -195,6 +212,16 @@ class TestEvalCommand:
         printed = capsys.readouterr().out.strip()
         lib = mean_ap(params, validate_dataset(images, texts), "i2t", 3, "by_r").mean
         assert printed == f"{lib:.4f}"
+
+    def test_non_integer_cutoff_exits_one(self, tmp_path, capsys):
+        ckpt, imgs, txts = perfect_fixture(tmp_path)
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--images", str(imgs), "--texts", str(txts),
+             "--r", "ten", "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cutoff must be a positive integer")
+        assert not (tmp_path / "r.txt").exists()
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         ckpt, imgs, _ = perfect_fixture(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pacedrank.core import (
+    Dataset,
     EmbeddingParams,
     ImportanceVector,
     LossConfig,
@@ -18,6 +19,7 @@ from pacedrank.errors import AlignmentError, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     all_losses,
+    grad_loss_term,
     grad_params,
     objective,
     ridge_value,
@@ -108,6 +110,28 @@ class TestAllLosses:
             assert (value == 0.0) == met
 
 
+class TestTextQueryDirection:
+    """t2i is i2t on the swapped problem: texts as queries, (W2, b2) as the query map."""
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("seed", [4, 29, 63])
+    def test_equals_swapped_i2t_bitwise(self, seed, normalized):
+        dataset, params, tetrads, v = random_instance(seed, n=7, p=5, q=4)
+        swapped_data = Dataset(dataset.texts, dataset.images)
+        swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
+        cfg = LossConfig(margin=0.3)
+
+        losses = all_losses(params, dataset, tetrads, cfg, "t2i", normalized)
+        swapped = all_losses(swapped_params, swapped_data, tetrads, cfg, "i2t", normalized)
+        assert np.array_equal(losses.values, swapped.values)
+        assert (losses.values > 0.0).any()
+
+        g = grad_loss_term(params, dataset, tetrads, v, cfg, "t2i", normalized)
+        s = grad_loss_term(swapped_params, swapped_data, tetrads, v, cfg, "i2t", normalized)
+        for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
+            assert np.array_equal(got, want)
+
+
 class TestObjective:
     def test_zero_weights_is_ridge_only(self):
         dataset, params, tetrads, _ = random_instance(5)
@@ -166,10 +190,10 @@ class TestGradient:
         dataset, params, tetrads, _ = random_instance(8)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         g = grad_params(params, dataset, tetrads, v, LossConfig())
-        assert np.array_equal(g.dW1, params.W1)
-        assert np.array_equal(g.dW2, params.W2)
-        assert np.array_equal(g.db1, np.zeros(params.d))
-        assert np.array_equal(g.db2, np.zeros(params.d))
+        assert np.array_equal(g.W1, params.W1)
+        assert np.array_equal(g.W2, params.W2)
+        assert np.array_equal(g.b1, np.zeros(params.d))
+        assert np.array_equal(g.b2, np.zeros(params.d))
 
     def test_inactive_hinges_gradient_is_ridge(self):
         # aligned scores dominate every negative by more than the margin
@@ -188,8 +212,8 @@ class TestGradient:
         # with both hinges inactive the gradient reduces to the ridge exactly
         v0 = ImportanceVector(np.array([1.0, 0.0]), tetrads.offsets)
         g0 = grad_params(params, ds, tetrads, v0, LossConfig(margin=0.1))
-        assert np.array_equal(g0.dW1, params.W1)
-        assert np.array_equal(g0.db2, np.zeros(1))
+        assert np.array_equal(g0.W1, params.W1)
+        assert np.array_equal(g0.b2, np.zeros(1))
 
     def test_finite_difference_seed48(self):
         inst = make_instance(48, n=6, p=5, q=5, d=3)
@@ -232,7 +256,7 @@ class TestGradient:
 
         g_full = grad_params(params, dataset, tetrads, v, cfg)
         g_pruned = grad_params(params, dataset, pruned, v_pruned, cfg)
-        assert np.array_equal(g_full.dW1, g_pruned.dW1)
-        assert np.array_equal(g_full.db1, g_pruned.db1)
-        assert np.array_equal(g_full.dW2, g_pruned.dW2)
-        assert np.array_equal(g_full.db2, g_pruned.db2)
+        assert np.array_equal(g_full.W1, g_pruned.W1)
+        assert np.array_equal(g_full.b1, g_pruned.b1)
+        assert np.array_equal(g_full.W2, g_pruned.W2)
+        assert np.array_equal(g_full.b2, g_pruned.b2)

@@ -9,7 +9,7 @@ from pacedrank.errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
-from pacedrank.loss import Gradient, ridge_value
+from pacedrank.loss import ridge_value
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
@@ -43,7 +43,7 @@ def scalar_params(w):
 class TestLineSearch:
     def test_quadratic_accepts_first_try(self):
         params = scalar_params(1.0)
-        grad = Gradient(np.array([[1.0]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        grad = EmbeddingParams(np.array([[1.0]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         step, new_params, value = line_search(
             params, grad, ridge_value, 0.5, TrainConfig(initial_step=1.0)
         )
@@ -53,7 +53,7 @@ class TestLineSearch:
 
     def test_zero_gradient_returns_step_zero(self):
         params = scalar_params(1.0)
-        zero = Gradient(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        zero = EmbeddingParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         step, new_params, value = line_search(params, zero, ridge_value, 0.5, TrainConfig())
         assert step == 0.0
         assert params_equal(new_params, params)
