@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import data as data_mod
 from . import evaluation as eval_mod
+from .core import check_direction, validate_dataset
 from .errors import ConfigInvalid, InvalidCutoff, NonFiniteObjective, PacedRankError
 from .gradcheck import run_gradient_check
 from .trainer import (
@@ -117,8 +118,6 @@ def _parse_run_config(config: dict):
     else:
         if "images" not in data_sec or "texts" not in data_sec:
             raise ConfigInvalid("data section requires images and texts paths (or synth)")
-        from .core import validate_dataset
-
         dataset = validate_dataset(
             data_mod.load_features(data_sec["images"]),
             data_mod.load_features(data_sec["texts"]),
@@ -140,9 +139,12 @@ def _parse_run_config(config: dict):
     _check_keys(eval_sec, _EVAL_KEYS, "eval")
     eval_cfg = {
         "direction": eval_sec.get("direction", "i2t"),
-        "r": eval_sec.get("r", "all"),
+        "r": _parse_r(eval_sec.get("r", "all")),
         "mode": eval_sec.get("mode", "by_relevant"),
     }
+    check_direction(eval_cfg["direction"])
+    eval_mod._resolve_r(eval_cfg["r"], dataset.n)
+    eval_mod._check_mode(eval_cfg["mode"])
     return config["output_dir"], dataset, split_spec, train_cfg, eval_cfg
 
 
@@ -151,7 +153,7 @@ def _parse_r(text) -> "int | str":
         return "all"
     try:
         return int(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {text!r}") from exc
 
 
@@ -220,8 +222,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    from .core import validate_dataset
-
     dataset = validate_dataset(
         data_mod.load_features(args.images), data_mod.load_features(args.texts)
     )

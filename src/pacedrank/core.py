@@ -187,8 +187,7 @@ class TetradSet:
 
     @cached_property
     def flat_queries(self) -> np.ndarray:
-        reps = [np.full(len(g), k, dtype=np.int64) for k, g in enumerate(self.groups)]
-        return _frozen_array(np.concatenate(reps) if reps else [], dtype=np.int64)
+        return _group_ids(self.offsets)
 
     @cached_property
     def flat_negatives(self) -> np.ndarray:
@@ -232,6 +231,11 @@ def build_tetrads(
     return TetradSet(n, tuple(groups))
 
 
+def _group_ids(offsets: np.ndarray) -> np.ndarray:
+    """The group index of every flat position: k repeated len(group k) times."""
+    return _frozen_array(np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class GroupedVector:
     """A flat per-tetrad vector plus offsets mirroring a TetradSet's groups."""
@@ -268,10 +272,14 @@ class GroupedVector:
     def group(self, k: int) -> np.ndarray:
         return self.values[int(self.offsets[k]) : int(self.offsets[k + 1])]
 
+    @cached_property
+    def group_ids(self) -> np.ndarray:
+        return _group_ids(self.offsets)
+
     def group_sums(self) -> np.ndarray:
-        return np.array(
-            [float(np.sum(self.group(k))) for k in range(self.n_groups)]
-        )
+        """Per-group sums, each added in index order; zeros and empty groups add 0."""
+        sums = np.bincount(self.group_ids, weights=self.values, minlength=self.n_groups)
+        return sums.astype(np.float64, copy=False)  # bincount gives ints when values is empty
 
     def group_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)

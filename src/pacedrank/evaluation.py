@@ -54,11 +54,6 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
 
-def _stable_descending(scores: np.ndarray) -> np.ndarray:
-    # stable sort on negated scores: equal scores keep ascending index order
-    return np.argsort(-scores, kind="stable")
-
-
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {MODES}, got {mode!r}")
@@ -116,7 +111,7 @@ def retrieve(
         h = map_text(params, query)[None, :]
         E = embed_images(params, corpus)
     scores = (normalized_scores(h, E) if normalized else inner_scores(h, E))[0]
-    order = _stable_descending(scores)
+    order = np.argsort(-scores, kind="stable")  # equal scores keep ascending index order
     if top_k is not None:
         if top_k < 1:
             raise InvalidCutoff("top_k must be at least 1")
@@ -139,12 +134,16 @@ def mean_ap(
     if direction == "t2i":
         S = S.T  # rows become text queries over image items
     n = dataset_test.n
-    _resolve_r(r, n)  # validate early
-    aps = np.empty(n)
-    for k in range(n):
-        order = _stable_descending(S[k])
-        relevance = (order == k).astype(np.float64)
-        aps[k] = average_precision(relevance, r if isinstance(r, str) else int(r), mode)
+    r_eff = _resolve_r(r, n)
+    # the aligned item's place in the stable descending order: behind every
+    # higher score and every equal score at a lower index
+    aligned = np.diagonal(S)[:, None]
+    ahead = (S > aligned) | ((S == aligned) & np.tri(n, k=-1, dtype=bool))
+    rank = 1 + np.count_nonzero(ahead, axis=1)
+    # with one relevant item, AP within the cutoff is precision at its rank
+    aps = np.where(rank <= r_eff, 1.0 / rank, 0.0)
+    if mode == "by_r":
+        aps = aps / r_eff
     return EvalResult(
         per_query=aps,
         mean=float(np.mean(aps)),
@@ -159,24 +158,17 @@ def random_baseline(
     dataset_test: Dataset,
     direction: str = "i2t",
     r: Union[int, str] = "all",
-    seed: int = 0,
-    trials: int = 100,
     mode: str = "by_relevant",
 ) -> float:
-    """Mean mAP of uniformly random rankings, the floor for trained models."""
+    """Expected mAP of a uniformly random ranking, the floor for trained models.
+
+    The aligned item sits at each rank 1..n with probability 1/n and scores
+    1/rank within the cutoff, so the expectation is
+    (1/n) * sum_{rank <= min(R, n)} 1/rank, divided by R for "by_r".
+    """
     check_direction(direction)
     _check_mode(mode)
-    if trials < 1:
-        raise ConfigInvalid("trials must be at least 1")
     n = dataset_test.n
-    _resolve_r(r, n)
-    rng = np.random.default_rng(seed)
-    trial_maps = np.empty(trials)
-    for t in range(trials):
-        aps = np.empty(n)
-        for k in range(n):
-            order = rng.permutation(n)
-            relevance = (order == k).astype(np.float64)
-            aps[k] = average_precision(relevance, r, mode)
-        trial_maps[t] = float(np.mean(aps))
-    return float(np.mean(trial_maps))
+    r_eff = _resolve_r(r, n)
+    expected = float(np.sum(1.0 / np.arange(1, min(r_eff, n) + 1))) / n
+    return expected / r_eff if mode == "by_r" else expected

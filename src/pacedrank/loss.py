@@ -6,9 +6,11 @@ penalty on the two transformation matrices (biases are not penalized) and
 subtracts the selection regularizers: lam * |v|_1 (easiness) and
 gamma * sum_k sqrt(sum_j v_kj) (diversity across query groups).
 
-All reductions run in a fixed order (group-major, then within-group), so
-objective and gradient values are identical across runs and thread counts.
-Tetrads with zero weight are skipped entirely and therefore cannot perturb
+All reductions are whole-array numpy reductions in a fixed order, never
+BLAS dot products, so objective and gradient values are identical across
+runs and thread counts. The weighted loss sums the products of the strictly
+positive weights in flat tetrad order; group masses add each group's
+weights in index order. Tetrads with zero weight therefore cannot perturb
 either value even at the bit level.
 """
 
@@ -120,18 +122,14 @@ def all_losses(
 def weighted_sum_from(losses: LossVector, v: ImportanceVector) -> float:
     """Sum of v * loss over all tetrads, skipping zero weights exactly.
 
-    Per-group dot products over the strictly positive weights accumulate in
-    group order, so removing zero-weight tetrads cannot change the result.
+    One np.sum over the products of the strictly positive weights, in flat
+    tetrad order. A set with its zero-weight tetrads removed yields the same
+    product array, so it yields the same bits.
     """
     if losses.total != v.total or not np.array_equal(losses.offsets, v.offsets):
         raise AlignmentError("losses and weights are not aligned")
-    total = 0.0
-    for k in range(v.n_groups):
-        vk = v.group(k)
-        mask = vk > 0.0
-        if mask.any():
-            total += float(np.dot(vk[mask], losses.group(k)[mask]))
-    return total
+    sel = v.values > 0.0
+    return float(np.sum(v.values[sel] * losses.values[sel]))
 
 
 def weighted_loss_sum(
@@ -149,14 +147,13 @@ def weighted_loss_sum(
 
 
 def selection_penalty(v: ImportanceVector, pacing: PacingState) -> float:
-    """-lam * |v|_1 - gamma * sum_k sqrt(group mass), accumulated in group order."""
-    mass_total = 0.0
-    diversity = 0.0
-    for k in range(v.n_groups):
-        mass = float(np.sum(v.group(k)))
-        mass_total += mass
-        diversity += float(np.sqrt(mass))
-    return -pacing.lam * mass_total - pacing.gamma * diversity
+    """-lam * |v|_1 - gamma * sum_k sqrt(group mass).
+
+    Both terms reduce the per-group masses (v.group_sums), so zero weights,
+    which add exactly 0 to their group's mass, cannot change the result.
+    """
+    masses = v.group_sums()
+    return -pacing.lam * float(np.sum(masses)) - pacing.gamma * float(np.sum(np.sqrt(masses)))
 
 
 def objective(

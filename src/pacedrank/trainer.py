@@ -236,12 +236,13 @@ def line_search(
 
 
 def _optimize_blocks(
-    params, dataset, blocks, cfg: TrainConfig, trace: Optional[list] = None
+    params, dataset, blocks, cfg: TrainConfig, value: float, trace: Optional[list] = None
 ) -> tuple[EmbeddingParams, int]:
+    """Descend from params, whose smooth value the caller passes in as value."""
+
     def value_fn(p):
         return _smooth_value(p, dataset, blocks, cfg)
 
-    value = value_fn(params)
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
     if trace is not None:
@@ -273,8 +274,8 @@ def optimize_W(
 ) -> tuple[EmbeddingParams, int]:
     """Descend on ridge + sum v*loss at fixed weights until stalled."""
     cfg.validate()
-    block = _Block(tetrads=tetrads, direction="i2t", v=v)
-    return _optimize_blocks(params, dataset, [block], cfg)
+    blocks = [_Block(tetrads=tetrads, direction="i2t", v=v)]
+    return _optimize_blocks(params, dataset, blocks, cfg, _smooth_value(params, dataset, blocks, cfg))
 
 
 def _concat_grouped(parts: list[LossVector]) -> LossVector:
@@ -343,7 +344,7 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = _with_penalties(smooth, blocks, pacing)
-        params, inner_steps = _optimize_blocks(params, dataset, blocks, cfg)
+        params, inner_steps = _optimize_blocks(params, dataset, blocks, cfg, smooth)
         losses = _block_losses(params, dataset, blocks, cfg)
         obj_after_w = _with_penalties(_smooth_from(params, blocks, losses), blocks, pacing)
 
@@ -355,7 +356,7 @@ def train(
             raise NonFiniteObjective(f"objective became non-finite at iteration {it}")
 
         counts = np.concatenate(
-            [np.array([int(np.count_nonzero(b.v.group(k) > 0.0)) for k in range(b.v.n_groups)]) for b in blocks]
+            [np.bincount(b.v.group_ids[b.v.values > 0.0], minlength=b.v.n_groups) for b in blocks]
         )
         mass = float(sum(float(np.sum(b.v.values)) for b in blocks))
         val_map: Optional[float] = None

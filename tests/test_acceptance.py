@@ -189,7 +189,7 @@ def test_criterion_7_end_to_end_learnability(capsys):
     ok = True
     for direction in ("i2t", "t2i"):
         trained = mean_ap(params, test_ds, direction, "all").mean
-        floor = random_baseline(test_ds, direction, "all", seed=70, trials=100)
+        floor = random_baseline(test_ds, direction, "all")
         ratios[direction] = trained / floor
         ok = ok and trained >= 3.0 * floor
     elapsed = time.perf_counter() - start

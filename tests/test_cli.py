@@ -143,6 +143,13 @@ class TestTrainCommand:
         assert err.startswith("error: invalid ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value", [("direction", "x2y"), ("r", "ten"), ("mode", "nope")])
+    def test_bad_eval_value_exits_one_before_training(self, tmp_path, key, value):
+        eval_sec = {"direction": "i2t", "r": "all", "mode": "by_relevant", key: value}
+        path, _ = write_config(tmp_path, eval=eval_sec)
+        assert main(["train", "--config", str(path)]) == 1
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         path_a, _ = write_config(tmp_path, output_dir=str(tmp_path / "a"))
         main(["train", "--config", str(path_a)])

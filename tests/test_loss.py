@@ -233,14 +233,18 @@ class TestGradient:
         )
         assert max_relative_error(inst, h=1e-5) < 1e-5
 
-    def test_zero_weight_tetrads_inert_bitwise(self):
-        dataset, params, tetrads, _ = random_instance(17, n=5)
-        rng = np.random.default_rng(170)
+    # groups of 11 tetrads (n=12) are long enough for pairwise summation to
+    # reorder additions, so a per-group np.sum over kept zeros would show here
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_zero_weight_tetrads_inert_bitwise(self, n, gamma):
+        dataset, params, tetrads, _ = random_instance(17, n=n)
+        rng = np.random.default_rng(183)
         values = rng.uniform(0.0, 1.0, tetrads.total)
         values[rng.uniform(size=tetrads.total) < 0.4] = 0.0
         v = ImportanceVector(values, tetrads.offsets)
         cfg = LossConfig(margin=0.1)
-        pacing = PacingState(lam=0.3, gamma=0.0)
+        pacing = PacingState(lam=0.3, gamma=gamma)
 
         kept_groups, kept_weights = [], []
         for k in range(tetrads.n):
