@@ -22,11 +22,10 @@ from .core import (
 from .data import SplitSpec, SynthSpec, load_features, save_features, skewed_synth, split, synth_generate
 from .embed import map_image, map_text, score_matrix, similarity
 from .evaluation import EvalResult, RankedList, average_precision, mean_ap, random_baseline, retrieve
-from .loss import LossVector, all_losses, grad_params, objective, tetrad_loss
+from .loss import Block, LossVector, all_losses, grad_params, objective, tetrad_loss
 from .spl import (
     OracleDiagnostics,
     WeightSolution,
-    advance_pacing,
     init_lambda,
     oracle_spld,
     solve_spl,
@@ -47,6 +46,7 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Block",
     "Checkpoint",
     "Dataset",
     "EmbeddingParams",
@@ -65,7 +65,6 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "WeightSolution",
-    "advance_pacing",
     "all_losses",
     "average_precision",
     "build_tetrads",

@@ -148,12 +148,15 @@ def _parse_run_config(config: dict):
     return config["output_dir"], dataset, split_spec, train_cfg, eval_cfg
 
 
-def _parse_r(text) -> "int | str":
-    if isinstance(text, str) and text.lower() == "all":
+def _parse_r(text):
+    """Turn a command-line cutoff string into "all" or an int; other values pass to _resolve_r."""
+    if not isinstance(text, str):
+        return text
+    if text.lower() == "all":
         return "all"
     try:
         return int(text)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {text!r}") from exc
 
 

@@ -281,9 +281,6 @@ class GroupedVector:
         sums = np.bincount(self.group_ids, weights=self.values, minlength=self.n_groups)
         return sums.astype(np.float64, copy=False)  # bincount gives ints when values is empty
 
-    def group_sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
 
 class ImportanceVector(GroupedVector):
     """Per-tetrad selection weights in [0, 1], grouped per query."""
@@ -298,20 +295,19 @@ class ImportanceVector(GroupedVector):
 
 @dataclass(frozen=True)
 class PacingState:
-    """Self-paced thresholds and their multiplicative growth factors."""
+    """Self-paced thresholds: easiness lam and diversity gamma.
+
+    Their growth per outer iteration is set by TrainConfig.
+    """
 
     lam: float
     gamma: float
-    lam_growth: float = 1.1
-    gamma_growth: float = 1.1
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigInvalid("lam must be a positive finite real")
         if not (self.gamma >= 0.0 and np.isfinite(self.gamma)):
             raise ConfigInvalid("gamma must be a nonnegative finite real")
-        if self.lam_growth < 1.0 or self.gamma_growth < 1.0:
-            raise ConfigInvalid("growth factors must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,11 @@ def _resolve_r(r: Union[int, str], n: int) -> int:
         if r != "all":
             raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {r!r}")
         return n
-    r = int(r)
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {r!r}")
     if r < 1:
         raise InvalidCutoff("cutoff must be at least 1")
-    return r
+    return int(r)
 
 
 def average_precision(relevance: Sequence, r: Union[int, str], mode: str = "by_relevant") -> float:

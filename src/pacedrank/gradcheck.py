@@ -19,11 +19,10 @@ from .core import (
     EmbeddingParams,
     ImportanceVector,
     LossConfig,
-    TetradSet,
     build_tetrads,
     validate_dataset,
 )
-from .loss import _hinge_args, _query_view, all_losses, grad_params, ridge_value, weighted_sum_from
+from .loss import Block, _hinge_args, _query_view, block_losses, grad_params, smooth_part
 
 KINK_BAND = 1e-6
 
@@ -32,16 +31,14 @@ KINK_BAND = 1e-6
 class GradCheckInstance:
     dataset: Dataset
     params: EmbeddingParams
-    tetrads: TetradSet
-    v: ImportanceVector
+    blocks: tuple[Block, ...]
     cfg: LossConfig
-    direction: str
     normalized: bool
 
 
 def _smooth(params, inst: GradCheckInstance) -> float:
-    losses = all_losses(params, inst.dataset, inst.tetrads, inst.cfg, inst.direction, inst.normalized)
-    return ridge_value(params) + weighted_sum_from(losses, inst.v)
+    losses = block_losses(params, inst.dataset, inst.blocks, inst.cfg, inst.normalized)
+    return smooth_part(params, inst.blocks, losses)
 
 
 def make_instance(
@@ -50,10 +47,14 @@ def make_instance(
     p: int = 5,
     q: int = 5,
     d: int = 3,
-    direction: str = "i2t",
+    directions: tuple[str, ...] = ("i2t",),
     normalized: bool = False,
 ) -> GradCheckInstance:
-    """Seeded random instance with hinge arguments pushed off their kinks."""
+    """Seeded random instance with hinge arguments pushed off their kinks.
+
+    Each direction gets its own block over the full tetrad set with its own
+    random weights; two blocks give the symmetric trainer's gradient.
+    """
     rng = np.random.default_rng(seed)
     dataset = validate_dataset(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
     params = EmbeddingParams.from_arrays(
@@ -63,19 +64,22 @@ def make_instance(
         rng.standard_normal(d) * 0.1,
     )
     tetrads = build_tetrads(dataset)
-    v = ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
+    blocks = tuple(
+        Block(tetrads, direction, ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets))
+        for direction in directions
+    )
     margin = 0.05
     for _ in range(100):
         cfg = LossConfig(margin=margin)
-        if _min_kink_distance(params, dataset, tetrads, cfg, direction, normalized) > KINK_BAND:
-            return GradCheckInstance(dataset, params, tetrads, v, cfg, direction, normalized)
+        if min(_min_kink_distance(params, dataset, b, cfg, normalized) for b in blocks) > KINK_BAND:
+            return GradCheckInstance(dataset, params, blocks, cfg, normalized)
         margin += 1e-3
     raise RuntimeError("could not find a kink-free margin")
 
 
-def _min_kink_distance(params, dataset, tetrads, cfg, direction, normalized) -> float:
-    *_, S = _query_view(params, dataset, direction, normalized)
-    args = _hinge_args(S, tetrads, cfg.margin)
+def _min_kink_distance(params, dataset, block: Block, cfg, normalized) -> float:
+    *_, S = _query_view(params, dataset, block.direction, normalized)
+    args = _hinge_args(S, block.tetrads, cfg.margin)
     return float(np.min(np.abs(args))) if len(args) else np.inf
 
 
@@ -106,7 +110,7 @@ def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float 
     The corrupt offset exists as a negative control: it shifts the analytic
     gradient so the check must fail.
     """
-    analytic = grad_params(inst.params, inst.dataset, inst.tetrads, inst.v, inst.cfg, inst.direction, inst.normalized)
+    analytic = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, inst.normalized)
     numeric = numeric_gradient(inst, h)
     worst = 0.0
     for a, ncomp in zip(analytic.arrays, numeric):
@@ -125,7 +129,8 @@ def run_gradient_check(
     """Worst relative error across seeded instances (small dims, n <= 8).
 
     Instance dimensions cycle through p, q <= 8, d <= 4, n <= 8 and cover
-    both retrieval directions plus the normalized-similarity mode.
+    both retrieval directions, their two-block sum (symmetric training) and
+    the normalized-similarity mode.
     """
     worst = 0.0
     for i in range(n_instances):
@@ -137,7 +142,7 @@ def run_gradient_check(
             p=int(rng.integers(2, 9)),
             q=int(rng.integers(2, 9)),
             d=int(rng.integers(1, 5)),
-            direction="t2i" if i % 4 == 3 else "i2t",
+            directions=(("i2t", "t2i"), ("i2t",), ("i2t",), ("t2i",))[i % 4],
             normalized=(i % 5 == 4),
         )
         worst = max(worst, max_relative_error(inst, h=h, corrupt=corrupt))

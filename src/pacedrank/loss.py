@@ -1,20 +1,26 @@
 """Hinge ranking losses over tetrads, the paced objective, and gradients.
 
 For a query k with aligned counterpart k and negative j, the per-tetrad
-loss is max(0, y * (S_kj - S_kk) + margin). The full objective adds a ridge
-penalty on the two transformation matrices (biases are not penalized) and
-subtracts the selection regularizers: lam * |v|_1 (easiness) and
+loss is max(0, y * (S_kj - S_kk) + margin). The objective is defined once,
+over a list of Blocks (a tetrad set, its retrieval direction and its
+weights): a ridge penalty on the two transformation matrices (biases are
+not penalized), plus each block's weighted loss sum, minus each block's
+selection regularizers lam * |v|_1 (easiness) and
 gamma * sum_k sqrt(sum_j v_kj) (diversity across query groups).
 
-All reductions are whole-array numpy reductions in a fixed order, never
-BLAS dot products, so objective and gradient values are identical across
-runs and thread counts. The weighted loss sums the products of the strictly
-positive weights in flat tetrad order; group masses add each group's
-weights in index order. Tetrads with zero weight therefore cannot perturb
-either value even at the bit level.
+All reductions are whole-array numpy reductions in a fixed order, and the
+gradient's matrix products are einsum loops, never BLAS, so objective and
+gradient values are identical across runs and BLAS thread counts. The
+weighted loss sums the products of the strictly positive weights in flat
+tetrad order; group masses add each group's weights in index order.
+Tetrads with zero weight therefore cannot perturb either value even at the
+bit level.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +49,15 @@ class LossVector(GroupedVector):
                 raise NonFiniteValue("losses must be finite")
             if (self.values < 0.0).any():
                 raise ConfigInvalid("losses must be nonnegative")
+
+
+@dataclass
+class Block:
+    """One tetrad population (a retrieval direction) with its current weights."""
+
+    tetrads: TetradSet
+    direction: str
+    v: Optional[ImportanceVector]
 
 
 def _query_view(params: EmbeddingParams, dataset: Dataset, direction: str, normalized: bool):
@@ -132,20 +147,6 @@ def weighted_sum_from(losses: LossVector, v: ImportanceVector) -> float:
     return float(np.sum(v.values[sel] * losses.values[sel]))
 
 
-def weighted_loss_sum(
-    params: EmbeddingParams,
-    dataset: Dataset,
-    tetrads: TetradSet,
-    v: ImportanceVector,
-    cfg: LossConfig,
-    direction: str = "i2t",
-    normalized: bool = False,
-) -> float:
-    """The smooth loss term sum_k sum_j v_kj * l_kj (no ridge, no regularizers)."""
-    _check_aligned(tetrads, v)
-    return weighted_sum_from(all_losses(params, dataset, tetrads, cfg, direction, normalized), v)
-
-
 def selection_penalty(v: ImportanceVector, pacing: PacingState) -> float:
     """-lam * |v|_1 - gamma * sum_k sqrt(group mass).
 
@@ -156,23 +157,48 @@ def selection_penalty(v: ImportanceVector, pacing: PacingState) -> float:
     return -pacing.lam * float(np.sum(masses)) - pacing.gamma * float(np.sum(np.sqrt(masses)))
 
 
+def block_losses(
+    params: EmbeddingParams,
+    dataset: Dataset,
+    blocks: Sequence[Block],
+    cfg: LossConfig,
+    normalized: bool = False,
+) -> list[LossVector]:
+    """all_losses for each block, in block order."""
+    return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized) for b in blocks]
+
+
+def smooth_part(params: EmbeddingParams, blocks: Sequence[Block], losses: list[LossVector]) -> float:
+    """ridge + each block's weighted loss sum, from losses already evaluated."""
+    total = ridge_value(params)
+    for b, block_loss in zip(blocks, losses):
+        total += weighted_sum_from(block_loss, b.v)
+    return total
+
+
+def with_penalties(smooth: float, blocks: Sequence[Block], pacing: PacingState) -> float:
+    """The full objective: smooth part + each block's selection penalty."""
+    total = smooth
+    for b in blocks:
+        total += selection_penalty(b.v, pacing)
+    return total
+
+
 def objective(
     params: EmbeddingParams,
     dataset: Dataset,
-    tetrads: TetradSet,
-    v: ImportanceVector,
+    blocks: Sequence[Block],
     pacing: PacingState,
     cfg: LossConfig,
-    direction: str = "i2t",
     normalized: bool = False,
 ) -> float:
-    """Full paced objective: ridge + weighted losses + selection penalty."""
-    _check_aligned(tetrads, v)
-    return (
-        ridge_value(params)
-        + weighted_loss_sum(params, dataset, tetrads, v, cfg, direction, normalized)
-        + selection_penalty(v, pacing)
-    )
+    """Full paced objective: ridge + weighted losses + selection penalties.
+
+    Terms are added one at a time: the ridge, then each block's weighted
+    loss sum, then each block's selection penalty.
+    """
+    losses = block_losses(params, dataset, blocks, cfg, normalized)
+    return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
 def grad_loss_term(
@@ -200,9 +226,11 @@ def grad_loss_term(
     C[tetrads.flat_queries, tetrads.flat_negatives] = coef
     s_row = C.sum(axis=1)
 
+    # products are einsum loops, not BLAS: a threaded BLAS splits them by
+    # thread count, which would change the gradient's bits
     if not normalized:
-        dH_pre = C @ G - s_row[:, None] * G
-        dG_pre = C.T @ H - s_row[:, None] * H
+        dH_pre = np.einsum("kj,jl->kl", C, G) - s_row[:, None] * G
+        dG_pre = np.einsum("kj,kl->jl", C, H) - s_row[:, None] * H
     else:
         nh = np.sqrt(np.sum(H * H, axis=1))
         ng = np.sqrt(np.sum(G * G, axis=1))
@@ -213,14 +241,14 @@ def grad_loss_term(
         col_cs = (C * S).sum(axis=0)
         w_h = (row_cs - s_row * diag) / (nh * nh)
         w_g = (col_cs - s_row * diag) / (ng * ng)
-        dH_pre = (C @ G_hat - s_row[:, None] * G_hat) / nh[:, None] - w_h[:, None] * H
-        dG_pre = (C.T @ H_hat - s_row[:, None] * H_hat) / ng[:, None] - w_g[:, None] * G
+        dH_pre = (np.einsum("kj,jl->kl", C, G_hat) - s_row[:, None] * G_hat) / nh[:, None] - w_h[:, None] * H
+        dG_pre = (np.einsum("kj,kl->jl", C, H_hat) - s_row[:, None] * H_hat) / ng[:, None] - w_g[:, None] * G
 
     dH = dH_pre * H * (1.0 - H)
     dG = dG_pre * G * (1.0 - G)
-    dW_query = dH.T @ X
+    dW_query = np.einsum("kl,kp->lp", dH, X)
     db_query = dH.sum(axis=0)
-    dW_item = dG.T @ Z
+    dW_item = np.einsum("kl,kp->lp", dG, Z)
     db_item = dG.sum(axis=0)
 
     if direction == "t2i":
@@ -231,12 +259,16 @@ def grad_loss_term(
 def grad_params(
     params: EmbeddingParams,
     dataset: Dataset,
-    tetrads: TetradSet,
-    v: ImportanceVector,
+    blocks: Sequence[Block],
     cfg: LossConfig,
-    direction: str = "i2t",
     normalized: bool = False,
 ) -> EmbeddingParams:
-    """Gradient of ridge + weighted hinge term with respect to all parameters."""
-    g = grad_loss_term(params, dataset, tetrads, v, cfg, direction, normalized)
-    return EmbeddingParams(params.W1 + g.W1, g.b1, params.W2 + g.W2, g.b2)
+    """Gradient of ridge + every block's weighted hinge term.
+
+    The ridge term's gradient is W1, W2 themselves (biases are not
+    penalized); each block's term is then added in block order.
+    """
+    grad = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
+    for b in blocks:
+        grad = grad.axpy(1.0, grad_loss_term(params, dataset, b.tetrads, b.v, cfg, b.direction, normalized))
+    return grad

@@ -1,4 +1,4 @@
-"""Per-query importance-weight solvers and the pacing schedule.
+"""Per-query importance-weight solvers.
 
 Each query group solves, independently of the others,
 
@@ -16,8 +16,9 @@ The closed-form solver fills every sorted rank u with l_(u) < lam + gamma/(2 sqr
 (these form a prefix) and then places the stationary residual mass
 t* = (gamma / (2 (l - lam)))^2 on the boundary loss value l, shared equally
 across all items holding that value so the solution depends only on loss
-values, never on input order. solve_spld with gamma = 0 reduces exactly to
-the pure threshold rule of solve_spl.
+values, never on input order. With gamma = 0 the rank test is l < lam and
+the boundary rule selects every loss equal to lam, so solve_spld gives the
+pure threshold rule of solve_spl.
 
 oracle_spld solves the same problem by brute force on the 1-D reduction
 (dense grid plus per-segment stationary candidates) and reports a
@@ -90,8 +91,6 @@ def solve_spl(losses, lam: float) -> WeightSolution:
 def solve_spld(losses, lam: float, gamma: float) -> WeightSolution:
     """Closed-form global minimizer of the diversity-regularized subproblem."""
     losses = _check_group(losses, lam, gamma)
-    if gamma == 0.0:
-        return solve_spl(losses, lam)
     g = len(losses)
     order = np.argsort(losses, kind="stable")
     ls = losses[order]
@@ -107,8 +106,9 @@ def solve_spld(losses, lam: float, gamma: float) -> WeightSolution:
         tie_hi = int(np.searchsorted(ls, boundary, side="right"))
         n_tied = tie_hi - tie_lo
         if boundary <= lam:
-            # unreachable in exact arithmetic: a loss at or below lam always
-            # passes the rank test; kept as a floating-point guard
+            # a loss at or below lam fails the rank test only when it equals
+            # lam: always at gamma = 0, or when lam + gamma / (2 sqrt(u))
+            # rounds to lam. Selecting it cannot raise psi.
             v_sorted[tie_lo:tie_hi] = 1.0
         else:
             t_star = (gamma / (2.0 * (boundary - lam))) ** 2
@@ -191,16 +191,6 @@ def update_importance(losses: GroupedVector, pacing: PacingState) -> ImportanceV
         parts.append(solve_spld(losses.group(k), pacing.lam, pacing.gamma).weights)
     flat = np.concatenate(parts) if parts else np.empty(0)
     return ImportanceVector(flat, losses.offsets)
-
-
-def advance_pacing(pacing: PacingState) -> PacingState:
-    """Grow both thresholds by their configured factors."""
-    return PacingState(
-        lam=pacing.lam * pacing.lam_growth,
-        gamma=pacing.gamma * pacing.gamma_growth,
-        lam_growth=pacing.lam_growth,
-        gamma_growth=pacing.gamma_growth,
-    )
 
 
 def init_lambda(losses: GroupedVector, fraction: float) -> float:

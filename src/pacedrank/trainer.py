@@ -30,10 +30,8 @@ from . import spl
 from .core import (
     Dataset,
     EmbeddingParams,
-    ImportanceVector,
     LossConfig,
     PacingState,
-    TetradSet,
     build_tetrads,
 )
 from .errors import (
@@ -45,14 +43,7 @@ from .errors import (
     VersionMismatch,
 )
 from .evaluation import mean_ap
-from .loss import (
-    LossVector,
-    all_losses,
-    grad_loss_term,
-    ridge_value,
-    selection_penalty,
-    weighted_sum_from,
-)
+from .loss import Block, LossVector, block_losses, grad_params, smooth_part, with_penalties
 
 CHECKPOINT_MAGIC = b"SCCM"
 CHECKPOINT_VERSION = 1
@@ -151,15 +142,6 @@ class Checkpoint:
     iteration: int
 
 
-@dataclass
-class _Block:
-    """One tetrad population (a retrieval direction) with its current weights."""
-
-    tetrads: TetradSet
-    direction: str
-    v: Optional[ImportanceVector]
-
-
 def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingParams:
     """Seeded Gaussian init scaled by sqrt(2/(fan_in+fan_out)); biases zero."""
     W1 = rng.normal(0.0, np.sqrt(2.0 / (p + d)), size=(d, p))
@@ -168,44 +150,10 @@ def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingPa
 
 
 def _block_losses(params, dataset, blocks, cfg: TrainConfig) -> list[LossVector]:
-    lcfg = cfg.loss_config()
     try:
-        return [
-            all_losses(params, dataset, b.tetrads, lcfg, b.direction, cfg.normalized_similarity)
-            for b in blocks
-        ]
+        return block_losses(params, dataset, blocks, cfg.loss_config(), cfg.normalized_similarity)
     except NonFiniteValue as exc:
         raise NonFiniteObjective(str(exc)) from exc
-
-
-def _smooth_from(params, blocks, losses: list[LossVector]) -> float:
-    """ridge + each block's weighted loss sum, accumulated in block order."""
-    total = ridge_value(params)
-    for b, block_losses in zip(blocks, losses):
-        total += weighted_sum_from(block_losses, b.v)
-    return total
-
-
-def _with_penalties(smooth: float, blocks, pacing: PacingState) -> float:
-    """The full objective: each block's selection penalty added in block order."""
-    total = smooth
-    for b in blocks:
-        total += selection_penalty(b.v, pacing)
-    return total
-
-
-def _smooth_value(params, dataset, blocks, cfg: TrainConfig) -> float:
-    return _smooth_from(params, blocks, _block_losses(params, dataset, blocks, cfg))
-
-
-def _smooth_grad(params, dataset, blocks, cfg: TrainConfig) -> EmbeddingParams:
-    # the ridge term's gradient is W1, W2 themselves; biases are not penalized
-    grad = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    lcfg = cfg.loss_config()
-    for b in blocks:
-        g = grad_loss_term(params, dataset, b.tetrads, b.v, lcfg, b.direction, cfg.normalized_similarity)
-        grad = grad.axpy(1.0, g)
-    return grad
 
 
 def line_search(
@@ -235,13 +183,23 @@ def line_search(
     return 0.0, params, current_value
 
 
-def _optimize_blocks(
-    params, dataset, blocks, cfg: TrainConfig, value: float, trace: Optional[list] = None
+def optimize_W(
+    params: EmbeddingParams,
+    dataset: Dataset,
+    blocks: list[Block],
+    cfg: TrainConfig,
+    value: float,
+    trace: Optional[list] = None,
 ) -> tuple[EmbeddingParams, int]:
-    """Descend from params, whose smooth value the caller passes in as value."""
+    """Descend on ridge + sum v*loss at fixed weights until stalled.
+
+    value is the smooth value at params, which the caller already holds.
+    """
+    cfg.validate()
+    lcfg = cfg.loss_config()
 
     def value_fn(p):
-        return _smooth_value(p, dataset, blocks, cfg)
+        return smooth_part(p, blocks, _block_losses(p, dataset, blocks, cfg))
 
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
@@ -250,7 +208,7 @@ def _optimize_blocks(
     steps = 0
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        grad = _smooth_grad(params, dataset, blocks, cfg)
+        grad = grad_params(params, dataset, blocks, lcfg, cfg.normalized_similarity)
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
@@ -263,19 +221,6 @@ def _optimize_blocks(
         if rel < cfg.rel_tol:
             break
     return params, steps
-
-
-def optimize_W(
-    params: EmbeddingParams,
-    dataset: Dataset,
-    tetrads: TetradSet,
-    v: ImportanceVector,
-    cfg: TrainConfig,
-) -> tuple[EmbeddingParams, int]:
-    """Descend on ridge + sum v*loss at fixed weights until stalled."""
-    cfg.validate()
-    blocks = [_Block(tetrads=tetrads, direction="i2t", v=v)]
-    return _optimize_blocks(params, dataset, blocks, cfg, _smooth_value(params, dataset, blocks, cfg))
 
 
 def _concat_grouped(parts: list[LossVector]) -> LossVector:
@@ -316,24 +261,19 @@ def train(
         return params, history
 
     m = _auto_sample(cfg, dataset.n)
-    blocks = [_Block(build_tetrads(dataset, m, cfg.seed), "i2t", None)]
+    blocks = [Block(build_tetrads(dataset, m, cfg.seed), "i2t", None)]
     if cfg.symmetric_tetrads:
-        blocks.append(_Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
+        blocks.append(Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
     losses = _block_losses(params, dataset, blocks, cfg)
     lam0 = max(spl.init_lambda(_concat_grouped(losses), cfg.init_fraction), _MIN_LAMBDA)
-    pacing = PacingState(
-        lam=lam0,
-        gamma=cfg.gamma_ratio * lam0,
-        lam_growth=cfg.lam_growth,
-        gamma_growth=cfg.gamma_growth,
-    )
-    for b, block_losses in zip(blocks, losses):
-        b.v = spl.update_importance(block_losses, pacing)
+    pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
+    for b, block_loss in zip(blocks, losses):
+        b.v = spl.update_importance(block_loss, pacing)
     # the smooth part at the current (params, v); every objective the loop
     # records is derived from one loss evaluation per block after the W-step
-    smooth = _smooth_from(params, blocks, losses)
+    smooth = smooth_part(params, blocks, losses)
 
     prev_smooth: Optional[float] = None
     prev_mass: Optional[float] = None
@@ -343,15 +283,15 @@ def train(
     since_best = 0
 
     for it in range(1, cfg.max_outer_iters + 1):
-        obj_entry = _with_penalties(smooth, blocks, pacing)
-        params, inner_steps = _optimize_blocks(params, dataset, blocks, cfg, smooth)
+        obj_entry = with_penalties(smooth, blocks, pacing)
+        params, inner_steps = optimize_W(params, dataset, blocks, cfg, smooth)
         losses = _block_losses(params, dataset, blocks, cfg)
-        obj_after_w = _with_penalties(_smooth_from(params, blocks, losses), blocks, pacing)
+        obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
-        for b, block_losses in zip(blocks, losses):
-            b.v = spl.update_importance(block_losses, pacing)
-        smooth = _smooth_from(params, blocks, losses)
-        obj_after_v = _with_penalties(smooth, blocks, pacing)
+        for b, block_loss in zip(blocks, losses):
+            b.v = spl.update_importance(block_loss, pacing)
+        smooth = smooth_part(params, blocks, losses)
+        obj_after_v = with_penalties(smooth, blocks, pacing)
         if not (np.isfinite(obj_entry) and np.isfinite(obj_after_w) and np.isfinite(obj_after_v)):
             raise NonFiniteObjective(f"objective became non-finite at iteration {it}")
 
@@ -399,7 +339,7 @@ def train(
             if stable >= 2:
                 break
         prev_smooth, prev_mass = smooth, mass
-        pacing = spl.advance_pacing(pacing)
+        pacing = PacingState(pacing.lam * cfg.lam_growth, pacing.gamma * cfg.gamma_growth)
 
     if cfg.early_stop_patience is not None and best_val > -np.inf:
         return best_params, history
@@ -511,6 +451,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptCheckpoint(f"bad checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or set(header) != {"config", "seed", "iteration"}:
         raise CorruptCheckpoint("checkpoint header has unexpected structure")
+    if not isinstance(header["config"], dict):
+        raise CorruptCheckpoint("checkpoint config is not an object")
+    for key in ("seed", "iteration"):
+        if isinstance(header[key], bool) or not isinstance(header[key], int):
+            raise CorruptCheckpoint(f"checkpoint {key} is not an integer")
     config = _config_from_json(header["config"])
     W1 = _unpack_matrix(cur, vector=False)
     b1 = _unpack_matrix(cur, vector=True)
@@ -523,6 +468,6 @@ def load_checkpoint(path) -> Checkpoint:
         version=version,
         params=params,
         config=config,
-        seed=int(header["seed"]),
-        iteration=int(header["iteration"]),
+        seed=header["seed"],
+        iteration=header["iteration"],
     )

@@ -143,7 +143,9 @@ class TestTrainCommand:
         assert err.startswith("error: invalid ")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key, value", [("direction", "x2y"), ("r", "ten"), ("mode", "nope")])
+    @pytest.mark.parametrize(
+        "key, value", [("direction", "x2y"), ("r", "ten"), ("r", 2.7), ("r", True), ("mode", "nope")]
+    )
     def test_bad_eval_value_exits_one_before_training(self, tmp_path, key, value):
         eval_sec = {"direction": "i2t", "r": "all", "mode": "by_relevant", key: value}
         path, _ = write_config(tmp_path, eval=eval_sec)

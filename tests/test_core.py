@@ -139,8 +139,6 @@ class TestConfigTypes:
             PacingState(lam=0.0, gamma=0.1)
         with pytest.raises(ConfigInvalid):
             PacingState(lam=1.0, gamma=-0.1)
-        with pytest.raises(ConfigInvalid):
-            PacingState(lam=1.0, gamma=0.1, lam_growth=0.9)
 
     def test_loss_config_margin(self):
         with pytest.raises(ConfigInvalid):

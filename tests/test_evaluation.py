@@ -48,6 +48,10 @@ class TestAveragePrecision:
             average_precision([1, 0], 0)
         with pytest.raises(InvalidCutoff):
             average_precision([1, 0], "some")
+        with pytest.raises(InvalidCutoff):
+            average_precision([1, 0], 2.7)
+        with pytest.raises(InvalidCutoff):
+            average_precision([1, 0], True)
 
     def test_relevant_beyond_cutoff_ignored(self):
         assert average_precision([0, 0, 0, 1], 2) == 0.0

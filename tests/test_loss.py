@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import pacedrank
 
 from pacedrank.core import (
     Dataset,
@@ -18,6 +24,7 @@ from pacedrank.embed import score_matrix
 from pacedrank.errors import AlignmentError, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
+    Block,
     all_losses,
     grad_loss_term,
     grad_params,
@@ -137,7 +144,7 @@ class TestObjective:
         dataset, params, tetrads, _ = random_instance(5)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         pacing = PacingState(lam=0.4, gamma=0.2)
-        got = objective(params, dataset, tetrads, v, pacing, LossConfig())
+        got = objective(params, dataset, [Block(tetrads, "i2t", v)], pacing, LossConfig())
         expected = 0.5 * (np.sum(params.W1**2) + np.sum(params.W2**2))
         assert got == pytest.approx(expected, rel=1e-15)
 
@@ -148,14 +155,14 @@ class TestObjective:
         v = ImportanceVector(np.ones(6), tetrads.offsets)
         lam = 0.25
         pacing = PacingState(lam=lam, gamma=0.0)
-        got = objective(params, ds, tetrads, v, pacing, LossConfig(margin=0.1))
+        got = objective(params, ds, [Block(tetrads, "i2t", v)], pacing, LossConfig(margin=0.1))
         assert got == pytest.approx(6 * 0.1 - lam * 6, rel=1e-12)
 
     def test_matches_termwise_recomputation(self):
         dataset, params, tetrads, v = random_instance(47)
         pacing = PacingState(lam=0.3, gamma=0.15)
         cfg = LossConfig(margin=0.2)
-        got = objective(params, dataset, tetrads, v, pacing, cfg)
+        got = objective(params, dataset, [Block(tetrads, "i2t", v)], pacing, cfg)
 
         expected = 0.5 * sum(
             float(w**2) for W in (params.W1, params.W2) for w in W.ravel()
@@ -174,7 +181,9 @@ class TestObjective:
         dataset, params, tetrads, _ = random_instance(3)
         bad = ImportanceVector(np.ones(2), np.array([0, 1, 2]))
         with pytest.raises(AlignmentError):
-            objective(params, dataset, tetrads, bad, PacingState(lam=1.0, gamma=0.0), LossConfig())
+            objective(
+                params, dataset, [Block(tetrads, "i2t", bad)], PacingState(lam=1.0, gamma=0.0), LossConfig()
+            )
 
     def test_regularizer_equals_direct_summation(self):
         rng = np.random.default_rng(31)
@@ -185,11 +194,36 @@ class TestObjective:
         assert ridge_value(params) == pytest.approx(direct, rel=1e-14)
 
 
+# At n=600 a BLAS matrix product is split across threads (n=300 is not), so
+# a BLAS product anywhere in the gradient shows up as differing bytes here.
+_GRADIENT_BYTES = """
+import hashlib
+import numpy as np
+from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
+from pacedrank.loss import grad_loss_term
+from pacedrank.trainer import init_params
+
+rng = np.random.default_rng(7)
+dataset = validate_dataset(rng.standard_normal((600, 20)), rng.standard_normal((600, 20)))
+params = init_params(rng, 10, 20, 20)
+tetrads = build_tetrads(dataset, 32, 7)
+v = ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
+digest = hashlib.sha256()
+for normalized in (False, True):
+    for direction in ("i2t", "t2i"):
+        g = grad_loss_term(params, dataset, tetrads, v, LossConfig(margin=0.1), direction, normalized)
+        for arr in g.arrays:
+            digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+
 class TestGradient:
     def test_zero_weights_gradient_is_ridge(self):
         dataset, params, tetrads, _ = random_instance(8)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
-        g = grad_params(params, dataset, tetrads, v, LossConfig())
+        g = grad_params(params, dataset, [Block(tetrads, "i2t", v)], LossConfig())
         assert np.array_equal(g.W1, params.W1)
         assert np.array_equal(g.W2, params.W2)
         assert np.array_equal(g.b1, np.zeros(params.d))
@@ -207,11 +241,11 @@ class TestGradient:
         v = ImportanceVector(np.ones(2), tetrads.offsets)
         losses = all_losses(params, ds, tetrads, LossConfig(margin=0.1))
         assert losses.values[0] == 0.0  # query 0 satisfied
-        g = grad_params(params, ds, tetrads, v, LossConfig(margin=0.1))
+        g = grad_params(params, ds, [Block(tetrads, "i2t", v)], LossConfig(margin=0.1))
         # query 1's hinge is active, so only assert the satisfied side's share:
         # with both hinges inactive the gradient reduces to the ridge exactly
         v0 = ImportanceVector(np.array([1.0, 0.0]), tetrads.offsets)
-        g0 = grad_params(params, ds, tetrads, v0, LossConfig(margin=0.1))
+        g0 = grad_params(params, ds, [Block(tetrads, "i2t", v0)], LossConfig(margin=0.1))
         assert np.array_equal(g0.W1, params.W1)
         assert np.array_equal(g0.b2, np.zeros(1))
 
@@ -228,7 +262,7 @@ class TestGradient:
             p=int(rng.integers(2, 9)),
             q=int(rng.integers(2, 9)),
             d=int(rng.integers(1, 5)),
-            direction="t2i" if seed % 3 == 2 else "i2t",
+            directions=(("i2t",), ("i2t", "t2i"), ("t2i",))[seed % 3],
             normalized=(seed % 4 == 3),
         )
         assert max_relative_error(inst, h=1e-5) < 1e-5
@@ -254,13 +288,26 @@ class TestGradient:
         pruned = TetradSet(tetrads.n, tuple(kept_groups))
         v_pruned = ImportanceVector(np.concatenate(kept_weights), pruned.offsets)
 
-        full_obj = objective(params, dataset, tetrads, v, pacing, cfg)
-        pruned_obj = objective(params, dataset, pruned, v_pruned, pacing, cfg)
+        full_obj = objective(params, dataset, [Block(tetrads, "i2t", v)], pacing, cfg)
+        pruned_obj = objective(params, dataset, [Block(pruned, "i2t", v_pruned)], pacing, cfg)
         assert full_obj == pruned_obj
 
-        g_full = grad_params(params, dataset, tetrads, v, cfg)
-        g_pruned = grad_params(params, dataset, pruned, v_pruned, cfg)
+        g_full = grad_params(params, dataset, [Block(tetrads, "i2t", v)], cfg)
+        g_pruned = grad_params(params, dataset, [Block(pruned, "i2t", v_pruned)], cfg)
         assert np.array_equal(g_full.W1, g_pruned.W1)
         assert np.array_equal(g_full.b1, g_pruned.b1)
         assert np.array_equal(g_full.W2, g_pruned.W2)
         assert np.array_equal(g_full.b2, g_pruned.b2)
+
+    def test_bytes_independent_of_blas_threads(self):
+        src = str(Path(pacedrank.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            done = subprocess.run(
+                [sys.executable, "-c", _GRADIENT_BYTES], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

@@ -4,7 +4,6 @@ import pytest
 from pacedrank.core import GroupedVector, PacingState
 from pacedrank.errors import EmptyGroup, GroupTooLarge
 from pacedrank.spl import (
-    advance_pacing,
     init_lambda,
     oracle_spld,
     psi_value,
@@ -177,31 +176,13 @@ class TestUpdateImportance:
     def test_selected_mass_monotone_under_pacing(self):
         rng = np.random.default_rng(108)
         losses = GroupedVector.from_groups([rng.uniform(0.0, 2.0, 7) for _ in range(4)])
-        pacing = PacingState(lam=0.1, gamma=0.05, lam_growth=1.3, gamma_growth=1.3)
+        lam, gamma = 0.1, 0.05
         prev = -1.0
         for _ in range(10):
-            mass = float(np.sum(update_importance(losses, pacing).values))
+            mass = float(np.sum(update_importance(losses, PacingState(lam=lam, gamma=gamma)).values))
             assert mass >= prev - 1e-12
             prev = mass
-            pacing = advance_pacing(pacing)
-
-
-class TestPacing:
-    def test_growth(self):
-        p = advance_pacing(PacingState(lam=0.5, gamma=0.1, lam_growth=1.1, gamma_growth=1.1))
-        assert p.lam == pytest.approx(0.55)
-        assert p.gamma == pytest.approx(0.11)
-
-    def test_identity_growth(self):
-        p0 = PacingState(lam=0.5, gamma=0.1, lam_growth=1.0, gamma_growth=1.0)
-        p1 = advance_pacing(p0)
-        assert (p1.lam, p1.gamma) == (p0.lam, p0.gamma)
-
-    def test_triple_doubling(self):
-        p = PacingState(lam=1.0, gamma=0.0, lam_growth=2.0, gamma_growth=1.0)
-        for _ in range(3):
-            p = advance_pacing(p)
-        assert p.lam == 8.0
+            lam, gamma = lam * 1.3, gamma * 1.3
 
 
 class TestInitLambda:

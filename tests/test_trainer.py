@@ -9,14 +9,12 @@ from pacedrank.errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
-from pacedrank.loss import ridge_value
+from pacedrank.loss import Block, grad_params, ridge_value, smooth_part
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
     TrainConfig,
-    _Block,
-    _optimize_blocks,
-    _smooth_value,
+    _block_losses,
     init_params,
     line_search,
     load_checkpoint,
@@ -35,6 +33,10 @@ def params_equal(a: EmbeddingParams, b: EmbeddingParams) -> bool:
         and np.array_equal(a.W2, b.W2)
         and np.array_equal(a.b2, b.b2)
     )
+
+
+def smooth_value(params, dataset, blocks, cfg):
+    return smooth_part(params, blocks, _block_losses(params, dataset, blocks, cfg))
 
 
 def scalar_params(w):
@@ -62,12 +64,10 @@ class TestLineSearch:
     def test_armijo_inequality_holds(self):
         dataset, params, tetrads, v = random_instance(60)
         cfg = TrainConfig(margin=0.2)
-        block = _Block(tetrads, "i2t", v)
-        from pacedrank.trainer import _smooth_grad, _smooth_value
-
-        f = lambda p: _smooth_value(p, dataset, [block], cfg)
+        blocks = [Block(tetrads, "i2t", v)]
+        f = lambda p: smooth_value(p, dataset, blocks, cfg)
         f0 = f(params)
-        grad = _smooth_grad(params, dataset, [block], cfg)
+        grad = grad_params(params, dataset, blocks, cfg.loss_config())
         step, _, value = line_search(params, grad, f, f0, cfg)
         assert step > 0.0
         assert value <= f0 - cfg.sufficient_decrease * step * grad.norm_sq()
@@ -78,7 +78,8 @@ class TestOptimizeW:
         dataset, params, tetrads, _ = random_instance(61)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         cfg = TrainConfig(max_inner_steps=200, rel_tol=1e-12)
-        out, steps = optimize_W(params, dataset, tetrads, v, cfg)
+        blocks = [Block(tetrads, "i2t", v)]
+        out, steps = optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
         norm = np.sqrt(np.sum(out.W1**2) + np.sum(out.W2**2))
         assert norm < 1e-3
         assert steps <= 200
@@ -89,7 +90,9 @@ class TestOptimizeW:
         zero = EmbeddingParams.from_arrays(
             np.zeros((3, 5)), np.zeros(3), np.zeros((3, 4)), np.zeros(3)
         )
-        out, steps = optimize_W(zero, dataset, tetrads, v, TrainConfig())
+        blocks = [Block(tetrads, "i2t", v)]
+        cfg = TrainConfig()
+        out, steps = optimize_W(zero, dataset, blocks, cfg, smooth_value(zero, dataset, blocks, cfg))
         assert steps == 1
         assert params_equal(out, zero)
 
@@ -97,16 +100,18 @@ class TestOptimizeW:
         dataset, params, tetrads, v = random_instance(63)
         cfg = TrainConfig(max_inner_steps=30)
         trace = []
-        blocks = [_Block(tetrads, "i2t", v)]
-        _optimize_blocks(params, dataset, blocks, cfg, _smooth_value(params, dataset, blocks, cfg), trace=trace)
+        blocks = [Block(tetrads, "i2t", v)]
+        optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg), trace=trace)
         assert len(trace) >= 2
         assert (np.diff(trace) <= 0.0).all()
 
     def test_nan_params_raise(self):
         dataset, params, tetrads, v = random_instance(64)
         bad = EmbeddingParams(params.W1 * np.nan, params.b1, params.W2, params.b2)
+        blocks = [Block(tetrads, "i2t", v)]
+        cfg = TrainConfig()
         with pytest.raises(NonFiniteObjective):
-            optimize_W(bad, dataset, tetrads, v, TrainConfig())
+            optimize_W(bad, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
 
 
 def tiny_corpus(seed=0, n=30):
@@ -171,6 +176,19 @@ class TestTrain:
             assert rec.objective_after_w <= rec.objective_entry + 1e-10
             assert rec.objective <= rec.objective_after_w + 1e-10
 
+    @pytest.mark.parametrize("lam_growth, gamma_growth", [(1.1, 1.1), (1.0, 1.0), (2.0, 1.0)])
+    def test_pacing_grows_by_config_factors(self, lam_growth, gamma_growth):
+        ds = tiny_corpus(seed=5, n=16)
+        cfg = TrainConfig(
+            embedding_dim=3, max_outer_iters=4, seed=5, lam_growth=lam_growth, gamma_growth=gamma_growth
+        )
+        _, history = train(ds, cfg)
+        recs = history.records
+        assert len(recs) >= 3
+        for a, b in zip(recs, recs[1:]):
+            assert b.lam == a.lam * cfg.lam_growth
+            assert b.gamma == a.gamma * cfg.gamma_growth
+
     def test_normalized_similarity_mode_runs(self):
         ds = tiny_corpus(seed=8, n=16)
         cfg = TrainConfig(embedding_dim=3, max_outer_iters=3, seed=8, normalized_similarity=True)
@@ -197,6 +215,8 @@ class TestTrain:
             {"init_fraction": 0.0},
             {"sufficient_decrease": 1.5},
             {"max_inner_steps": 0},
+            {"lam_growth": 0.9},
+            {"gamma_growth": 0.9},
         ):
             with pytest.raises(ConfigInvalid):
                 train(ds, TrainConfig(**bad))
@@ -258,6 +278,24 @@ class TestCheckpoint:
         blob[:4] = b"NOPE"
         blob += hashlib.sha256(bytes(blob)).digest()[:8]
         path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("seed", None), ("config", 5), ("iteration", 2.5)])
+    def test_mistyped_header_value(self, tmp_path, key, value):
+        import hashlib
+        import json
+        import struct
+
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, self.make())
+        blob = path.read_bytes()[:-8]
+        (header_len,) = struct.unpack("<I", blob[8:12])  # after magic and version
+        header = json.loads(blob[12 : 12 + header_len])
+        header[key] = value
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :]
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
