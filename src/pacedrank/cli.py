@@ -84,14 +84,15 @@ def _check_keys(section, allowed: set, where: str) -> None:
 
 @contextlib.contextmanager
 def _section(where: str):
-    """Report a missing key or a wrongly typed value in a config section as ConfigInvalid.
+    """Report a missing key or a wrongly typed or invalid value in a config section.
 
-    Building a spec fails with TypeError on a missing key, and validating or
-    using it fails with TypeError on a value of the wrong type.
+    Building a spec fails with TypeError on a missing key; validating or
+    using it fails with TypeError or ConfigInvalid on a bad value. Both
+    become ConfigInvalid naming the section.
     """
     try:
         yield
-    except TypeError as exc:
+    except (TypeError, ConfigInvalid) as exc:
         raise ConfigInvalid(f"invalid {where} section: {exc}") from exc
 
 

@@ -5,9 +5,22 @@ sigmoid, so every embedding component lies strictly inside (0, 1) and every
 raw similarity score strictly inside (0, d). The batched score matrix uses
 the same per-entry summation order as the single-pair path, so batch and
 pointwise results are bit-identical.
+
+The single-pair path sums the d products h * g with np.sum, which adds a
+contiguous run in numpy's pairwise order: under 8 terms one after another;
+up to 128 terms in 8 interleaved accumulators combined as
+((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder one at a time;
+beyond that, the two halves (the first rounded down to a multiple of 8)
+summed that way and added. inner_scores builds the score matrix from the d
+lanes H[:, l] (x) G[:, l], adding whole lanes in that same order over row
+blocks, so it never holds an n x m x d product. Problems of at most
+_BROADCAST_MAX_ENTRIES entries, such as one query against a test corpus,
+reduce one broadcast product instead, which is cheaper there.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,6 +30,12 @@ from .errors import DimensionMismatch
 _EXP_CLAMP = 500.0  # keeps exp() finite; output is re-clipped into open (0, 1)
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
+
+# At most this many score entries: one broadcast product beats the lane
+# kernel's ~2d numpy calls (measured crossover near 1-2k entries at d=10).
+_BROADCAST_MAX_ENTRIES = 1024
+# Output entries per row block of the lane kernel; its slot buffers stay in L2.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def sigmoid(t):
@@ -79,19 +98,81 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(E * E, axis=1))
 
 
+def _emit_pairwise(ops: list, first: int, count: int, dst: int, free: int) -> None:
+    """Append ops that sum lanes first..first+count-1 into slot dst in numpy's pairwise order.
+
+    Slots from `free` up are unused scratch; slot 1 is the lane temporary.
+    """
+    if count < 8:
+        ops.append(("set", dst, first))
+        for lane in range(first + 1, first + count):
+            ops.append(("add_lane", dst, lane))
+    elif count <= 128:
+        acc = [dst, *range(free, free + 7)]
+        end = first + count - count % 8
+        for i in range(first, end, 8):
+            for j in range(8):
+                ops.append(("set" if i == first else "add_lane", acc[j], i + j))
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            ops.append(("add", acc[a], acc[b]))
+        for lane in range(end, first + count):
+            ops.append(("add_lane", dst, lane))
+    else:
+        half = count // 2
+        half -= half % 8
+        _emit_pairwise(ops, first, half, dst, free)
+        _emit_pairwise(ops, first + half, count - half, free, free + 1)
+        ops.append(("add", dst, free))
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_program(d: int):
+    """The op sequence that sums d lanes into slot 0, and the number of slots it uses.
+
+    Ops are ("set", slot, lane): slot = lane; ("add_lane", slot, lane):
+    slot += lane; ("add", slot, other): slot += other.
+    """
+    ops: list = []
+    _emit_pairwise(ops, 0, d, 0, 2)
+    used = [op[1] for op in ops] + [op[2] for op in ops if op[0] == "add"]
+    return tuple(ops), max(used + [1]) + 1
+
+
 def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     """All-pairs inner products with a fixed per-entry summation order.
 
-    Entry (k, j) is bit-identical to float(np.sum(H[k] * G[j])). Work is
-    chunked over rows to bound memory; chunking does not change any entry.
+    Entry (k, j) is bit-identical to float(np.sum(H[k] * G[j])). Up to
+    _BROADCAST_MAX_ENTRIES entries, one broadcast product is reduced over
+    its last axis. Larger problems add the d lanes H[:, l] (x) G[:, l] in
+    numpy's pairwise order (see the module docstring), over row blocks of
+    about _BLOCK_ENTRIES entries. Neither the path nor the blocking changes
+    any entry.
     """
     n, d = H.shape
     m = G.shape[0]
+    if n * m <= _BROADCAST_MAX_ENTRIES:
+        return (H[:, None, :] * G[None, :, :]).sum(axis=2)
+    ops, n_slots = _lane_program(d)
+    HT = np.ascontiguousarray(H.T)
+    GT = np.ascontiguousarray(G.T)
     out = np.empty((n, m))
-    chunk = max(1, int(4_000_000 // max(1, m * d)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out[lo:hi] = (H[lo:hi, None, :] * G[None, :, :]).sum(axis=2)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    buffers = np.empty((n_slots - 1, min(rows, n), m))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        slots = [out[lo:hi], *buffers[:, : hi - lo]]
+        for kind, dst, arg in ops:
+            if kind == "add":
+                np.add(slots[dst], slots[arg], out=slots[dst])
+            elif kind == "set":
+                np.multiply(HT[arg, lo:hi, None], GT[arg], out=slots[dst])
+            else:
+                np.multiply(HT[arg, lo:hi, None], GT[arg], out=slots[1])
+                np.add(slots[dst], slots[1], out=slots[dst])
+    # np.sum starts from +0.0, so an entry whose products are all -0.0 is +0.0
+    # there; only a zero or negative factor can make a -0.0 product
+    if not (H.min() > 0.0 and G.min() > 0.0):
+        np.add(out, 0.0, out=out)
     return out
 
 

@@ -237,8 +237,9 @@ def grad_loss_term(
         H_hat = H / nh[:, None]
         G_hat = G / ng[:, None]
         diag = np.diagonal(S)
-        row_cs = (C * S).sum(axis=1)
-        col_cs = (C * S).sum(axis=0)
+        CS = C * S
+        row_cs = CS.sum(axis=1)
+        col_cs = CS.sum(axis=0)
         w_h = (row_cs - s_row * diag) / (nh * nh)
         w_g = (col_cs - s_row * diag) / (ng * ng)
         dH_pre = (np.einsum("kj,jl->kl", C, G_hat) - s_row[:, None] * G_hat) / nh[:, None] - w_h[:, None] * H

@@ -77,6 +77,18 @@ class TrainConfig:
     early_stop_patience: Optional[int] = None
 
     def validate(self) -> None:
+        # a JSON "false" or 2.5 would otherwise pass the range checks below
+        for name in ("symmetric_tetrads", "normalized_similarity"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
+        optional = ("sample_negatives", "early_stop_patience")
+        for name in ("embedding_dim", "max_outer_iters", "max_inner_steps", "seed", *optional):
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
         if self.embedding_dim < 1:
             raise ConfigInvalid("embedding_dim must be at least 1")
         if not (self.margin >= 0.0):

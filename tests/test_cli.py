@@ -144,6 +144,25 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("normalized_similarity", "false"),
+            ("symmetric_tetrads", 1),
+            ("max_outer_iters", 2.5),
+            ("embedding_dim", 4.0),
+            ("max_inner_steps", True),
+            ("seed", "1"),
+            ("sample_negatives", 3.0),
+            ("early_stop_patience", 2.5),
+        ],
+    )
+    def test_mistyped_train_value_exits_one_before_training(self, tmp_path, capsys, key, value):
+        path, _ = write_config(tmp_path, train={"embedding_dim": 4, "max_outer_iters": 3, "seed": 1, key: value})
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid train section: " + key)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
         "key, value", [("direction", "x2y"), ("r", "ten"), ("r", 2.7), ("r", True), ("mode", "nope")]
     )
     def test_bad_eval_value_exits_one_before_training(self, tmp_path, key, value):

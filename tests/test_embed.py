@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import (
+    _BLOCK_ENTRIES,
+    _BROADCAST_MAX_ENTRIES,
+    inner_scores,
     map_image,
     map_text,
     score_matrix,
@@ -123,6 +127,63 @@ class TestScoreMatrix:
         for k in range(4):
             for j in range(4):
                 assert S[k, j] == similarity(params, ds.images[k], ds.texts[j], normalized=True)
+
+
+def broadcast_reference(H, G):
+    """The reduction the lane kernel replaces: each row's d products summed by numpy."""
+    return np.array([(h * G).sum(axis=1) for h in H])
+
+
+class TestInnerScores:
+    # below the broadcast cutoff; above it in one partial row block; several blocks and a tail
+    SHAPES = [(3, 7), (41, 50), (2 * (_BLOCK_ENTRIES // 2000) + 3, 2000)]
+
+    def test_shapes_cover_both_paths(self):
+        small, one_block, blocks = self.SHAPES
+        assert small[0] * small[1] <= _BROADCAST_MAX_ENTRIES
+        assert one_block[0] * one_block[1] > _BROADCAST_MAX_ENTRIES
+        assert one_block[0] < _BLOCK_ENTRIES // one_block[1]
+        assert blocks[0] % (_BLOCK_ENTRIES // blocks[1]) != 0
+
+    @pytest.mark.parametrize("d", list(range(1, 41)) + [64, 127, 128, 129, 200])
+    def test_equals_pointwise_sum_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        for n, m in self.SHAPES:
+            # sigmoid-range factors (the embeddings) and signed ones
+            for H, G in (
+                (rng.random((n, d)), rng.random((m, d))),
+                (rng.standard_normal((n, d)), rng.standard_normal((m, d))),
+            ):
+                S = inner_scores(H, G)
+                ref = broadcast_reference(H, G)
+                assert np.array_equal(S, ref)
+                assert S.tobytes() == ref.tobytes()
+                pairs = [(k, j) for k in range(n) for j in range(m)]
+                if len(pairs) > 4096:
+                    picks = rng.choice(len(pairs), 256, replace=False)
+                    pairs = [pairs[i] for i in picks] + [(n - 1, m - 1)]
+                for k, j in pairs:
+                    assert S[k, j] == float(np.sum(H[k] * G[j]))
+
+    @pytest.mark.parametrize("d", [3, 10, 200])
+    def test_all_negative_zero_products_give_positive_zero(self, d):
+        H = np.zeros((40, d))
+        G = -np.ones((60, d))
+        S = inner_scores(H, G)
+        assert S.tobytes() == broadcast_reference(H, G).tobytes()
+        assert not np.signbit(S).any()
+
+    def test_peak_memory_below_two_score_matrices(self):
+        rng = np.random.default_rng(3)
+        n = m = 600
+        H, G = rng.random((n, 10)), rng.random((m, 10))
+        tracemalloc.start()
+        try:
+            inner_scores(H, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * m * 8
 
 
 class TestRangeInvariants:

@@ -217,6 +217,9 @@ class TestTrain:
             {"max_inner_steps": 0},
             {"lam_growth": 0.9},
             {"gamma_growth": 0.9},
+            {"normalized_similarity": "false"},
+            {"max_outer_iters": 2.5},
+            {"sample_negatives": 4.0},
         ):
             with pytest.raises(ConfigInvalid):
                 train(ds, TrainConfig(**bad))
@@ -281,21 +284,35 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key, value", [("seed", "x"), ("seed", None), ("config", 5), ("iteration", 2.5)])
-    def test_mistyped_header_value(self, tmp_path, key, value):
+    def write_edited_header(self, path, edit):
+        """Save a checkpoint whose JSON header `edit` changes, with a valid digest."""
         import hashlib
         import json
         import struct
 
-        path = tmp_path / "model.bin"
         save_checkpoint(path, self.make())
         blob = path.read_bytes()[:-8]
         (header_len,) = struct.unpack("<I", blob[8:12])  # after magic and version
         header = json.loads(blob[12 : 12 + header_len])
-        header[key] = value
+        edit(header)
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
         body = blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + header_len :]
         path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("seed", None), ("config", 5), ("iteration", 2.5)])
+    def test_mistyped_header_value(self, tmp_path, key, value):
+        path = tmp_path / "model.bin"
+        self.write_edited_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("normalized_similarity", "false"), ("symmetric_tetrads", 0), ("max_outer_iters", 2.5), ("seed", True)],
+    )
+    def test_mistyped_config_value(self, tmp_path, key, value):
+        path = tmp_path / "model.bin"
+        self.write_edited_header(path, lambda header: header["config"].update({key: value}))
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
