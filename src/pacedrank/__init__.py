@@ -14,7 +14,6 @@ from .core import (
     ImportanceVector,
     LossConfig,
     PacingState,
-    Tetrad,
     TetradSet,
     build_tetrads,
     validate_dataset,
@@ -22,7 +21,7 @@ from .core import (
 from .data import SplitSpec, SynthSpec, load_features, save_features, skewed_synth, split, synth_generate
 from .embed import map_image, map_text, score_matrix, similarity
 from .evaluation import EvalResult, RankedList, average_precision, mean_ap, random_baseline, retrieve
-from .loss import Block, LossVector, all_losses, grad_params, objective, tetrad_loss
+from .loss import Block, all_losses, grad_params, objective, tetrad_loss
 from .spl import (
     OracleDiagnostics,
     WeightSolution,
@@ -54,13 +53,11 @@ __all__ = [
     "GroupedVector",
     "ImportanceVector",
     "LossConfig",
-    "LossVector",
     "OracleDiagnostics",
     "PacingState",
     "RankedList",
     "SplitSpec",
     "SynthSpec",
-    "Tetrad",
     "TetradSet",
     "TrainConfig",
     "TrainHistory",

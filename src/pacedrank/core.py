@@ -4,18 +4,23 @@ Conventions: feature matrices are row-major with one item per row, all
 indices are 0-based, and all randomness flows from explicit seeds so that
 repeated runs are bit-identical. Arrays held by these types are locked
 (read-only) after construction and safe to share across threads.
+
+Per-tetrad data is flat. A TetradSet holds one negative per tetrad plus
+per-query offsets, and a GroupedVector (losses, weights) holds one value
+per tetrad over the same offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigInvalid,
+    IndexOutOfRange,
     NonFiniteValue,
     SampleTooLarge,
     ShapeMismatch,
@@ -30,6 +35,12 @@ def check_direction(direction: str) -> None:
     """Raise ConfigInvalid unless direction is one of DIRECTIONS."""
     if direction not in DIRECTIONS:
         raise ConfigInvalid(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise ConfigInvalid unless seed is a nonnegative int (a bool is not a seed)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigInvalid(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -150,55 +161,55 @@ class EmbeddingParams:
         return cls(W1, b1, W2, b2)
 
 
-@dataclass(frozen=True)
-class Tetrad:
-    """One ranking supervision unit: query k, its aligned item, negative j.
+def _check_offsets(offsets: np.ndarray, total: int) -> None:
+    """Raise ConfigInvalid unless offsets run from 0 up to total without decreasing."""
+    if offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0:
+        raise ConfigInvalid("offsets must start at 0")
+    if (np.diff(offsets) < 0).any():
+        raise ConfigInvalid("offsets must be non-decreasing")
+    if int(offsets[-1]) != total:
+        raise ConfigInvalid("offsets must end at the number of values")
 
-    Under the default construction the order label is always +1: the aligned
-    item must outrank the negative.
-    """
 
-    query_index: int
-    negative_index: int
-    label: int = 1
-
-    def __post_init__(self) -> None:
-        if self.negative_index == self.query_index:
-            raise ConfigInvalid("negative index must differ from the query index")
-        if self.label not in (-1, 1):
-            raise ConfigInvalid("label must be +1 or -1")
+def _group_ids(offsets: np.ndarray) -> np.ndarray:
+    """The group index of every flat position: k repeated len(group k) times."""
+    return _frozen_array(np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class TetradSet:
-    """Per-query groups of negatives; group k lists the j's paired with query k."""
+    """Every tetrad, flat: query k's negatives are negatives[offsets[k]:offsets[k + 1]].
+
+    The order label is always +1 (the aligned item must outrank the
+    negative), so a tetrad is stored as its (query, negative) pair.
+    """
 
     n: int
-    groups: tuple[np.ndarray, ...]
+    offsets: np.ndarray  # n + 1 entries
+    negatives: np.ndarray
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        sizes = [0] + [len(g) for g in self.groups]
-        return _frozen_array(np.cumsum(sizes), dtype=np.int64)
+    def __post_init__(self) -> None:
+        offsets = _frozen_array(self.offsets, dtype=np.int64)
+        negatives = _frozen_array(self.negatives, dtype=np.int64)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "negatives", negatives)
+        if negatives.ndim != 1:
+            raise ConfigInvalid("negatives must be a flat vector")
+        _check_offsets(offsets, len(negatives))
+        if len(offsets) != self.n + 1:
+            raise ConfigInvalid(f"a set over {self.n} items needs {self.n + 1} offsets")
+        if len(negatives) and (negatives.min() < 0 or negatives.max() >= self.n):
+            raise IndexOutOfRange(f"negative index outside 0..{self.n - 1}")
+        if (negatives == self.flat_queries).any():
+            raise ConfigInvalid("negative index must differ from the query index")
 
     @property
     def total(self) -> int:
-        return int(self.offsets[-1])
+        return len(self.negatives)
 
     @cached_property
     def flat_queries(self) -> np.ndarray:
         return _group_ids(self.offsets)
-
-    @cached_property
-    def flat_negatives(self) -> np.ndarray:
-        return _frozen_array(
-            np.concatenate(self.groups) if self.groups else [], dtype=np.int64
-        )
-
-    def iter_tetrads(self) -> Iterator[Tetrad]:
-        for k, group in enumerate(self.groups):
-            for j in group:
-                yield Tetrad(k, int(j))
 
 
 def build_tetrads(
@@ -209,31 +220,26 @@ def build_tetrads(
     With m=None every query is paired with all n-1 other items. With an
     integer m, each query gets m distinct sampled negatives, deterministic
     under the seed. Raises SampleTooLarge when m exceeds n-1.
+
+    Both paths pick positions idx among the n-1 other items and map them to
+    items j = idx + (idx >= k), which skips query k itself.
     """
     n = dataset.n
     if m is None:
-        groups = []
+        idx = np.arange(n - 1, dtype=np.int64)
+        negatives = idx + (idx >= np.arange(n, dtype=np.int64)[:, None])
+    else:
+        if m < 1:
+            raise ConfigInvalid("sample size must be at least 1")
+        if m > n - 1:
+            raise SampleTooLarge(f"requested {m} negatives per query but only {n - 1} exist")
+        rng = np.random.default_rng(seed)
+        negatives = np.empty((n, m), dtype=np.int64)
         for k in range(n):
-            js = np.concatenate([np.arange(k, dtype=np.int64), np.arange(k + 1, n, dtype=np.int64)])
-            groups.append(_frozen_array(js, dtype=np.int64))
-        return TetradSet(n, tuple(groups))
-    if m < 1:
-        raise ConfigInvalid("sample size must be at least 1")
-    if m > n - 1:
-        raise SampleTooLarge(f"requested {m} negatives per query but only {n - 1} exist")
-    rng = np.random.default_rng(seed)
-    groups = []
-    for k in range(n):
-        pool = np.concatenate([np.arange(k, dtype=np.int64), np.arange(k + 1, n, dtype=np.int64)])
-        picked = rng.choice(pool, size=m, replace=False)
-        picked.sort()
-        groups.append(_frozen_array(picked, dtype=np.int64))
-    return TetradSet(n, tuple(groups))
-
-
-def _group_ids(offsets: np.ndarray) -> np.ndarray:
-    """The group index of every flat position: k repeated len(group k) times."""
-    return _frozen_array(np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), dtype=np.int64)
+            idx = rng.choice(n - 1, size=m, replace=False)
+            idx.sort()
+            negatives[k] = idx + (idx >= k)
+    return TetradSet(n, np.arange(n + 1) * negatives.shape[1], negatives.ravel())
 
 
 @dataclass(frozen=True)
@@ -248,12 +254,7 @@ class GroupedVector:
         offsets = _frozen_array(self.offsets, dtype=np.int64)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "offsets", offsets)
-        if offsets.ndim != 1 or len(offsets) < 1 or offsets[0] != 0:
-            raise ConfigInvalid("offsets must start at 0")
-        if (np.diff(offsets) < 0).any():
-            raise ConfigInvalid("offsets must be non-decreasing")
-        if int(offsets[-1]) != len(values):
-            raise ConfigInvalid("offsets must end at the number of values")
+        _check_offsets(offsets, len(values))
 
     @classmethod
     def from_groups(cls, groups: Sequence[np.ndarray]) -> "GroupedVector":

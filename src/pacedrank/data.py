@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, check_seed, validate_dataset
 from .errors import (
     ConfigInvalid,
     IoFailure,
@@ -36,6 +36,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         for name, frac in (("train", self.train), ("validation", self.validation), ("test", self.test)):
             if not (0.0 < frac < 1.0):
                 raise ConfigInvalid(f"{name} fraction must lie in (0, 1)")
@@ -55,6 +56,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.n < 4:
             raise ConfigInvalid("need at least 4 pairs")
         if self.latent < 1 or self.latent > min(self.p, self.q):

@@ -1,12 +1,15 @@
 """Hinge ranking losses over tetrads, the paced objective, and gradients.
 
-For a query k with aligned counterpart k and negative j, the per-tetrad
-loss is max(0, y * (S_kj - S_kk) + margin). The objective is defined once,
-over a list of Blocks (a tetrad set, its retrieval direction and its
-weights): a ridge penalty on the two transformation matrices (biases are
-not penalized), plus each block's weighted loss sum, minus each block's
-selection regularizers lam * |v|_1 (easiness) and
-gamma * sum_k sqrt(sum_j v_kj) (diversity across query groups).
+A tetrad is a query k, its aligned counterpart k and a negative j. Its
+order label is always +1, so its loss is max(0, S_kj - S_kk + margin).
+Losses come back as a GroupedVector over the tetrad set's offsets.
+
+The objective is defined once, over a list of Blocks (a tetrad set, its
+retrieval direction and its weights): a ridge penalty on the two
+transformation matrices (biases are not penalized), plus each block's
+weighted loss sum, minus each block's selection regularizers
+lam * |v|_1 (easiness) and gamma * sum_k sqrt(sum_j v_kj) (diversity
+across query groups).
 
 All reductions are whole-array numpy reductions in a fixed order, and the
 gradient's matrix products are einsum loops, never BLAS, so objective and
@@ -31,24 +34,11 @@ from .core import (
     ImportanceVector,
     LossConfig,
     PacingState,
-    Tetrad,
     TetradSet,
     check_direction,
 )
 from .embed import forward
-from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange, NonFiniteValue
-
-
-class LossVector(GroupedVector):
-    """Per-tetrad hinge losses, grouped per query."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.values):
-            if not np.isfinite(self.values).all():
-                raise NonFiniteValue("losses must be finite")
-            if (self.values < 0.0).any():
-                raise ConfigInvalid("losses must be nonnegative")
+from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
 @dataclass
@@ -76,7 +66,7 @@ def _query_view(params: EmbeddingParams, dataset: Dataset, direction: str, norma
 def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
     """S_kj - S_kk + margin for every tetrad, with query rows in S."""
     ks = tetrads.flat_queries
-    return S[ks, tetrads.flat_negatives] - S[ks, ks] + margin
+    return S[ks, tetrads.negatives] - S[ks, ks] + margin
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -99,25 +89,25 @@ def ridge_value(params: EmbeddingParams) -> float:
 def tetrad_loss(
     params: EmbeddingParams,
     dataset: Dataset,
-    t: Tetrad,
+    k: int,
+    j: int,
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
 ) -> float:
-    """Hinge loss of a single tetrad: max(0, y*(S_kj - S_kk) + margin).
+    """Hinge loss of the single tetrad (query k, negative j): max(0, S_kj - S_kk + margin).
 
     Only the tetrad's own two pairs are embedded and scored, so comparing
     this with all_losses compares a two-row pass against a full one.
     """
     n = dataset.n
-    if not (0 <= t.query_index < n) or not (0 <= t.negative_index < n):
-        raise IndexOutOfRange(
-            f"tetrad ({t.query_index}, {t.negative_index}) outside dataset of size {n}"
-        )
-    rows = [t.query_index, t.negative_index]
-    pair = Dataset(dataset.images[rows], dataset.texts[rows])
+    if not (0 <= k < n) or not (0 <= j < n):
+        raise IndexOutOfRange(f"tetrad ({k}, {j}) outside dataset of size {n}")
+    if k == j:
+        raise ConfigInvalid("negative index must differ from the query index")
+    pair = Dataset(dataset.images[[k, j]], dataset.texts[[k, j]])
     *_, S = _query_view(params, pair, direction, normalized)
-    return max(0.0, t.label * float(S[0, 1] - S[0, 0]) + cfg.margin)
+    return max(0.0, float(S[0, 1] - S[0, 0]) + cfg.margin)
 
 
 def all_losses(
@@ -127,14 +117,18 @@ def all_losses(
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
-) -> LossVector:
-    """Hinge losses for every tetrad, from a single score-matrix evaluation."""
+) -> GroupedVector:
+    """Hinge losses for every tetrad, from a single score-matrix evaluation.
+
+    The values are nonnegative by construction and are not re-checked; a
+    non-finite loss shows up in the objective value, which the trainer checks.
+    """
     _check_tetrads(tetrads, dataset.n)
     *_, S = _query_view(params, dataset, direction, normalized)
-    return LossVector(np.maximum(0.0, _hinge_args(S, tetrads, cfg.margin)), tetrads.offsets)
+    return GroupedVector(np.maximum(0.0, _hinge_args(S, tetrads, cfg.margin)), tetrads.offsets)
 
 
-def weighted_sum_from(losses: LossVector, v: ImportanceVector) -> float:
+def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:
     """Sum of v * loss over all tetrads, skipping zero weights exactly.
 
     One np.sum over the products of the strictly positive weights, in flat
@@ -163,12 +157,12 @@ def block_losses(
     blocks: Sequence[Block],
     cfg: LossConfig,
     normalized: bool = False,
-) -> list[LossVector]:
+) -> list[GroupedVector]:
     """all_losses for each block, in block order."""
     return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized) for b in blocks]
 
 
-def smooth_part(params: EmbeddingParams, blocks: Sequence[Block], losses: list[LossVector]) -> float:
+def smooth_part(params: EmbeddingParams, blocks: Sequence[Block], losses: list[GroupedVector]) -> float:
     """ridge + each block's weighted loss sum, from losses already evaluated."""
     total = ridge_value(params)
     for b, block_loss in zip(blocks, losses):
@@ -223,7 +217,7 @@ def grad_loss_term(
     coef = np.where(_hinge_args(S, tetrads, cfg.margin) > 0.0, v.values, 0.0)
 
     C = np.zeros((dataset.n, dataset.n))
-    C[tetrads.flat_queries, tetrads.flat_negatives] = coef
+    C[tetrads.flat_queries, tetrads.negatives] = coef
     s_row = C.sum(axis=1)
 
     # products are einsum loops, not BLAS: a threaded BLAS splits them by

@@ -28,6 +28,7 @@ projected-gradient KKT residual; it exists to cross-check the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -193,8 +194,8 @@ def update_importance(losses: GroupedVector, pacing: PacingState) -> ImportanceV
     return ImportanceVector(flat, losses.offsets)
 
 
-def init_lambda(losses: GroupedVector, fraction: float) -> float:
-    """Median across query groups of each group's `fraction` loss quantile.
+def init_lambda(losses: Sequence[GroupedVector], fraction: float) -> float:
+    """Median, over every query group of every block, of the group's `fraction` loss quantile.
 
     Chosen so that roughly this fraction of tetrads per query clears the
     easiness threshold at the first importance update. Quantiles use linear
@@ -202,12 +203,13 @@ def init_lambda(losses: GroupedVector, fraction: float) -> float:
     """
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid("fraction must lie in (0, 1]")
-    if losses.n_groups == 0:
-        raise EmptyGroup("no loss groups")
     quantiles = []
-    for k in range(losses.n_groups):
-        group = losses.group(k)
-        if len(group) == 0:
-            raise EmptyGroup(f"loss group {k} is empty")
-        quantiles.append(float(np.quantile(group, fraction)))
+    for block in losses:
+        for k in range(block.n_groups):
+            group = block.group(k)
+            if len(group) == 0:
+                raise EmptyGroup(f"loss group {k} is empty")
+            quantiles.append(float(np.quantile(group, fraction)))
+    if not quantiles:
+        raise EmptyGroup("no loss groups")
     return float(np.median(quantiles))

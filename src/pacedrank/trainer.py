@@ -33,17 +33,17 @@ from .core import (
     LossConfig,
     PacingState,
     build_tetrads,
+    check_seed,
 )
 from .errors import (
     ConfigInvalid,
     CorruptCheckpoint,
     IoFailure,
     NonFiniteObjective,
-    NonFiniteValue,
     VersionMismatch,
 )
 from .evaluation import mean_ap
-from .loss import Block, LossVector, block_losses, grad_params, smooth_part, with_penalties
+from .loss import Block, block_losses, grad_params, smooth_part, with_penalties
 
 CHECKPOINT_MAGIC = b"SCCM"
 CHECKPOINT_VERSION = 1
@@ -52,6 +52,11 @@ CHECKPOINT_VERSION = 1
 # is quadratic in n
 FULL_TETRAD_LIMIT = 2000
 _MIN_LAMBDA = 1e-8
+# TrainConfig fields that must be finite reals
+_REAL_FIELDS = (
+    "margin", "init_fraction", "gamma_ratio", "lam_growth", "gamma_growth",
+    "initial_step", "shrink_factor", "sufficient_decrease", "rel_tol",
+)
 
 
 @dataclass(frozen=True)
@@ -77,18 +82,23 @@ class TrainConfig:
     early_stop_patience: Optional[int] = None
 
     def validate(self) -> None:
-        # a JSON "false" or 2.5 would otherwise pass the range checks below
+        # a JSON "false", true, 2.5 or NaN would otherwise pass the range checks below
         for name in ("symmetric_tetrads", "normalized_similarity"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
         optional = ("sample_negatives", "early_stop_patience")
-        for name in ("embedding_dim", "max_outer_iters", "max_inner_steps", "seed", *optional):
+        for name in ("embedding_dim", "max_outer_iters", "max_inner_steps", *optional):
             value = getattr(self, name)
             if value is None and name in optional:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise ConfigInvalid(f"{name} must be a finite real number, got {value!r}")
         if self.embedding_dim < 1:
             raise ConfigInvalid("embedding_dim must be at least 1")
         if not (self.margin >= 0.0):
@@ -161,13 +171,6 @@ def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingPa
     return EmbeddingParams.from_arrays(W1, np.zeros(d), W2, np.zeros(d))
 
 
-def _block_losses(params, dataset, blocks, cfg: TrainConfig) -> list[LossVector]:
-    try:
-        return block_losses(params, dataset, blocks, cfg.loss_config(), cfg.normalized_similarity)
-    except NonFiniteValue as exc:
-        raise NonFiniteObjective(str(exc)) from exc
-
-
 def line_search(
     params: EmbeddingParams,
     grad: EmbeddingParams,
@@ -211,7 +214,7 @@ def optimize_W(
     lcfg = cfg.loss_config()
 
     def value_fn(p):
-        return smooth_part(p, blocks, _block_losses(p, dataset, blocks, cfg))
+        return smooth_part(p, blocks, block_losses(p, dataset, blocks, lcfg, cfg.normalized_similarity))
 
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
@@ -233,16 +236,6 @@ def optimize_W(
         if rel < cfg.rel_tol:
             break
     return params, steps
-
-
-def _concat_grouped(parts: list[LossVector]) -> LossVector:
-    values = np.concatenate([p.values for p in parts])
-    offsets = [np.asarray(parts[0].offsets)]
-    base = int(parts[0].offsets[-1])
-    for p in parts[1:]:
-        offsets.append(np.asarray(p.offsets[1:]) + base)
-        base += int(p.offsets[-1])
-    return LossVector(values, np.concatenate(offsets))
 
 
 def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
@@ -278,8 +271,9 @@ def train(
         blocks.append(Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
-    losses = _block_losses(params, dataset, blocks, cfg)
-    lam0 = max(spl.init_lambda(_concat_grouped(losses), cfg.init_fraction), _MIN_LAMBDA)
+    lcfg = cfg.loss_config()
+    losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity)
+    lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
     for b, block_loss in zip(blocks, losses):
         b.v = spl.update_importance(block_loss, pacing)
@@ -297,7 +291,7 @@ def train(
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
         params, inner_steps = optimize_W(params, dataset, blocks, cfg, smooth)
-        losses = _block_losses(params, dataset, blocks, cfg)
+        losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity)
         obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
         for b, block_loss in zip(blocks, losses):

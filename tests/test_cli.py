@@ -88,6 +88,15 @@ class TestSynthCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(
+            ["synth", "--n", "10", "--p", "2", "--q", "2", "--latent", "1", "--seed", "-1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_successful_run_writes_artifacts(self, tmp_path):
@@ -133,8 +142,18 @@ class TestTrainCommand:
             ("data", {"synth": {"n": 24.5, "latent": 3, "p": 6, "q": 6}}),
             ("train", {"embedding_dim": "4"}),
             ("split", {"train": "half", "validation": 0.25, "test": 0.25}),
+            ("split", {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": "1"}),
+            ("split", {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": 1.5}),
+            ("split", {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": True}),
+            ("split", {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": -1}),
+            ("data", {"synth": {"n": 24, "latent": 3, "p": 6, "q": 6, "seed": -2}}),
+            ("data", {"synth": {"n": 24, "latent": 3, "p": 6, "q": 6, "seed": True}}),
         ],
-        ids=["synth-without-n", "synth-float-n", "train-string-dim", "split-string-fraction"],
+        ids=[
+            "synth-without-n", "synth-float-n", "train-string-dim", "split-string-fraction",
+            "split-string-seed", "split-float-seed", "split-bool-seed", "split-negative-seed",
+            "synth-negative-seed", "synth-bool-seed",
+        ],
     )
     def test_malformed_section_exits_one(self, tmp_path, capsys, section, value):
         path, _ = write_config(tmp_path, **{section: value})
@@ -154,6 +173,13 @@ class TestTrainCommand:
             ("seed", "1"),
             ("sample_negatives", 3.0),
             ("early_stop_patience", 2.5),
+            ("seed", -1),
+            ("margin", True),
+            ("margin", float("inf")),
+            ("gamma_ratio", float("nan")),
+            ("lam_growth", float("nan")),
+            ("lam_growth", float("inf")),
+            ("rel_tol", float("inf")),
         ],
     )
     def test_mistyped_train_value_exits_one_before_training(self, tmp_path, capsys, key, value):

@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 
 from pacedrank.core import (
+    EmbeddingParams,
     GroupedVector,
     ImportanceVector,
     LossConfig,
     PacingState,
-    Tetrad,
+    TetradSet,
     build_tetrads,
     validate_dataset,
 )
 from pacedrank.errors import (
     ConfigInvalid,
+    IndexOutOfRange,
     NonFiniteValue,
     SampleTooLarge,
     ShapeMismatch,
     TooSmall,
 )
+from pacedrank.loss import tetrad_loss
 
 
 class TestValidateDataset:
@@ -63,31 +66,33 @@ class TestBuildTetrads:
         ds = validate_dataset(np.zeros((3, 2)), np.zeros((3, 2)))
         ts = build_tetrads(ds)
         assert ts.total == 6
-        assert [list(g) for g in ts.groups] == [[1, 2], [0, 2], [0, 1]]
+        assert list(ts.offsets) == [0, 2, 4, 6]
+        assert list(ts.negatives) == [1, 2, 0, 2, 0, 1]
 
     def test_full_size_and_no_self_pairs(self):
         for n in (2, 4, 7):
             ds = validate_dataset(np.zeros((n, 2)), np.zeros((n, 2)))
             ts = build_tetrads(ds)
             assert ts.total == n * (n - 1)
-            for k, g in enumerate(ts.groups):
-                assert k not in g
+            assert not (ts.negatives == ts.flat_queries).any()
+            for k in range(n):
+                g = ts.negatives[ts.offsets[k] : ts.offsets[k + 1]]
                 assert len(np.unique(g)) == len(g)
 
     def test_sample_deterministic(self):
         ds = validate_dataset(np.zeros((3, 2)), np.zeros((3, 2)))
         a = build_tetrads(ds, m=1, seed=7)
         b = build_tetrads(ds, m=1, seed=7)
-        for ga, gb in zip(a.groups, b.groups):
-            assert np.array_equal(ga, gb)
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.negatives, b.negatives)
 
     def test_sample_distinct_negatives(self):
         ds = validate_dataset(np.zeros((8, 2)), np.zeros((8, 2)))
         ts = build_tetrads(ds, m=5, seed=3)
-        for k, g in enumerate(ts.groups):
-            assert len(g) == 5
-            assert len(np.unique(g)) == 5
-            assert k not in g
+        assert np.array_equal(ts.offsets, np.arange(9) * 5)
+        assert not (ts.negatives == ts.flat_queries).any()
+        for k in range(8):
+            assert len(np.unique(ts.negatives[5 * k : 5 * k + 5])) == 5
 
     def test_sample_too_large(self):
         ds = validate_dataset(np.zeros((3, 2)), np.zeros((3, 2)))
@@ -99,19 +104,49 @@ class TestBuildTetrads:
         ts = build_tetrads(ds)
         assert len(ts.flat_queries) == ts.total
         assert np.array_equal(ts.offsets, [0, 3, 6, 9, 12])
-        tetrads = list(ts.iter_tetrads())
-        assert all(t.label == 1 for t in tetrads)
-        assert [t.query_index for t in tetrads] == list(ts.flat_queries)
+        assert len(ts.negatives) == ts.total
+        assert np.array_equal(ts.flat_queries, np.repeat(np.arange(4), 3))
+
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(2, None, None), (7, None, None), (40, None, None)]
+        + [(n, m, seed) for n, m in ((2, 1), (7, 1), (7, 3), (7, 6), (40, 16), (40, 39)) for seed in (0, 1, 7)],
+    )
+    def test_matches_per_query_construction_bitwise(self, n, m, seed):
+        # the construction the flat layout replaced: one pool of the other
+        # items per query, drawn from with rng.choice and then sorted
+        rng = np.random.default_rng(seed)
+        groups = []
+        for k in range(n):
+            pool = np.concatenate([np.arange(k, dtype=np.int64), np.arange(k + 1, n, dtype=np.int64)])
+            if m is not None:
+                pool = rng.choice(pool, size=m, replace=False)
+                pool.sort()
+            groups.append(pool)
+        ds = validate_dataset(np.zeros((n, 1)), np.zeros((n, 1)))
+        ts = build_tetrads(ds, m, seed)
+        assert np.array_equal(ts.offsets, np.cumsum([0] + [len(g) for g in groups]))
+        assert np.array_equal(ts.negatives, np.concatenate(groups))
+        assert ts.negatives.dtype == np.int64
 
 
 class TestTetrad:
     def test_self_pair_rejected(self):
+        ds = validate_dataset(np.zeros((3, 2)), np.zeros((3, 2)))
+        params = EmbeddingParams.from_arrays(np.zeros((1, 2)), np.zeros(1), np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ConfigInvalid):
-            Tetrad(2, 2)
+            tetrad_loss(params, ds, 2, 2, LossConfig())
 
-    def test_bad_label_rejected(self):
+    def test_set_checks_its_layout(self):
+        assert TetradSet(2, [0, 1, 2], [1, 0]).total == 2
         with pytest.raises(ConfigInvalid):
-            Tetrad(0, 1, label=0)
+            TetradSet(2, [0, 1, 2], [1, 1])  # query 1 paired with itself
+        with pytest.raises(IndexOutOfRange):
+            TetradSet(2, [0, 1, 2], [1, 2])
+        with pytest.raises(ConfigInvalid):
+            TetradSet(2, [0, 2], [1, 0])  # one offset short
+        with pytest.raises(ConfigInvalid):
+            TetradSet(2, [0, 1, 3], [1, 0])  # does not end at the number of negatives
 
 
 class TestGroupedVector:

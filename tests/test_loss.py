@@ -15,7 +15,6 @@ from pacedrank.core import (
     ImportanceVector,
     LossConfig,
     PacingState,
-    Tetrad,
     TetradSet,
     build_tetrads,
     validate_dataset,
@@ -61,24 +60,24 @@ class TestTetradLoss:
     def test_margin_satisfied_gives_zero(self):
         # S_k0 = 0.35, S_k1 = 0.15: gap 0.2 beats margin 0.1
         ds = validate_dataset([[0.0], [0.0]], [[logit(0.7)], [logit(0.3)]])
-        loss = tetrad_loss(gap_params(None), ds, Tetrad(0, 1), LossConfig(margin=0.1))
+        loss = tetrad_loss(gap_params(None), ds, 0, 1, LossConfig(margin=0.1))
         assert loss == 0.0
 
     def test_equal_scores_give_margin(self):
         ds = validate_dataset([[0.0], [0.0]], [[0.3], [0.3]])
-        loss = tetrad_loss(gap_params(None), ds, Tetrad(0, 1), LossConfig(margin=0.1))
+        loss = tetrad_loss(gap_params(None), ds, 0, 1, LossConfig(margin=0.1))
         assert loss == pytest.approx(0.1, abs=1e-15)
 
     def test_linear_region(self):
         # negative outranks aligned by 0.2: loss = 0.2 + margin
         ds = validate_dataset([[0.0], [0.0]], [[logit(0.3)], [logit(0.7)]])
-        loss = tetrad_loss(gap_params(None), ds, Tetrad(0, 1), LossConfig(margin=0.1))
+        loss = tetrad_loss(gap_params(None), ds, 0, 1, LossConfig(margin=0.1))
         assert loss == pytest.approx(0.3, abs=1e-12)
 
     def test_index_out_of_range(self):
         ds = validate_dataset(np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(IndexOutOfRange):
-            tetrad_loss(gap_params(None), ds, Tetrad(0, 5), LossConfig())
+            tetrad_loss(gap_params(None), ds, 0, 5, LossConfig())
 
 
 class TestAllLosses:
@@ -92,18 +91,15 @@ class TestAllLosses:
         dataset, params, tetrads, _ = random_instance(46, n=6)
         cfg = LossConfig(margin=0.15)
         losses = all_losses(params, dataset, tetrads, cfg)
-        for value, t in zip(losses.values, tetrads.iter_tetrads()):
-            assert value == tetrad_loss(params, dataset, t, cfg)
+        for value, k, j in zip(losses.values, tetrads.flat_queries, tetrads.negatives):
+            assert value == tetrad_loss(params, dataset, int(k), int(j), cfg)
 
     def test_t2i_direction_uses_columns(self):
         dataset, params, tetrads, _ = random_instance(21, n=4)
         cfg = LossConfig(margin=0.1)
         S = score_matrix(params, dataset)
         losses = all_losses(params, dataset, tetrads, cfg, direction="t2i")
-        flat = []
-        for k, group in enumerate(tetrads.groups):
-            for j in group:
-                flat.append(max(0.0, S[j, k] - S[k, k] + 0.1))
+        flat = [max(0.0, S[j, k] - S[k, k] + 0.1) for k, j in zip(tetrads.flat_queries, tetrads.negatives)]
         np.testing.assert_allclose(losses.values, flat, rtol=1e-12)
 
     def test_nonnegative_and_zero_iff_margin_met(self):
@@ -112,8 +108,8 @@ class TestAllLosses:
         losses = all_losses(params, dataset, tetrads, cfg)
         assert (losses.values >= 0.0).all()
         S = score_matrix(params, dataset)
-        for value, t in zip(losses.values, tetrads.iter_tetrads()):
-            met = S[t.query_index, t.query_index] - S[t.query_index, t.negative_index] >= 0.05
+        for value, k, j in zip(losses.values, tetrads.flat_queries, tetrads.negatives):
+            met = S[k, k] - S[k, j] >= 0.05
             assert (value == 0.0) == met
 
 
@@ -167,10 +163,8 @@ class TestObjective:
         expected = 0.5 * sum(
             float(w**2) for W in (params.W1, params.W2) for w in W.ravel()
         )
-        for k, group in enumerate(tetrads.groups):
-            vk = v.group(k)
-            for idx, j in enumerate(group):
-                expected += vk[idx] * tetrad_loss(params, dataset, Tetrad(k, int(j)), cfg)
+        for w, k, j in zip(v.values, tetrads.flat_queries, tetrads.negatives):
+            expected += w * tetrad_loss(params, dataset, int(k), int(j), cfg)
         for k in range(tetrads.n):
             vk = v.group(k)
             expected -= pacing.lam * float(np.sum(vk))
@@ -237,7 +231,7 @@ class TestGradient:
         params = EmbeddingParams.from_arrays(
             np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1)
         )
-        tetrads = TetradSet(2, (np.array([1]), np.array([0])))
+        tetrads = TetradSet(2, [0, 1, 2], [1, 0])
         v = ImportanceVector(np.ones(2), tetrads.offsets)
         losses = all_losses(params, ds, tetrads, LossConfig(margin=0.1))
         assert losses.values[0] == 0.0  # query 0 satisfied
@@ -280,13 +274,10 @@ class TestGradient:
         cfg = LossConfig(margin=0.1)
         pacing = PacingState(lam=0.3, gamma=gamma)
 
-        kept_groups, kept_weights = [], []
-        for k in range(tetrads.n):
-            mask = v.group(k) > 0.0
-            kept_groups.append(tetrads.groups[k][mask])
-            kept_weights.append(v.group(k)[mask])
-        pruned = TetradSet(tetrads.n, tuple(kept_groups))
-        v_pruned = ImportanceVector(np.concatenate(kept_weights), pruned.offsets)
+        kept = v.values > 0.0
+        counts = np.bincount(tetrads.flat_queries[kept], minlength=tetrads.n)
+        pruned = TetradSet(tetrads.n, np.concatenate([[0], np.cumsum(counts)]), tetrads.negatives[kept])
+        v_pruned = ImportanceVector(v.values[kept], pruned.offsets)
 
         full_obj = objective(params, dataset, [Block(tetrads, "i2t", v)], pacing, cfg)
         pruned_obj = objective(params, dataset, [Block(pruned, "i2t", v_pruned)], pacing, cfg)

@@ -188,19 +188,29 @@ class TestUpdateImportance:
 class TestInitLambda:
     def test_median_interpolation(self):
         losses = GroupedVector.from_groups([np.array([1.0, 2.0, 3.0, 4.0])])
-        assert init_lambda(losses, 0.5) == pytest.approx(2.5)
+        assert init_lambda([losses], 0.5) == pytest.approx(2.5)
 
     def test_fraction_one_selects_all(self):
         group = np.array([0.2, 0.9, 0.4])
         losses = GroupedVector.from_groups([group])
-        lam = init_lambda(losses, 1.0)
+        lam = init_lambda([losses], 1.0)
         assert lam >= group.max()
         assert np.array_equal(solve_spl(group, lam).weights, np.ones(3))
 
     def test_constant_losses(self):
         losses = GroupedVector.from_groups([np.full(5, 0.7), np.full(3, 0.7)])
-        assert init_lambda(losses, 0.3) == pytest.approx(0.7)
+        assert init_lambda([losses], 0.3) == pytest.approx(0.7)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyGroup):
-            init_lambda(GroupedVector(np.array([]), np.array([0])), 0.5)
+            init_lambda([GroupedVector(np.array([]), np.array([0]))], 0.5)
+        with pytest.raises(EmptyGroup):
+            init_lambda([], 0.5)
+
+    def test_blocks_pool_their_groups(self):
+        rng = np.random.default_rng(12)
+        groups = [rng.uniform(0.0, 2.0, size) for size in (4, 7, 5, 9, 3)]
+        blocks = [GroupedVector.from_groups(groups[:2]), GroupedVector.from_groups(groups[2:])]
+        expected = float(np.median([float(np.quantile(g, 0.4)) for g in groups]))
+        assert init_lambda(blocks, 0.4) == expected
+        assert init_lambda([GroupedVector.from_groups(groups)], 0.4) == expected

@@ -9,12 +9,11 @@ from pacedrank.errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
-from pacedrank.loss import Block, grad_params, ridge_value, smooth_part
+from pacedrank.loss import Block, block_losses, grad_params, ridge_value, smooth_part
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
     TrainConfig,
-    _block_losses,
     init_params,
     line_search,
     load_checkpoint,
@@ -36,7 +35,8 @@ def params_equal(a: EmbeddingParams, b: EmbeddingParams) -> bool:
 
 
 def smooth_value(params, dataset, blocks, cfg):
-    return smooth_part(params, blocks, _block_losses(params, dataset, blocks, cfg))
+    losses = block_losses(params, dataset, blocks, cfg.loss_config(), cfg.normalized_similarity)
+    return smooth_part(params, blocks, losses)
 
 
 def scalar_params(w):
@@ -220,6 +220,18 @@ class TestTrain:
             {"normalized_similarity": "false"},
             {"max_outer_iters": 2.5},
             {"sample_negatives": 4.0},
+            {"margin": True},
+            {"init_fraction": True},
+            {"gamma_ratio": float("nan")},
+            {"lam_growth": float("nan")},
+            {"lam_growth": float("inf")},
+            {"gamma_growth": float("inf")},
+            {"initial_step": float("inf")},
+            {"shrink_factor": "0.5"},
+            {"sufficient_decrease": None},
+            {"rel_tol": float("inf")},
+            {"margin": float("inf")},
+            {"seed": -1},
         ):
             with pytest.raises(ConfigInvalid):
                 train(ds, TrainConfig(**bad))
@@ -308,7 +320,16 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("normalized_similarity", "false"), ("symmetric_tetrads", 0), ("max_outer_iters", 2.5), ("seed", True)],
+        [
+            ("normalized_similarity", "false"),
+            ("symmetric_tetrads", 0),
+            ("max_outer_iters", 2.5),
+            ("seed", True),
+            ("seed", -3),
+            ("margin", True),
+            ("lam_growth", float("nan")),
+            ("rel_tol", float("inf")),
+        ],
     )
     def test_mistyped_config_value(self, tmp_path, key, value):
         path = tmp_path / "model.bin"
