@@ -113,7 +113,7 @@ def _parse_run_config(config: dict):
         _check_keys(data_sec["synth"], _SYNTH_KEYS, "data.synth")
         synth_sec = dict(data_sec["synth"])
         hard = synth_sec.pop("hard_fraction", None)
-        with _section("data.synth"):  # a float n passes the spec and fails in the generator
+        with _section("data.synth"):  # a mistyped hard_fraction fails in the generator
             spec = data_mod.SynthSpec(**synth_sec)
             dataset = data_mod.skewed_synth(spec, hard) if hard is not None else data_mod.synth_generate(spec)
     else:

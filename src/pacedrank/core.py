@@ -12,6 +12,7 @@ per tetrad over the same offsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -41,6 +42,24 @@ def check_seed(seed) -> None:
     """Raise ConfigInvalid unless seed is a nonnegative int (a bool is not a seed)."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigInvalid(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def check_int(name: str, value) -> None:
+    """Raise ConfigInvalid unless value is an int (a bool is not an int)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ConfigInvalid unless value is a finite int or float (a bool is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{name} must be a finite real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigInvalid(f"{name} must be a finite real number, got an integer too large for a float") from None
+    if not finite:
+        raise ConfigInvalid(f"{name} must be a finite real number, got {value!r}")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -200,7 +219,8 @@ class TetradSet:
             raise ConfigInvalid(f"a set over {self.n} items needs {self.n + 1} offsets")
         if len(negatives) and (negatives.min() < 0 or negatives.max() >= self.n):
             raise IndexOutOfRange(f"negative index outside 0..{self.n - 1}")
-        if (negatives == self.flat_queries).any():
+        # not cached: a full set never reads flat_queries (see loss._hinge_args)
+        if (negatives == _group_ids(offsets)).any():
             raise ConfigInvalid("negative index must differ from the query index")
 
     @property
@@ -210,6 +230,26 @@ class TetradSet:
     @cached_property
     def flat_queries(self) -> np.ndarray:
         return _group_ids(self.offsets)
+
+    @cached_property
+    def is_full(self) -> bool:
+        """Whether this is build_tetrads' full set: every j != k for query k, ascending.
+
+        Its tetrads are then the off-diagonal entries of an n x n matrix in
+        row-major order.
+        """
+        n = self.n
+        return (
+            self.total == n * (n - 1)
+            and np.array_equal(self.offsets, np.arange(n + 1) * (n - 1))
+            and np.array_equal(self.negatives, _all_negatives(n).reshape(-1))
+        )
+
+
+def _all_negatives(n: int) -> np.ndarray:
+    """Row k holds every item but k, ascending: positions idx map to idx + (idx >= k)."""
+    idx = np.arange(n - 1, dtype=np.int64)
+    return idx + (idx >= np.arange(n, dtype=np.int64)[:, None])
 
 
 def build_tetrads(
@@ -226,8 +266,7 @@ def build_tetrads(
     """
     n = dataset.n
     if m is None:
-        idx = np.arange(n - 1, dtype=np.int64)
-        negatives = idx + (idx >= np.arange(n, dtype=np.int64)[:, None])
+        negatives = _all_negatives(n)
     else:
         if m < 1:
             raise ConfigInvalid("sample size must be at least 1")
@@ -276,6 +315,11 @@ class GroupedVector:
     @cached_property
     def group_ids(self) -> np.ndarray:
         return _group_ids(self.offsets)
+
+    @cached_property
+    def positive_index(self) -> np.ndarray:
+        """Flat positions of the strictly positive values, ascending."""
+        return _frozen_array(np.flatnonzero(self.values > 0.0), dtype=np.int64)
 
     def group_sums(self) -> np.ndarray:
         """Per-group sums, each added in index order; zeros and empty groups add 0."""

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import Dataset, check_seed, validate_dataset
+from .core import Dataset, check_int, check_real, check_seed, validate_dataset
 from .errors import (
     ConfigInvalid,
     IoFailure,
@@ -57,11 +57,14 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
+        for name in ("n", "latent", "p", "q"):
+            check_int(name, getattr(self, name))
+        check_real("noise", self.noise)
         if self.n < 4:
             raise ConfigInvalid("need at least 4 pairs")
         if self.latent < 1 or self.latent > min(self.p, self.q):
             raise ConfigInvalid("latent dimension must satisfy 1 <= latent <= min(p, q)")
-        if not (self.noise >= 0.0 and math.isfinite(self.noise)):
+        if self.noise < 0.0:
             raise ConfigInvalid("noise std must be a nonnegative finite real")
 
 

@@ -177,8 +177,13 @@ def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def normalized_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Cosine variant of inner_scores: each entry divided by the norm product."""
-    return inner_scores(H, G) / np.outer(_row_norms(H), _row_norms(G))
+    """Cosine variant of inner_scores: each entry divided by the norm product.
+
+    The division is in place, so a score matrix is allocated once.
+    """
+    S = inner_scores(H, G)
+    S /= np.outer(_row_norms(H), _row_norms(G))
+    return S
 
 
 def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float:

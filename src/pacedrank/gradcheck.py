@@ -22,6 +22,7 @@ from .core import (
     build_tetrads,
     validate_dataset,
 )
+from .embed import forward
 from .loss import Block, _hinge_args, _query_view, block_losses, grad_params, smooth_part
 
 KINK_BAND = 1e-6
@@ -78,7 +79,7 @@ def make_instance(
 
 
 def _min_kink_distance(params, dataset, block: Block, cfg, normalized) -> float:
-    *_, S = _query_view(params, dataset, block.direction, normalized)
+    *_, S = _query_view(forward(params, dataset, normalized), dataset, block.direction)
     args = _hinge_args(S, block.tetrads, cfg.margin)
     return float(np.min(np.abs(args))) if len(args) else np.inf
 

@@ -11,6 +11,12 @@ weighted loss sum, minus each block's selection regularizers
 lam * |v|_1 (easiness) and gamma * sum_k sqrt(sum_j v_kj) (diversity
 across query groups).
 
+Every loss and gradient reads one forward pass (embed.forward) per
+parameter point: all_losses, block_losses, grad_loss_term and grad_params
+take an optional pass fwd = (H, G, S) computed at their params, and run
+forward themselves only when it is not given. Blocks at the same point
+share one pass; a t2i block reads its transpose.
+
 All reductions are whole-array numpy reductions in a fixed order, and the
 gradient's matrix products are einsum loops, never BLAS, so objective and
 gradient values are identical across runs and BLAS thread counts. The
@@ -50,21 +56,40 @@ class Block:
     v: Optional[ImportanceVector]
 
 
-def _query_view(params: EmbeddingParams, dataset: Dataset, direction: str, normalized: bool):
-    """The forward pass with queries as rows: (X, Z, H, G, S).
+def _query_view(fwd, dataset: Dataset, direction: str):
+    """The forward pass fwd = (H, G, S) with queries as rows: (X, Z, H, G, S).
 
     X/H are the query side's features and embeddings, Z/G the item side's.
     For t2i this is the image-query pass transposed (see embed.forward).
     """
     check_direction(direction)
-    H, G, S = forward(params, dataset, normalized)
+    H, G, S = fwd
     if direction == "i2t":
         return dataset.images, dataset.texts, H, G, S
     return dataset.texts, dataset.images, G, H, S.T
 
 
+def _off_diagonal(M: np.ndarray) -> np.ndarray:
+    """The n(n-1) off-diagonal entries of a C-contiguous n x n matrix, in row-major order.
+
+    A strided (n-1) x n view: dropping the first entry, every run of n + 1
+    entries ends on a diagonal one.
+    """
+    n = M.shape[0]
+    return M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
 def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
-    """S_kj - S_kk + margin for every tetrad, with query rows in S."""
+    """S_kj - S_kk + margin for every tetrad, with query rows in S.
+
+    A full set in canonical order (TetradSet.is_full) reads its tetrads
+    from the off-diagonal view of S - diag + margin; any other set gathers
+    them. Each entry is the same (S_kj - S_kk) + margin either way.
+    """
+    if tetrads.is_full:
+        A = np.subtract(S, np.diagonal(S)[:, None], order="C")
+        A += margin
+        return _off_diagonal(A).reshape(-1)
     ks = tetrads.flat_queries
     return S[ks, tetrads.negatives] - S[ks, ks] + margin
 
@@ -106,7 +131,7 @@ def tetrad_loss(
     if k == j:
         raise ConfigInvalid("negative index must differ from the query index")
     pair = Dataset(dataset.images[[k, j]], dataset.texts[[k, j]])
-    *_, S = _query_view(params, pair, direction, normalized)
+    *_, S = _query_view(forward(params, pair, normalized), pair, direction)
     return max(0.0, float(S[0, 1] - S[0, 0]) + cfg.margin)
 
 
@@ -117,27 +142,33 @@ def all_losses(
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
+    fwd=None,
 ) -> GroupedVector:
-    """Hinge losses for every tetrad, from a single score-matrix evaluation.
+    """Hinge losses for every tetrad, from one score matrix.
 
-    The values are nonnegative by construction and are not re-checked; a
+    fwd is the forward pass at params; it is computed when not given. The
+    values are nonnegative by construction and are not re-checked; a
     non-finite loss shows up in the objective value, which the trainer checks.
     """
     _check_tetrads(tetrads, dataset.n)
-    *_, S = _query_view(params, dataset, direction, normalized)
-    return GroupedVector(np.maximum(0.0, _hinge_args(S, tetrads, cfg.margin)), tetrads.offsets)
+    if fwd is None:
+        fwd = forward(params, dataset, normalized)
+    *_, S = _query_view(fwd, dataset, direction)
+    args = _hinge_args(S, tetrads, cfg.margin)
+    return GroupedVector(np.maximum(0.0, args, out=args), tetrads.offsets)
 
 
 def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:
     """Sum of v * loss over all tetrads, skipping zero weights exactly.
 
     One np.sum over the products of the strictly positive weights, in flat
-    tetrad order. A set with its zero-weight tetrads removed yields the same
-    product array, so it yields the same bits.
+    tetrad order (v.positive_index, cached on the weights, which stay fixed
+    for a whole W-step). A set with its zero-weight tetrads removed yields
+    the same product array, so it yields the same bits.
     """
     if losses.total != v.total or not np.array_equal(losses.offsets, v.offsets):
         raise AlignmentError("losses and weights are not aligned")
-    sel = v.values > 0.0
+    sel = v.positive_index
     return float(np.sum(v.values[sel] * losses.values[sel]))
 
 
@@ -157,9 +188,12 @@ def block_losses(
     blocks: Sequence[Block],
     cfg: LossConfig,
     normalized: bool = False,
+    fwd=None,
 ) -> list[GroupedVector]:
-    """all_losses for each block, in block order."""
-    return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized) for b in blocks]
+    """all_losses for each block, in block order, all from one forward pass."""
+    if fwd is None:
+        fwd = forward(params, dataset, normalized)
+    return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd) for b in blocks]
 
 
 def smooth_part(params: EmbeddingParams, blocks: Sequence[Block], losses: list[GroupedVector]) -> float:
@@ -203,9 +237,11 @@ def grad_loss_term(
     cfg: LossConfig,
     direction: str = "i2t",
     normalized: bool = False,
+    fwd=None,
 ) -> EmbeddingParams:
     """Gradient of the weighted hinge term alone (no ridge).
 
+    fwd is the forward pass at params; it is computed when not given.
     A tetrad contributes iff its hinge argument is strictly positive; at the
     kink the contribution is 0. The chain rule runs through the sigmoid
     (sigma' = sigma * (1 - sigma)) into W1/b1 on the query side and W2/b2 on
@@ -213,11 +249,20 @@ def grad_loss_term(
     """
     _check_aligned(tetrads, v)
     _check_tetrads(tetrads, dataset.n)
-    X, Z, H, G, S = _query_view(params, dataset, direction, normalized)
-    coef = np.where(_hinge_args(S, tetrads, cfg.margin) > 0.0, v.values, 0.0)
+    if fwd is None:
+        fwd = forward(params, dataset, normalized)
+    X, Z, H, G, S = _query_view(fwd, dataset, direction)
 
-    C = np.zeros((dataset.n, dataset.n))
-    C[tetrads.flat_queries, tetrads.negatives] = coef
+    # C[k, j] is tetrad (k, j)'s coefficient; the flat coefficients are
+    # dropped before the dense products below
+    n = dataset.n
+    coef = np.where(_hinge_args(S, tetrads, cfg.margin) > 0.0, v.values, 0.0)
+    C = np.zeros((n, n))
+    if tetrads.is_full:
+        _off_diagonal(C)[...] = coef.reshape(n - 1, n)
+    else:
+        C[tetrads.flat_queries, tetrads.negatives] = coef
+    del coef
     s_row = C.sum(axis=1)
 
     # products are einsum loops, not BLAS: a threaded BLAS splits them by
@@ -257,13 +302,17 @@ def grad_params(
     blocks: Sequence[Block],
     cfg: LossConfig,
     normalized: bool = False,
+    fwd=None,
 ) -> EmbeddingParams:
-    """Gradient of ridge + every block's weighted hinge term.
+    """Gradient of ridge + every block's weighted hinge term, from one forward pass.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
     penalized); each block's term is then added in block order.
     """
+    if fwd is None:
+        fwd = forward(params, dataset, normalized)
     grad = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
     for b in blocks:
-        grad = grad.axpy(1.0, grad_loss_term(params, dataset, b.tetrads, b.v, cfg, b.direction, normalized))
+        term = grad_loss_term(params, dataset, b.tetrads, b.v, cfg, b.direction, normalized, fwd)
+        grad = grad.axpy(1.0, term)
     return grad

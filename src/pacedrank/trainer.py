@@ -7,6 +7,11 @@ per query group, then grows the pacing thresholds. Both alternation steps
 are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
+Every parameter point the W-step visits is embedded and scored once
+(embed.forward): one pass serves all blocks, the accepted line-search
+trial's pass serves the next gradient, and its losses are the losses the
+weight solve reads, so no point is scored twice.
+
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
 parameter arrays each prefixed by u32 rows/cols, and a trailing 8-byte
@@ -30,9 +35,12 @@ from . import spl
 from .core import (
     Dataset,
     EmbeddingParams,
+    GroupedVector,
     LossConfig,
     PacingState,
     build_tetrads,
+    check_int,
+    check_real,
     check_seed,
 )
 from .errors import (
@@ -42,6 +50,7 @@ from .errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
+from .embed import forward
 from .evaluation import mean_ap
 from .loss import Block, block_losses, grad_params, smooth_part, with_penalties
 
@@ -87,18 +96,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
-        optional = ("sample_negatives", "early_stop_patience")
-        for name in ("embedding_dim", "max_outer_iters", "max_inner_steps", *optional):
-            value = getattr(self, name)
-            if value is None and name in optional:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+        for name in ("embedding_dim", "max_outer_iters", "max_inner_steps"):
+            check_int(name, getattr(self, name))
+        for name in ("sample_negatives", "early_stop_patience"):  # optional
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name))
         check_seed(self.seed)
         for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-                raise ConfigInvalid(f"{name} must be a finite real number, got {value!r}")
+            check_real(name, getattr(self, name))
         if self.embedding_dim < 1:
             raise ConfigInvalid("embedding_dim must be at least 1")
         if not (self.margin >= 0.0):
@@ -205,30 +210,52 @@ def optimize_W(
     cfg: TrainConfig,
     value: float,
     trace: Optional[list] = None,
+    losses: Optional[list[GroupedVector]] = None,
 ) -> tuple[EmbeddingParams, int]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
 
     value is the smooth value at params, which the caller already holds.
+    losses, when given, holds each block's losses at params; each accepted
+    step replaces them in place by the accepted trial's, so on return they
+    are the losses at the returned params (they do not depend on v). Only
+    one set of losses is alive at a time.
+
+    Each parameter point gets one forward pass. The entry gradient computes
+    its own; each line-search trial's pass serves every block, and the
+    accepted trial's pass (line_search accepts its last trial) serves the
+    next gradient and is then dropped.
     """
     cfg.validate()
     lcfg = cfg.loss_config()
+    normalized = cfg.normalized_similarity
+    last: dict = {}  # the latest trial's forward pass and per-block losses
 
     def value_fn(p):
-        return smooth_part(p, blocks, block_losses(p, dataset, blocks, lcfg, cfg.normalized_similarity))
+        last.clear()  # keep at most one score matrix while a trial is scored
+        fwd = forward(p, dataset, normalized)
+        trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, fwd)
+        last.update(fwd=fwd, losses=trial_losses)
+        return smooth_part(p, blocks, trial_losses)
 
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
     if trace is not None:
         trace.append(value)
     steps = 0
+    fwd = None
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        grad = grad_params(params, dataset, blocks, lcfg, cfg.normalized_similarity)
+        grad = grad_params(params, dataset, blocks, lcfg, normalized, fwd)
+        fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
+        fwd = last["fwd"]
+        if losses is not None:
+            losses[:] = last["losses"]
+        last.clear()
         if trace is not None:
             trace.append(new_value)
         rel = (value - new_value) / max(1.0, abs(value))
@@ -244,6 +271,16 @@ def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
     if n <= FULL_TETRAD_LIMIT:
         return None
     return max(1, min(n - 1, (FULL_TETRAD_LIMIT * FULL_TETRAD_LIMIT) // n))
+
+
+def _update_weights(blocks: list[Block], losses: list[GroupedVector], pacing: PacingState) -> None:
+    """Solve each block's selection weights from its losses.
+
+    Indexing instead of a loop variable leaves no reference to a loss
+    vector behind, so optimize_W can free each set of losses it replaces.
+    """
+    for i, b in enumerate(blocks):
+        b.v = spl.update_importance(losses[i], pacing)
 
 
 def train(
@@ -275,10 +312,9 @@ def train(
     losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity)
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
-    for b, block_loss in zip(blocks, losses):
-        b.v = spl.update_importance(block_loss, pacing)
+    _update_weights(blocks, losses, pacing)
     # the smooth part at the current (params, v); every objective the loop
-    # records is derived from one loss evaluation per block after the W-step
+    # records is derived from the losses at the W-step's final params
     smooth = smooth_part(params, blocks, losses)
 
     prev_smooth: Optional[float] = None
@@ -290,12 +326,10 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        params, inner_steps = optimize_W(params, dataset, blocks, cfg, smooth)
-        losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity)
+        params, inner_steps = optimize_W(params, dataset, blocks, cfg, smooth, losses=losses)
         obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
-        for b, block_loss in zip(blocks, losses):
-            b.v = spl.update_importance(block_loss, pacing)
+        _update_weights(blocks, losses, pacing)
         smooth = smooth_part(params, blocks, losses)
         obj_after_v = with_penalties(smooth, blocks, pacing)
         if not (np.isfinite(obj_entry) and np.isfinite(obj_after_w) and np.isfinite(obj_after_v)):

@@ -180,12 +180,20 @@ class TestTrainCommand:
             ("lam_growth", float("nan")),
             ("lam_growth", float("inf")),
             ("rel_tol", float("inf")),
+            pytest.param("margin", 10**400, id="margin-int-beyond-float"),
         ],
     )
     def test_mistyped_train_value_exits_one_before_training(self, tmp_path, capsys, key, value):
         path, _ = write_config(tmp_path, train={"embedding_dim": 4, "max_outer_iters": 3, "seed": 1, key: value})
         assert main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: invalid train section: " + key)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, raw", [("noise", "true"), ("n", "24.0"), ("latent", "false")])
+    def test_mistyped_synth_override_exits_one_before_writing(self, tmp_path, capsys, key, raw):
+        path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(path), "--set", f"data.synth.{key}={raw}"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid data.synth section: " + key)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

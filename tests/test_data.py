@@ -133,6 +133,27 @@ class TestSynthGenerate:
         with pytest.raises(ConfigInvalid):
             SynthSpec(n=8, latent=2, p=4, q=4, noise=-0.1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"noise": True},
+            {"noise": False},
+            {"noise": "0.1"},
+            {"noise": float("nan")},
+            {"noise": 10**400},
+            {"n": 10.0},
+            {"n": True},
+            {"latent": 2.0},
+            {"latent": True},
+            {"p": 4.0},
+            {"q": "4"},
+        ],
+    )
+    def test_mistyped_spec_field_rejected(self, bad):
+        fields = {"n": 10, "latent": 2, "p": 4, "q": 4, "noise": 0.1, **bad}
+        with pytest.raises(ConfigInvalid, match=f"^{next(iter(bad))} must be"):
+            SynthSpec(**fields)
+
 
 class TestSkewedSynth:
     def test_exact_hard_count_recorded_in_ids(self):

@@ -19,17 +19,20 @@ from pacedrank.core import (
     build_tetrads,
     validate_dataset,
 )
-from pacedrank.embed import score_matrix
+from pacedrank.embed import forward, score_matrix
 from pacedrank.errors import AlignmentError, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     Block,
+    _hinge_args,
+    _query_view,
     all_losses,
     grad_loss_term,
     grad_params,
     objective,
     ridge_value,
     tetrad_loss,
+    weighted_sum_from,
 )
 
 from conftest import random_instance, random_params
@@ -302,3 +305,72 @@ class TestGradient:
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
+
+
+def gathered_hinge_args(S, tetrads, margin):
+    """The general path of _hinge_args: one gather per tetrad."""
+    ks = tetrads.flat_queries
+    return S[ks, tetrads.negatives] - S[ks, ks] + margin
+
+
+def reversed_groups(tetrads):
+    """The same tetrads with each query's negatives listed in descending order."""
+    order = np.concatenate(
+        [np.arange(tetrads.offsets[k + 1] - 1, tetrads.offsets[k] - 1, -1) for k in range(tetrads.n)]
+    )
+    return TetradSet(tetrads.n, tetrads.offsets, tetrads.negatives[order]), order
+
+
+class TestFullSetPath:
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    @pytest.mark.parametrize("n", [2, 3, 57])
+    def test_strided_hinge_args_equal_gather_bitwise(self, n, direction, normalized):
+        dataset, params, tetrads, _ = random_instance(90 + n, n=n)
+        assert tetrads.is_full
+        *_, S = _query_view(forward(params, dataset, normalized), dataset, direction)
+        got = _hinge_args(S, tetrads, 0.1)
+        want = gathered_hinge_args(S, tetrads, 0.1)
+        assert got.shape == want.shape == (n * (n - 1),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_canonical_full_size_set_gathers(self):
+        dataset, params, tetrads, v = random_instance(23, n=9)
+        shuffled, order = reversed_groups(tetrads)
+        assert shuffled.total == 9 * 8 and not shuffled.is_full
+        *_, S = _query_view(forward(params, dataset), dataset, "i2t")
+        got = _hinge_args(S, shuffled, 0.1)
+        assert got.tobytes() == gathered_hinge_args(S, shuffled, 0.1).tobytes()
+        assert got.tobytes() == _hinge_args(S, tetrads, 0.1)[order].tobytes()
+
+        # the gradient's strided scatter builds the same coefficient matrix as the gather
+        v_shuffled = ImportanceVector(v.values[order], v.offsets)
+        for direction in ("i2t", "t2i"):
+            g = grad_params(params, dataset, [Block(tetrads, direction, v)], LossConfig())
+            g_shuffled = grad_params(params, dataset, [Block(shuffled, direction, v_shuffled)], LossConfig())
+            for a, b in zip(g.arrays, g_shuffled.arrays):
+                assert a.tobytes() == b.tobytes()
+
+    def test_other_layouts_are_not_full(self):
+        dataset = random_instance(4, n=5)[0]
+        assert build_tetrads(dataset).is_full
+        assert build_tetrads(dataset, m=4, seed=0).is_full  # sampling all n - 1 sorts them
+        assert not build_tetrads(dataset, m=2, seed=0).is_full
+        # n(n-1) tetrads whose group sizes differ from n-1
+        assert not TetradSet(3, [0, 3, 4, 6], [1, 2, 1, 0, 0, 1]).is_full
+
+    @pytest.mark.parametrize("weights", ["random", "zeros", "ones"])
+    def test_weighted_sum_index_equals_mask_bitwise(self, weights):
+        dataset, params, tetrads, _ = random_instance(31, n=12)
+        rng = np.random.default_rng(8)
+        values = {
+            "random": np.where(rng.uniform(size=tetrads.total) < 0.4, 0.0, rng.uniform(size=tetrads.total)),
+            "zeros": np.zeros(tetrads.total),
+            "ones": np.ones(tetrads.total),
+        }[weights]
+        v = ImportanceVector(values, tetrads.offsets)
+        losses = all_losses(params, dataset, tetrads, LossConfig(margin=0.3))
+        sel = v.values > 0.0
+        want = float(np.sum(v.values[sel] * losses.values[sel]))
+        assert np.array_equal(v.positive_index, np.flatnonzero(sel))
+        assert weighted_sum_from(losses, v).hex() == want.hex()

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pacedrank.core import EmbeddingParams, ImportanceVector
+from pacedrank import embed, trainer
+from pacedrank.core import EmbeddingParams, ImportanceVector, build_tetrads
 from pacedrank.data import SplitSpec, SynthSpec, split, synth_generate
 from pacedrank.errors import (
     ConfigInvalid,
@@ -9,7 +12,7 @@ from pacedrank.errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
-from pacedrank.loss import Block, block_losses, grad_params, ridge_value, smooth_part
+from pacedrank.loss import Block, all_losses, block_losses, grad_loss_term, grad_params, ridge_value, smooth_part
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
@@ -116,6 +119,102 @@ class TestOptimizeW:
 
 def tiny_corpus(seed=0, n=30):
     return synth_generate(SynthSpec(n=n, latent=3, p=8, q=8, noise=0.1, seed=seed))
+
+
+def unshared_optimize_W(params, dataset, blocks, cfg, value, trace=None, losses=None):
+    """Reference W-step in which no forward pass is shared.
+
+    Every block embeds and scores each line-search trial itself, every
+    gradient runs its own pass per block, and the losses at the final params
+    come from one more pass per block.
+    """
+    lcfg = cfg.loss_config()
+    norm = cfg.normalized_similarity
+
+    def losses_at(p):
+        return [all_losses(p, dataset, b.tetrads, lcfg, b.direction, norm) for b in blocks]
+
+    def gradient(p):
+        g = EmbeddingParams(p.W1, np.zeros_like(p.b1), p.W2, np.zeros_like(p.b2))
+        for b in blocks:
+            g = g.axpy(1.0, grad_loss_term(p, dataset, b.tetrads, b.v, lcfg, b.direction, norm))
+        return g
+
+    steps = 0
+    for _ in range(cfg.max_inner_steps):
+        steps += 1
+        step, new_params, new_value = line_search(
+            params, gradient(params), lambda p: smooth_part(p, blocks, losses_at(p)), value, cfg
+        )
+        if step == 0.0:
+            break
+        rel = (value - new_value) / max(1.0, abs(value))
+        params, value = new_params, new_value
+        if rel < cfg.rel_tol:
+            break
+    losses[:] = losses_at(params)
+    return params, steps
+
+
+SHARED_PASS_MODES = {
+    "full-raw-i2t": {},
+    "sampled-sym-cosine": dict(sample_negatives=6, symmetric_tetrads=True, normalized_similarity=True),
+}
+
+
+def history_rows(history):
+    return [
+        {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in dataclasses.asdict(r).items()}
+        for r in history.records
+    ]
+
+
+class TestSharedForwardPass:
+    @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
+    def test_train_equals_unshared_reference_bitwise(self, monkeypatch, mode):
+        ds = tiny_corpus(seed=2, n=40)
+        cfg = TrainConfig(embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
+        params, history = train(ds, cfg)
+        monkeypatch.setattr(trainer, "optimize_W", unshared_optimize_W)
+        ref_params, ref_history = train(ds, cfg)
+        assert len(history) == 3 and sum(r.inner_steps for r in history.records) > 3
+        for a, b in zip(params.arrays, ref_params.arrays):
+            assert a.tobytes() == b.tobytes()
+        assert history_rows(history) == history_rows(ref_history)
+
+    @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
+    def test_w_step_scores_each_point_once(self, monkeypatch, mode):
+        ds = tiny_corpus(seed=2, n=40)
+        cfg = TrainConfig(embedding_dim=4, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
+        rng = np.random.default_rng(5)
+        params = init_params(rng, cfg.embedding_dim, ds.p, ds.q)
+        blocks = []
+        for direction in ("i2t", "t2i") if cfg.symmetric_tetrads else ("i2t",):
+            tetrads = build_tetrads(ds, cfg.sample_negatives, cfg.seed)
+            blocks.append(Block(tetrads, direction, ImportanceVector(rng.uniform(size=tetrads.total), tetrads.offsets)))
+        value = smooth_value(params, ds, blocks, cfg)
+        losses = block_losses(params, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
+
+        scored, evals = [], []
+        real_scores, real_search = embed.inner_scores, trainer.line_search
+
+        def counting_scores(H, G):
+            scored.append(H.shape)
+            return real_scores(H, G)
+
+        def counting_search(params, grad, value_fn, current_value, cfg):
+            def counted(p):
+                evals.append(p)
+                return value_fn(p)
+            return real_search(params, grad, counted, current_value, cfg)
+
+        monkeypatch.setattr(embed, "inner_scores", counting_scores)
+        monkeypatch.setattr(trainer, "line_search", counting_search)
+        out, steps = optimize_W(params, ds, blocks, cfg, value, losses=losses)
+        assert steps >= 2
+        assert len(scored) == len(evals) + 1
+        want = block_losses(out, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
+        assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
 
 
 class TestTrain:
@@ -235,6 +334,8 @@ class TestTrain:
         ):
             with pytest.raises(ConfigInvalid):
                 train(ds, TrainConfig(**bad))
+        with pytest.raises(ConfigInvalid, match="margin"):  # too large for a float
+            TrainConfig(margin=10**400).validate()
 
 
 class TestCheckpoint:
