@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .core import check_direction, validate_dataset
+from .core import check_direction, check_sample_size, validate_dataset
 from .errors import ConfigInvalid, InvalidCutoff, NonFiniteObjective, PacedRankError
 from .gradcheck import run_gradient_check
 from .trainer import (
@@ -185,13 +185,14 @@ def _write_history_csv(path, history) -> None:
 def cmd_train(args) -> int:
     config = _apply_overrides(_load_json(args.config), args.set or [])
     out_dir, dataset, split_spec, train_cfg, eval_cfg = _parse_run_config(config)
-    os.makedirs(out_dir, exist_ok=True)
-
     idx_train, idx_val, idx_test = data_mod.split_indices(dataset.n, split_spec)
+    train_ds, val_ds, test_ds = data_mod.split(dataset, split_spec)
+    if train_cfg.sample_negatives is not None:  # fail before the run directory exists
+        check_sample_size(train_cfg.sample_negatives, train_ds.n)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "split.txt"), "w", encoding="utf-8") as fh:
         for name, idx in (("train", idx_train), ("validation", idx_val), ("test", idx_test)):
             fh.write(name + " " + " ".join(str(int(i)) for i in idx) + "\n")
-    train_ds, val_ds, test_ds = data_mod.split(dataset, split_spec)
 
     params, history = train(train_ds, train_cfg, val_dataset=val_ds)
 

@@ -63,6 +63,10 @@ def check_real(name: str, value) -> None:
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """values as a read-only C-contiguous array; a locked one that owns its data is kept, not copied."""
+    if isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable:
+        if values.dtype == dtype and values.flags.c_contiguous:
+            return values
     out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
@@ -252,6 +256,14 @@ def _all_negatives(n: int) -> np.ndarray:
     return idx + (idx >= np.arange(n, dtype=np.int64)[:, None])
 
 
+def check_sample_size(m: int, n: int) -> None:
+    """Raise unless each query of n items can get m distinct sampled negatives."""
+    if m < 1:
+        raise ConfigInvalid("sample size must be at least 1")
+    if m > n - 1:
+        raise SampleTooLarge(f"requested {m} negatives per query but only {n - 1} exist")
+
+
 def build_tetrads(
     dataset: Dataset, m: Optional[int] = None, seed: Optional[int] = None
 ) -> TetradSet:
@@ -268,10 +280,7 @@ def build_tetrads(
     if m is None:
         negatives = _all_negatives(n)
     else:
-        if m < 1:
-            raise ConfigInvalid("sample size must be at least 1")
-        if m > n - 1:
-            raise SampleTooLarge(f"requested {m} negatives per query but only {n - 1} exist")
+        check_sample_size(m, n)
         rng = np.random.default_rng(seed)
         negatives = np.empty((n, m), dtype=np.int64)
         for k in range(n):

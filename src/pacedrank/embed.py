@@ -7,20 +7,15 @@ the same per-entry summation order as the single-pair path, so batch and
 pointwise results are bit-identical.
 
 The single-pair path sums the d products h * g with np.sum, which adds a
-contiguous run in numpy's pairwise order: under 8 terms one after another;
-up to 128 terms in 8 interleaved accumulators combined as
-((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder one at a time;
-beyond that, the two halves (the first rounded down to a multiple of 8)
-summed that way and added. inner_scores builds the score matrix from the d
-lanes H[:, l] (x) G[:, l], adding whole lanes in that same order over row
-blocks, so it never holds an n x m x d product. Problems of at most
-_BROADCAST_MAX_ENTRIES entries, such as one query against a test corpus,
-reduce one broadcast product instead, which is cheaper there.
+contiguous run by numpy's pairwise_sum. inner_scores builds the score
+matrix from the d lanes H[:, l] (x) G[:, l] with _pairwise_lanes, the same
+recursion written out on whole lanes, row block by row block, so it never
+holds an n x m x d product. Problems of at most _BROADCAST_MAX_ENTRIES
+entries, such as one query against a test corpus, reduce one broadcast
+product instead, which is cheaper there.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -34,7 +29,7 @@ _OPEN_HI = np.nextafter(1.0, 0.0)
 # At most this many score entries: one broadcast product beats the lane
 # kernel's ~2d numpy calls (measured crossover near 1-2k entries at d=10).
 _BROADCAST_MAX_ENTRIES = 1024
-# Output entries per row block of the lane kernel; its slot buffers stay in L2.
+# Output entries per row block of the lane kernel; its 9 scratch buffers stay in L2.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -98,44 +93,46 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(E * E, axis=1))
 
 
-def _emit_pairwise(ops: list, first: int, count: int, dst: int, free: int) -> None:
-    """Append ops that sum lanes first..first+count-1 into slot dst in numpy's pairwise order.
+def _lane(Hb: np.ndarray, GT: np.ndarray, lane: int, out: np.ndarray) -> np.ndarray:
+    """Write lane Hb[lane] (x) GT[lane] into out."""
+    return np.multiply(Hb[lane, :, None], GT[lane], out=out)
 
-    Slots from `free` up are unused scratch; slot 1 is the lane temporary.
+
+def _pairwise_lanes(Hb: np.ndarray, GT: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Sum the lanes Hb[l] (x) GT[l] into out in the order of numpy's pairwise_sum.
+
+    Above 128 lanes, the two halves (the first rounded down to a multiple of
+    8) are summed so and added. Otherwise, from 8 lanes on, 8 interleaved
+    accumulators are combined; the remaining lanes follow one at a time.
+    scratch holds the 8 accumulators and a lane temporary; each level above
+    128 lanes adds one buffer.
     """
-    if count < 8:
-        ops.append(("set", dst, first))
-        for lane in range(first + 1, first + count):
-            ops.append(("add_lane", dst, lane))
-    elif count <= 128:
-        acc = [dst, *range(free, free + 7)]
-        end = first + count - count % 8
-        for i in range(first, end, 8):
-            for j in range(8):
-                ops.append(("set" if i == first else "add_lane", acc[j], i + j))
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            ops.append(("add", acc[a], acc[b]))
-        for lane in range(end, first + count):
-            ops.append(("add_lane", dst, lane))
-    else:
-        half = count // 2
+    d = len(Hb)
+    if d > 128:
+        half = d // 2
         half -= half % 8
-        _emit_pairwise(ops, first, half, dst, free)
-        _emit_pairwise(ops, first + half, count - half, free, free + 1)
-        ops.append(("add", dst, free))
-
-
-@functools.lru_cache(maxsize=None)
-def _lane_program(d: int):
-    """The op sequence that sums d lanes into slot 0, and the number of slots it uses.
-
-    Ops are ("set", slot, lane): slot = lane; ("add_lane", slot, lane):
-    slot += lane; ("add", slot, other): slot += other.
-    """
-    ops: list = []
-    _emit_pairwise(ops, 0, d, 0, 2)
-    used = [op[1] for op in ops] + [op[2] for op in ops if op[0] == "add"]
-    return tuple(ops), max(used + [1]) + 1
+        _pairwise_lanes(Hb[:half], GT[:half], out, scratch)
+        rest = np.empty_like(out)
+        _pairwise_lanes(Hb[half:], GT[half:], rest, scratch)
+        np.add(out, rest, out=out)
+        return
+    acc, tmp = scratch[:8], scratch[8]
+    if d < 8:
+        _lane(Hb, GT, 0, out)
+        end = 1
+    else:
+        for j in range(8):
+            _lane(Hb, GT, j, acc[j])
+        end = d - d % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                np.add(acc[j], _lane(Hb, GT, i + j, tmp), out=acc[j])
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        np.add(acc[0:8:2], acc[1:8:2], out=acc[0:8:2])
+        np.add(acc[0:8:4], acc[2:8:4], out=acc[0:8:4])
+        np.add(acc[0], acc[4], out=out)
+    for lane in range(end, d):
+        np.add(out, _lane(Hb, GT, lane, tmp), out=out)
 
 
 def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -143,32 +140,21 @@ def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 
     Entry (k, j) is bit-identical to float(np.sum(H[k] * G[j])). Up to
     _BROADCAST_MAX_ENTRIES entries, one broadcast product is reduced over
-    its last axis. Larger problems add the d lanes H[:, l] (x) G[:, l] in
-    numpy's pairwise order (see the module docstring), over row blocks of
-    about _BLOCK_ENTRIES entries. Neither the path nor the blocking changes
-    any entry.
+    its last axis. Larger problems sum the d lanes H[:, l] (x) G[:, l] with
+    _pairwise_lanes over row blocks of about _BLOCK_ENTRIES entries.
+    Neither the path nor the blocking changes any entry.
     """
-    n, d = H.shape
-    m = G.shape[0]
+    n, m = H.shape[0], G.shape[0]
     if n * m <= _BROADCAST_MAX_ENTRIES:
         return (H[:, None, :] * G[None, :, :]).sum(axis=2)
-    ops, n_slots = _lane_program(d)
     HT = np.ascontiguousarray(H.T)
     GT = np.ascontiguousarray(G.T)
     out = np.empty((n, m))
     rows = max(1, _BLOCK_ENTRIES // m)
-    buffers = np.empty((n_slots - 1, min(rows, n), m))
+    scratch = np.empty((9, min(rows, n), m))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        slots = [out[lo:hi], *buffers[:, : hi - lo]]
-        for kind, dst, arg in ops:
-            if kind == "add":
-                np.add(slots[dst], slots[arg], out=slots[dst])
-            elif kind == "set":
-                np.multiply(HT[arg, lo:hi, None], GT[arg], out=slots[dst])
-            else:
-                np.multiply(HT[arg, lo:hi, None], GT[arg], out=slots[1])
-                np.add(slots[dst], slots[1], out=slots[dst])
+        _pairwise_lanes(HT[:, lo:hi], GT, out[lo:hi], scratch[:, : hi - lo])
     # np.sum starts from +0.0, so an entry whose products are all -0.0 is +0.0
     # there; only a zero or negative factor can make a -0.0 product
     if not (H.min() > 0.0 and G.min() > 0.0):

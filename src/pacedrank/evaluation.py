@@ -25,7 +25,6 @@ MODES = ("by_relevant", "by_r")
 class RankedList:
     """Items sorted by descending score for one query."""
 
-    query_index: Optional[int]
     indices: np.ndarray
     scores: np.ndarray
 
@@ -98,7 +97,6 @@ def retrieve(
     direction: str = "i2t",
     top_k: Optional[int] = None,
     normalized: bool = False,
-    query_index: Optional[int] = None,
 ) -> RankedList:
     """Rank a corpus of the opposite modality against one query vector."""
     check_direction(direction)
@@ -117,7 +115,7 @@ def retrieve(
         if top_k < 1:
             raise InvalidCutoff("top_k must be at least 1")
         order = order[:top_k]
-    return RankedList(query_index, order, scores[order])
+    return RankedList(order, scores[order])
 
 
 def mean_ap(

@@ -89,7 +89,7 @@ def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
     if tetrads.is_full:
         A = np.subtract(S, np.diagonal(S)[:, None], order="C")
         A += margin
-        return _off_diagonal(A).reshape(-1)
+        return _off_diagonal(A).ravel()  # a fresh copy that owns its data
     ks = tetrads.flat_queries
     return S[ks, tetrads.negatives] - S[ks, ks] + margin
 
@@ -154,8 +154,10 @@ def all_losses(
     if fwd is None:
         fwd = forward(params, dataset, normalized)
     *_, S = _query_view(fwd, dataset, direction)
-    args = _hinge_args(S, tetrads, cfg.margin)
-    return GroupedVector(np.maximum(0.0, args, out=args), tetrads.offsets)
+    hinges = _hinge_args(S, tetrads, cfg.margin)
+    np.maximum(0.0, hinges, out=hinges)
+    hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
+    return GroupedVector(hinges, tetrads.offsets)
 
 
 def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:

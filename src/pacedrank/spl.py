@@ -190,7 +190,8 @@ def update_importance(losses: GroupedVector, pacing: PacingState) -> ImportanceV
     parts = []
     for k in range(losses.n_groups):
         parts.append(solve_spld(losses.group(k), pacing.lam, pacing.gamma).weights)
-    flat = np.concatenate(parts) if parts else np.empty(0)
+    flat = np.concatenate(parts)
+    flat.flags.writeable = False  # locked, so ImportanceVector keeps it without a copy
     return ImportanceVector(flat, losses.offsets)
 
 
@@ -205,6 +206,8 @@ def init_lambda(losses: Sequence[GroupedVector], fraction: float) -> float:
         raise ConfigInvalid("fraction must lie in (0, 1]")
     quantiles = []
     for block in losses:
+        if not np.isfinite(block.values).all() or (block.values < 0.0).any():
+            raise ConfigInvalid("losses must be finite and nonnegative")
         for k in range(block.n_groups):
             group = block.group(k)
             if len(group) == 0:

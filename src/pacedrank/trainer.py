@@ -61,6 +61,7 @@ CHECKPOINT_VERSION = 1
 # is quadratic in n
 FULL_TETRAD_LIMIT = 2000
 _MIN_LAMBDA = 1e-8
+MAX_BACKTRACKS = 50  # trial steps per line search
 # TrainConfig fields that must be finite reals
 _REAL_FIELDS = (
     "margin", "init_fraction", "gamma_ratio", "lam_growth", "gamma_growth",
@@ -182,19 +183,18 @@ def line_search(
     value_fn: Callable[[EmbeddingParams], float],
     current_value: float,
     cfg: TrainConfig,
-    max_backtracks: int = 50,
 ) -> tuple[float, EmbeddingParams, float]:
     """Backtracking Armijo search along the negative gradient.
 
     Halving (by shrink_factor) stops at the first step satisfying
     f(new) <= f(old) - c * step * |grad|^2. Returns (0, params, value) when
-    no decrease is found; callers treat step 0 as converged.
+    no trial of MAX_BACKTRACKS does; callers treat step 0 as converged.
     """
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
         return 0.0, params, current_value
     step = cfg.initial_step
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
         value = value_fn(trial)
         if np.isfinite(value) and value <= current_value - cfg.sufficient_decrease * step * gnorm2:

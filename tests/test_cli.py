@@ -197,6 +197,22 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
+        "section, value",
+        [
+            # the 24 pairs split into 12 training pairs: at most 11 negatives per query
+            ("train", {"embedding_dim": 4, "max_outer_iters": 3, "seed": 1, "sample_negatives": 12}),
+            ("train", {"embedding_dim": 4, "max_outer_iters": 3, "seed": 1, "sample_negatives": 30}),
+            ("split", {"train": 0.9, "validation": 0.02, "test": 0.08, "seed": 1}),
+        ],
+        ids=["sample-equals-split", "sample-above-split", "empty-validation-split"],
+    )
+    def test_config_too_large_for_split_exits_one_before_writing(self, tmp_path, capsys, section, value):
+        path, _ = write_config(tmp_path, **{section: value})
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
         "key, value", [("direction", "x2y"), ("r", "ten"), ("r", 2.7), ("r", True), ("mode", "nope")]
     )
     def test_bad_eval_value_exits_one_before_training(self, tmp_path, key, value):

@@ -19,7 +19,8 @@ from pacedrank.errors import (
     ShapeMismatch,
     TooSmall,
 )
-from pacedrank.loss import tetrad_loss
+from pacedrank.loss import all_losses, tetrad_loss
+from pacedrank.spl import update_importance
 
 
 class TestValidateDataset:
@@ -166,6 +167,47 @@ class TestGroupedVector:
             ImportanceVector(np.array([1.5]), np.array([0, 1]))
         with pytest.raises(ConfigInvalid):
             ImportanceVector(np.array([-0.1]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("cls", [GroupedVector, ImportanceVector])
+    def test_locked_input_kept_as_same_object(self, cls):
+        values = np.array([0.25, 0.5, 1.0])
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        values.flags.writeable = False
+        offsets.flags.writeable = False
+        gv = cls(values, offsets)
+        assert gv.values is values
+        assert gv.offsets is offsets
+
+    def test_writeable_source_is_copied(self):
+        values = np.array([0.25, 0.5, 1.0])
+        offsets = np.array([0, 2, 3])
+        gv = GroupedVector(values, offsets)
+        values[0] = 9.0
+        offsets[1] = 3
+        assert list(gv.values) == [0.25, 0.5, 1.0]
+        assert list(gv.offsets) == [0, 2, 3]
+        # a read-only view can still change through the writeable array it views
+        view = values[:]
+        view.flags.writeable = False
+        gv = GroupedVector(view, np.array([0, 3]))
+        values[1] = 7.0
+        assert gv.values is not view
+        assert list(gv.values) == [9.0, 0.5, 1.0]
+        assert not gv.values.flags.writeable
+
+    def test_producers_share_locked_arrays(self):
+        rng = np.random.default_rng(5)
+        ds = validate_dataset(rng.standard_normal((6, 3)), rng.standard_normal((6, 4)))
+        params = EmbeddingParams.from_arrays(
+            rng.standard_normal((2, 3)), np.zeros(2), rng.standard_normal((2, 4)), np.zeros(2)
+        )
+        for tetrads in (build_tetrads(ds), build_tetrads(ds, 2, seed=0)):
+            losses = all_losses(params, ds, tetrads, LossConfig())
+            assert losses.offsets is tetrads.offsets
+            assert not losses.values.flags.writeable
+            v = update_importance(losses, PacingState(lam=1.0, gamma=0.5))
+            assert v.offsets is tetrads.offsets
+            assert not v.values.flags.writeable
 
 
 class TestConfigTypes:

@@ -145,7 +145,8 @@ class TestInnerScores:
         assert one_block[0] < _BLOCK_ENTRIES // one_block[1]
         assert blocks[0] % (_BLOCK_ENTRIES // blocks[1]) != 0
 
-    @pytest.mark.parametrize("d", list(range(1, 41)) + [64, 127, 128, 129, 200])
+    # 300 and 1000 recurse twice: their halves are above 128 lanes too
+    @pytest.mark.parametrize("d", list(range(1, 41)) + [64, 127, 128, 129, 200, 300, 1000])
     def test_equals_pointwise_sum_bitwise(self, d):
         rng = np.random.default_rng(d)
         for n, m in self.SHAPES:

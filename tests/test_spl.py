@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pacedrank.core import GroupedVector, PacingState
-from pacedrank.errors import EmptyGroup, GroupTooLarge
+from pacedrank.errors import ConfigInvalid, EmptyGroup, GroupTooLarge
 from pacedrank.spl import (
     init_lambda,
     oracle_spld,
@@ -206,6 +206,14 @@ class TestInitLambda:
             init_lambda([GroupedVector(np.array([]), np.array([0]))], 0.5)
         with pytest.raises(EmptyGroup):
             init_lambda([], 0.5)
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan], [-3.0, -1.0], [0.5, np.inf]])
+    def test_rejects_losses_update_importance_rejects(self, bad):
+        losses = GroupedVector.from_groups([np.array([0.1, 0.2]), np.array(bad)])
+        with pytest.raises(ConfigInvalid, match="losses must be finite and nonnegative"):
+            init_lambda([losses], 0.5)
+        with pytest.raises(ConfigInvalid, match="losses must be finite and nonnegative"):
+            update_importance(losses, PacingState(lam=1.0, gamma=0.5))
 
     def test_blocks_pool_their_groups(self):
         rng = np.random.default_rng(12)
