@@ -163,7 +163,10 @@ class EmbeddingParams:
 
     def axpy(self, alpha: float, x: "EmbeddingParams") -> "EmbeddingParams":
         """self + alpha * x, component by component; alpha = -step is a descent step."""
-        return EmbeddingParams(*(a + alpha * b for a, b in zip(self.arrays, x.arrays)))
+        out = [a + alpha * b for a, b in zip(self.arrays, x.arrays)]
+        for arr in out:
+            arr.flags.writeable = False  # fresh arrays: locked in place, not copied
+        return EmbeddingParams(*out)
 
     @classmethod
     def from_arrays(cls, W1, b1, W2, b2) -> "EmbeddingParams":
@@ -341,9 +344,7 @@ class ImportanceVector(GroupedVector):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.values) and (
-            (self.values < 0.0).any() or (self.values > 1.0).any()
-        ):
+        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():  # NaN fails both
             raise ConfigInvalid("importance weights must lie in [0, 1]")
 
 

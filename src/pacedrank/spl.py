@@ -20,6 +20,10 @@ values, never on input order. With gamma = 0 the rank test is l < lam and
 the boundary rule selects every loss equal to lam, so solve_spld gives the
 pure threshold rule of solve_spl.
 
+update_importance solves all groups at once on an n_groups x (largest group
++ 1) float matrix, one row of sorted losses per group padded with +inf (every
+tetrad set the trainer builds has equal-size groups); solve_spld is its one-group case.
+
 oracle_spld solves the same problem by brute force on the 1-D reduction
 (dense grid plus per-segment stationary candidates) and reports a
 projected-gradient KKT residual; it exists to cross-check the closed form.
@@ -44,7 +48,6 @@ class WeightSolution:
 
     weights: np.ndarray
     objective_value: float
-    support_size: int
 
 
 @dataclass(frozen=True)
@@ -74,51 +77,54 @@ def psi_value(weights: np.ndarray, losses: np.ndarray, lam: float, gamma: float)
     return float(np.dot(weights, losses)) - lam * mass - gamma * float(np.sqrt(mass))
 
 
-def _solution(weights: np.ndarray, losses: np.ndarray, lam: float, gamma: float) -> WeightSolution:
-    weights = np.clip(weights, 0.0, 1.0)
-    return WeightSolution(
-        weights=weights,
-        objective_value=psi_value(weights, losses, lam, gamma),
-        support_size=int(np.count_nonzero(weights > 0.0)),
-    )
-
-
 def solve_spl(losses, lam: float) -> WeightSolution:
     """Pure easiness rule: v_j = 1 iff l_j <= lam (boundary selects)."""
     losses = _check_group(losses, lam, 0.0)
-    return _solution((losses <= lam).astype(np.float64), losses, lam, 0.0)
+    weights = (losses <= lam).astype(np.float64)
+    return WeightSolution(weights, psi_value(weights, losses, lam, 0.0))
 
 
 def solve_spld(losses, lam: float, gamma: float) -> WeightSolution:
     """Closed-form global minimizer of the diversity-regularized subproblem."""
     losses = _check_group(losses, lam, gamma)
-    g = len(losses)
-    order = np.argsort(losses, kind="stable")
-    ls = losses[order]
-    ranks = np.arange(1, g + 1, dtype=np.float64)
-    passed = ls < lam + gamma / (2.0 * np.sqrt(ranks))
-    filled = g if passed.all() else int(np.argmin(passed))  # prefix length
+    weights = _spld_weights(losses, np.array([0, len(losses)]), lam, gamma)
+    return WeightSolution(weights, psi_value(weights, losses, lam, gamma))
 
-    v_sorted = np.zeros(g)
-    v_sorted[:filled] = 1.0
-    if filled < g:
-        boundary = ls[filled]
-        tie_lo = int(np.searchsorted(ls, boundary, side="left"))
-        tie_hi = int(np.searchsorted(ls, boundary, side="right"))
-        n_tied = tie_hi - tie_lo
-        if boundary <= lam:
-            # a loss at or below lam fails the rank test only when it equals
-            # lam: always at gamma = 0, or when lam + gamma / (2 sqrt(u))
-            # rounds to lam. Selecting it cannot raise psi.
-            v_sorted[tie_lo:tie_hi] = 1.0
-        else:
-            t_star = (gamma / (2.0 * (boundary - lam))) ** 2
-            tie_mass = min(max(t_star - tie_lo, 0.0), float(n_tied))
-            v_sorted[tie_lo:tie_hi] = min(tie_mass / n_tied, 1.0)
 
-    weights = np.empty(g)
-    weights[order] = v_sorted
-    return _solution(weights, losses, lam, gamma)
+def _sorted_rows(values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's checked losses as one ascending row padded with +inf, and the group sizes."""
+    if not np.isfinite(values).all() or (values < 0.0).any():
+        raise ConfigInvalid("losses must be finite and nonnegative")
+    sizes = np.diff(offsets)
+    if (sizes == 0).any():
+        raise EmptyGroup(f"loss group {int(np.argmin(sizes))} is empty")
+    rows = np.full((len(sizes), int(sizes.max(initial=0)) + 1), np.inf)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = values  # row-major: group by group
+    rows.sort(axis=1)
+    return rows, sizes
+
+
+def _spld_weights(values: np.ndarray, offsets: np.ndarray, lam: float, gamma: float) -> np.ndarray:
+    """The closed form for every group at once."""
+    rows, sizes = _sorted_rows(values, offsets)
+    passed = rows < lam + gamma / (2.0 * np.sqrt(np.arange(1.0, rows.shape[1] + 1.0)))  # ranks u = 1, 2, ...
+    # the first failing rank; +inf padding never passes, so it ends a group that all passes
+    boundary = rows[np.arange(len(rows)), np.argmin(passed, axis=1)]
+    tie_lo = np.count_nonzero(rows < boundary[:, None], axis=1)
+    n_tied = np.count_nonzero(rows == boundary[:, None], axis=1)  # >= 1: a +inf boundary ties the padding
+    del rows  # so the padded rows never coexist with the per-tetrad arrays below
+    # a loss at or below lam fails the rank test only when it equals lam:
+    # always at gamma = 0, or when lam + gamma / (2 sqrt(u)) rounds to lam.
+    # Selecting it cannot raise psi.
+    above = boundary > lam
+    root = gamma / (2.0 * np.where(above, boundary - lam, 1.0))  # sqrt of the stationary mass
+    tie_mass = np.minimum(np.maximum(root * root - tie_lo, 0.0), n_tied)
+    share = np.where(above, np.minimum(tie_mass / n_tied, 1.0), 1.0)
+    cut = np.repeat(boundary, sizes)
+    weights = np.repeat(share, sizes)
+    weights[values < cut] = 1.0
+    weights[values > cut] = 0.0
+    return weights
 
 
 def _prefix_fill(ls_sorted: np.ndarray, t: float) -> np.ndarray:
@@ -180,39 +186,36 @@ def oracle_spld(losses, lam: float, gamma: float, grid_points: int = 10_001):
         grad = np.full(g, -np.inf)  # descent direction of -gamma*sqrt at 0
     residual = float(np.max(np.abs(weights - np.clip(weights - grad, 0.0, 1.0))))
 
-    return _solution(weights, losses, lam, gamma), OracleDiagnostics(residual, len(ts))
+    return WeightSolution(weights, psi_value(weights, losses, lam, gamma)), OracleDiagnostics(residual, len(ts))
 
 
 def update_importance(losses: GroupedVector, pacing: PacingState) -> ImportanceVector:
-    """Solve every query group independently and repack the weights."""
+    """Solve every query group's closed form in one pass over the grouped losses."""
     if losses.n_groups == 0:
         raise EmptyGroup("no query groups to solve")
-    parts = []
-    for k in range(losses.n_groups):
-        parts.append(solve_spld(losses.group(k), pacing.lam, pacing.gamma).weights)
-    flat = np.concatenate(parts)
-    flat.flags.writeable = False  # locked, so ImportanceVector keeps it without a copy
-    return ImportanceVector(flat, losses.offsets)
+    weights = _spld_weights(losses.values, losses.offsets, pacing.lam, pacing.gamma)
+    weights.flags.writeable = False  # locked, so ImportanceVector keeps it without a copy
+    return ImportanceVector(weights, losses.offsets)
 
 
 def init_lambda(losses: Sequence[GroupedVector], fraction: float) -> float:
     """Median, over every query group of every block, of the group's `fraction` loss quantile.
 
     Chosen so that roughly this fraction of tetrads per query clears the
-    easiness threshold at the first importance update. Quantiles use linear
-    interpolation.
+    easiness threshold at the first importance update. Quantiles repeat
+    np.quantile's linear interpolation operation for operation.
     """
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid("fraction must lie in (0, 1]")
+    if not any(block.n_groups for block in losses):
+        raise EmptyGroup("no loss groups")
     quantiles = []
     for block in losses:
-        if not np.isfinite(block.values).all() or (block.values < 0.0).any():
-            raise ConfigInvalid("losses must be finite and nonnegative")
-        for k in range(block.n_groups):
-            group = block.group(k)
-            if len(group) == 0:
-                raise EmptyGroup(f"loss group {k} is empty")
-            quantiles.append(float(np.quantile(group, fraction)))
-    if not quantiles:
-        raise EmptyGroup("no loss groups")
-    return float(np.median(quantiles))
+        rows, sizes = _sorted_rows(block.values, block.offsets)
+        last = sizes - 1
+        lo = np.floor(last * fraction).astype(np.int64)
+        t = last * fraction - lo
+        a = rows[np.arange(len(rows)), lo]
+        b = rows[np.arange(len(rows)), np.minimum(lo + 1, last)]
+        quantiles.append(np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t))
+    return float(np.median(np.concatenate(quantiles)))

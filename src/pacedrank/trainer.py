@@ -209,7 +209,6 @@ def optimize_W(
     blocks: list[Block],
     cfg: TrainConfig,
     value: float,
-    trace: Optional[list] = None,
     losses: Optional[list[GroupedVector]] = None,
 ) -> tuple[EmbeddingParams, int]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
@@ -239,8 +238,6 @@ def optimize_W(
 
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
-    if trace is not None:
-        trace.append(value)
     steps = 0
     fwd = None
     for _ in range(cfg.max_inner_steps):
@@ -256,8 +253,6 @@ def optimize_W(
         if losses is not None:
             losses[:] = last["losses"]
         last.clear()
-        if trace is not None:
-            trace.append(new_value)
         rel = (value - new_value) / max(1.0, abs(value))
         params, value = new_params, new_value
         if rel < cfg.rel_tol:

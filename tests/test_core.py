@@ -167,6 +167,8 @@ class TestGroupedVector:
             ImportanceVector(np.array([1.5]), np.array([0, 1]))
         with pytest.raises(ConfigInvalid):
             ImportanceVector(np.array([-0.1]), np.array([0, 1]))
+        with pytest.raises(ConfigInvalid, match="importance weights must lie in"):
+            ImportanceVector(np.array([np.nan, 0.5]), np.array([0, 2]))
 
     @pytest.mark.parametrize("cls", [GroupedVector, ImportanceVector])
     def test_locked_input_kept_as_same_object(self, cls):

@@ -37,7 +37,6 @@ class TestSolveSpl:
 
     def test_solution_fields(self):
         sol = solve_spl([0.1, 0.9, 0.4], 0.5)
-        assert sol.support_size == 2
         assert sol.objective_value == psi_value(sol.weights, np.array([0.1, 0.9, 0.4]), 0.5, 0.0)
 
 
@@ -135,7 +134,58 @@ class TestOracleAgreement:
             oracle_spld(np.ones(65), 0.5, 0.1)
 
 
+def per_group_closed_form(losses, lam, gamma):
+    """Reference: the closed form one group at a time over a stable argsort, with t* squared as t * t."""
+    g = len(losses)
+    order = np.argsort(losses, kind="stable")
+    ls = losses[order]
+    passed = ls < lam + gamma / (2.0 * np.sqrt(np.arange(1, g + 1, dtype=np.float64)))
+    filled = g if passed.all() else int(np.argmin(passed))
+    v_sorted = np.zeros(g)
+    v_sorted[:filled] = 1.0
+    if filled < g:
+        boundary = ls[filled]
+        tie_lo = int(np.searchsorted(ls, boundary, side="left"))
+        tie_hi = int(np.searchsorted(ls, boundary, side="right"))
+        if boundary <= lam:
+            v_sorted[tie_lo:tie_hi] = 1.0
+        else:
+            t = gamma / (2.0 * (boundary - lam))
+            tie_mass = min(max(t * t - tie_lo, 0.0), float(tie_hi - tie_lo))
+            v_sorted[tie_lo:tie_hi] = min(tie_mass / (tie_hi - tie_lo), 1.0)
+    weights = np.empty(g)
+    weights[order] = v_sorted
+    return weights
+
+
+def random_group(rng, size, lam):
+    kind = int(rng.integers(4))
+    if kind == 0:  # ties, some at lam exactly
+        return rng.choice([0.0, 0.3, lam, 1.2], size)
+    if kind == 1:  # every loss well below lam: all selected
+        return rng.uniform(0.0, lam / 2, size)
+    if kind == 2:  # every loss above lam: none selected at gamma = 0
+        return lam + rng.uniform(0.01, 2.0, size)
+    return rng.uniform(0.0, 2.0, size)
+
+
 class TestUpdateImportance:
+    def test_equals_per_group_closed_form_bitwise(self):
+        rng = np.random.default_rng(109)
+        seen = set()
+        for _ in range(2000):
+            n_groups = 1 if rng.random() < 0.2 else int(rng.integers(2, 9))
+            lam = float(rng.uniform(0.05, 1.0))
+            gamma = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 2.0))
+            groups = [random_group(rng, size, lam) for size in rng.integers(1, 21, n_groups)]
+            want = [per_group_closed_form(g, lam, gamma) for g in groups]
+            v = update_importance(GroupedVector.from_groups(groups), PacingState(lam=lam, gamma=gamma))
+            assert v.values.tobytes() == np.concatenate(want).tobytes()
+            for g, w in zip(groups, want):
+                assert solve_spld(g, lam, gamma).weights.tobytes() == w.tobytes()
+                seen.add("all" if (w == 1.0).all() else "none" if (w == 0.0).all() else "part")
+        assert seen == {"all", "none", "part"}
+
     def test_gamma_zero_concatenates_spl(self):
         losses = GroupedVector.from_groups([np.array([0.1, 0.9]), np.array([0.4, 0.6, 0.2])])
         v = update_importance(losses, PacingState(lam=0.5, gamma=0.0))
@@ -217,8 +267,9 @@ class TestInitLambda:
 
     def test_blocks_pool_their_groups(self):
         rng = np.random.default_rng(12)
-        groups = [rng.uniform(0.0, 2.0, size) for size in (4, 7, 5, 9, 3)]
-        blocks = [GroupedVector.from_groups(groups[:2]), GroupedVector.from_groups(groups[2:])]
-        expected = float(np.median([float(np.quantile(g, 0.4)) for g in groups]))
-        assert init_lambda(blocks, 0.4) == expected
-        assert init_lambda([GroupedVector.from_groups(groups)], 0.4) == expected
+        groups = [rng.uniform(0.0, 2.0, size) for size in (4, 7, 1, 5, 9, 3, 1, 2)]
+        blocks = [GroupedVector.from_groups(groups[:3]), GroupedVector.from_groups(groups[3:])]
+        for fraction in (0.4, 1 / 3, 0.5, 1.0):
+            expected = float(np.median([float(np.quantile(g, fraction)) for g in groups]))
+            assert init_lambda(blocks, fraction) == expected
+            assert init_lambda([GroupedVector.from_groups(groups)], fraction) == expected

@@ -99,14 +99,25 @@ class TestOptimizeW:
         assert steps == 1
         assert params_equal(out, zero)
 
-    def test_value_sequence_non_increasing(self):
+    def test_value_sequence_non_increasing(self, monkeypatch):
         dataset, params, tetrads, v = random_instance(63)
         cfg = TrainConfig(max_inner_steps=30)
-        trace = []
         blocks = [Block(tetrads, "i2t", v)]
-        optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg), trace=trace)
-        assert len(trace) >= 2
-        assert (np.diff(trace) <= 0.0).all()
+        values, accepted = [], []  # each search's current value, then its accepted value
+        real_search = trainer.line_search
+
+        def recording_search(params, grad, value_fn, current_value, cfg):
+            step, new_params, new_value = real_search(params, grad, value_fn, current_value, cfg)
+            values.append(current_value)
+            if step > 0.0:
+                values.append(new_value)
+                accepted.append(step)
+            return step, new_params, new_value
+
+        monkeypatch.setattr(trainer, "line_search", recording_search)
+        optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
+        assert accepted
+        assert (np.diff(values) <= 0.0).all()
 
     def test_nan_params_raise(self):
         dataset, params, tetrads, v = random_instance(64)
@@ -121,7 +132,7 @@ def tiny_corpus(seed=0, n=30):
     return synth_generate(SynthSpec(n=n, latent=3, p=8, q=8, noise=0.1, seed=seed))
 
 
-def unshared_optimize_W(params, dataset, blocks, cfg, value, trace=None, losses=None):
+def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None):
     """Reference W-step in which no forward pass is shared.
 
     Every block embeds and scores each line-search trial itself, every
@@ -218,6 +229,17 @@ class TestSharedForwardPass:
 
 
 class TestTrain:
+    def test_params_are_read_only(self):
+        params, _ = train(tiny_corpus(), TrainConfig(embedding_dim=4, max_outer_iters=1, seed=5))
+        stepped = params.axpy(-0.5, params)
+        for p in (params, stepped):
+            for arr in p.arrays:
+                assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            params.W1[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            stepped.b2[0] = 5.0
+
     def test_zero_outer_iters_returns_init(self):
         ds = tiny_corpus()
         cfg = TrainConfig(embedding_dim=4, max_outer_iters=0, seed=5)
