@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, EmbeddingParams
+from .core import Dataset, EmbeddingParams, check_direction
 from .errors import DimensionMismatch
 
 _EXP_CLAMP = 500.0  # keeps exp() finite; output is re-clipped into open (0, 1)
@@ -189,14 +189,22 @@ def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float
 def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False):
     """The one forward pass: embeddings H (images), G (texts) and scores S.
 
-    S has image queries as rows. Text queries read S.T with the two sides
-    swapped; that is bit-identical to scoring them directly, since every
-    entry multiplies the same pairs and sums them in the same order.
+    S has image queries as rows; query_scores gives a direction its view.
     """
     H = embed_images(params, dataset.images)
     G = embed_texts(params, dataset.texts)
     S = normalized_scores(H, G) if normalized else inner_scores(H, G)
     return H, G, S
+
+
+def query_scores(S: np.ndarray, direction: str) -> np.ndarray:
+    """forward's S with direction's queries as rows: S for i2t, S.T for t2i.
+
+    S.T is bit-identical to scoring text queries directly: each entry sums
+    the same products in the same order.
+    """
+    check_direction(direction)
+    return S if direction == "i2t" else S.T
 
 
 def score_matrix(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> np.ndarray:

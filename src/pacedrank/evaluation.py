@@ -15,7 +15,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import Dataset, EmbeddingParams, check_direction
-from .embed import embed_images, embed_texts, forward, inner_scores, normalized_scores, map_image, map_text
+from .embed import (
+    embed_images, embed_texts, forward, inner_scores, map_image, map_text, normalized_scores, query_scores,
+)
 from .errors import ConfigInvalid, DimensionMismatch, InvalidCutoff
 
 MODES = ("by_relevant", "by_r")
@@ -58,16 +60,17 @@ def _check_mode(mode: str) -> None:
         raise ConfigInvalid(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _positive_int(value, rule: str) -> int:
+    """value as an int; InvalidCutoff stating rule unless it is a non-bool integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidCutoff(f"{rule}, got {value!r}")
+    return int(value)
+
+
 def _resolve_r(r: Union[int, str], n: int) -> int:
-    if isinstance(r, str):
-        if r != "all":
-            raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {r!r}")
+    if isinstance(r, str) and r == "all":
         return n
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise InvalidCutoff(f"cutoff must be a positive integer or 'all', got {r!r}")
-    if r < 1:
-        raise InvalidCutoff("cutoff must be at least 1")
-    return int(r)
+    return _positive_int(r, "cutoff must be a positive integer or 'all'")
 
 
 def average_precision(relevance: Sequence, r: Union[int, str], mode: str = "by_relevant") -> float:
@@ -100,6 +103,8 @@ def retrieve(
 ) -> RankedList:
     """Rank a corpus of the opposite modality against one query vector."""
     check_direction(direction)
+    if top_k is not None:
+        _positive_int(top_k, "top_k must be a positive integer")
     corpus = np.asarray(corpus, dtype=np.float64)
     if corpus.ndim != 2:
         raise DimensionMismatch("corpus must be a feature matrix")
@@ -111,10 +116,7 @@ def retrieve(
         E = embed_images(params, corpus)
     scores = (normalized_scores(h, E) if normalized else inner_scores(h, E))[0]
     order = np.argsort(-scores, kind="stable")  # equal scores keep ascending index order
-    if top_k is not None:
-        if top_k < 1:
-            raise InvalidCutoff("top_k must be at least 1")
-        order = order[:top_k]
+    order = order[:top_k]  # [:None] keeps every item
     return RankedList(order, scores[order])
 
 
@@ -129,9 +131,7 @@ def mean_ap(
     """mAP over all queries of a paired test set; relevance is the aligned item."""
     check_direction(direction)
     _check_mode(mode)
-    S = forward(params, dataset_test, normalized)[2]
-    if direction == "t2i":
-        S = S.T  # rows become text queries over image items
+    S = query_scores(forward(params, dataset_test, normalized)[2], direction)
     n = dataset_test.n
     r_eff = _resolve_r(r, n)
     # the aligned item's place in the stable descending order: behind every

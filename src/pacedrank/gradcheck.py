@@ -22,8 +22,8 @@ from .core import (
     build_tetrads,
     validate_dataset,
 )
-from .embed import forward
-from .loss import Block, _hinge_args, _query_view, block_losses, grad_params, smooth_part
+from .embed import forward, query_scores
+from .loss import Block, _hinge_args, block_losses, grad_params, smooth_part
 
 KINK_BAND = 1e-6
 
@@ -69,19 +69,19 @@ def make_instance(
         Block(tetrads, direction, ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets))
         for direction in directions
     )
+    S = forward(params, dataset, normalized)[2]
     margin = 0.05
     for _ in range(100):
-        cfg = LossConfig(margin=margin)
-        if min(_min_kink_distance(params, dataset, b, cfg, normalized) for b in blocks) > KINK_BAND:
-            return GradCheckInstance(dataset, params, blocks, cfg, normalized)
+        if _min_kink_distance(S, blocks, margin) > KINK_BAND:
+            return GradCheckInstance(dataset, params, blocks, LossConfig(margin=margin), normalized)
         margin += 1e-3
     raise RuntimeError("could not find a kink-free margin")
 
 
-def _min_kink_distance(params, dataset, block: Block, cfg, normalized) -> float:
-    *_, S = _query_view(forward(params, dataset, normalized), dataset, block.direction)
-    args = _hinge_args(S, block.tetrads, cfg.margin)
-    return float(np.min(np.abs(args))) if len(args) else np.inf
+def _min_kink_distance(S, blocks, margin: float) -> float:
+    """Smallest |hinge argument| over every block's tetrads at scores S."""
+    args = [_hinge_args(query_scores(S, b.direction), b.tetrads, margin) for b in blocks]
+    return min(float(np.min(np.abs(a), initial=np.inf)) for a in args)
 
 
 def numeric_gradient(inst: GradCheckInstance, h: float = 1e-5):

@@ -15,7 +15,8 @@ Every loss and gradient reads one forward pass (embed.forward) per
 parameter point: all_losses, block_losses, grad_loss_term and grad_params
 take an optional pass fwd = (H, G, S) computed at their params, and run
 forward themselves only when it is not given. Blocks at the same point
-share one pass; a t2i block reads its transpose.
+share one pass (a t2i block reads S.T: embed.query_scores) and one
+backward pass (grad_loss_term).
 
 All reductions are whole-array numpy reductions in a fixed order, and the
 gradient's matrix products are einsum loops, never BLAS, so objective and
@@ -43,7 +44,7 @@ from .core import (
     TetradSet,
     check_direction,
 )
-from .embed import forward
+from .embed import forward, query_scores
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
@@ -54,19 +55,6 @@ class Block:
     tetrads: TetradSet
     direction: str
     v: Optional[ImportanceVector]
-
-
-def _query_view(fwd, dataset: Dataset, direction: str):
-    """The forward pass fwd = (H, G, S) with queries as rows: (X, Z, H, G, S).
-
-    X/H are the query side's features and embeddings, Z/G the item side's.
-    For t2i this is the image-query pass transposed (see embed.forward).
-    """
-    check_direction(direction)
-    H, G, S = fwd
-    if direction == "i2t":
-        return dataset.images, dataset.texts, H, G, S
-    return dataset.texts, dataset.images, G, H, S.T
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
@@ -101,9 +89,10 @@ def _check_tetrads(tetrads: TetradSet, n: int) -> None:
         )
 
 
-def _check_aligned(tetrads: TetradSet, v: GroupedVector) -> None:
-    if v.total != tetrads.total or not np.array_equal(v.offsets, tetrads.offsets):
-        raise AlignmentError("weight vector does not line up with the tetrad set")
+def _check_aligned(a, b) -> None:
+    """Raise AlignmentError unless a and b (tetrads or grouped values) have the same groups."""
+    if a.total != b.total or not np.array_equal(a.offsets, b.offsets):
+        raise AlignmentError("weights do not line up with the tetrads or losses")
 
 
 def ridge_value(params: EmbeddingParams) -> float:
@@ -131,7 +120,7 @@ def tetrad_loss(
     if k == j:
         raise ConfigInvalid("negative index must differ from the query index")
     pair = Dataset(dataset.images[[k, j]], dataset.texts[[k, j]])
-    *_, S = _query_view(forward(params, pair, normalized), pair, direction)
+    S = query_scores(forward(params, pair, normalized)[2], direction)
     return max(0.0, float(S[0, 1] - S[0, 0]) + cfg.margin)
 
 
@@ -151,10 +140,8 @@ def all_losses(
     non-finite loss shows up in the objective value, which the trainer checks.
     """
     _check_tetrads(tetrads, dataset.n)
-    if fwd is None:
-        fwd = forward(params, dataset, normalized)
-    *_, S = _query_view(fwd, dataset, direction)
-    hinges = _hinge_args(S, tetrads, cfg.margin)
+    S = (fwd or forward(params, dataset, normalized))[2]
+    hinges = _hinge_args(query_scores(S, direction), tetrads, cfg.margin)
     np.maximum(0.0, hinges, out=hinges)
     hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
     return GroupedVector(hinges, tetrads.offsets)
@@ -168,8 +155,7 @@ def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:
     for a whole W-step). A set with its zero-weight tetrads removed yields
     the same product array, so it yields the same bits.
     """
-    if losses.total != v.total or not np.array_equal(losses.offsets, v.offsets):
-        raise AlignmentError("losses and weights are not aligned")
+    _check_aligned(losses, v)
     sel = v.positive_index
     return float(np.sum(v.values[sel] * losses.values[sel]))
 
@@ -193,8 +179,7 @@ def block_losses(
     fwd=None,
 ) -> list[GroupedVector]:
     """all_losses for each block, in block order, all from one forward pass."""
-    if fwd is None:
-        fwd = forward(params, dataset, normalized)
+    fwd = fwd or forward(params, dataset, normalized)
     return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd) for b in blocks]
 
 
@@ -231,71 +216,77 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def grad_loss_term(
-    params: EmbeddingParams,
-    dataset: Dataset,
-    tetrads: TetradSet,
-    v: ImportanceVector,
-    cfg: LossConfig,
-    direction: str = "i2t",
-    normalized: bool = False,
-    fwd=None,
-) -> EmbeddingParams:
-    """Gradient of the weighted hinge term alone (no ridge).
-
-    fwd is the forward pass at params; it is computed when not given.
-    A tetrad contributes iff its hinge argument is strictly positive; at the
-    kink the contribution is 0. The chain rule runs through the sigmoid
-    (sigma' = sigma * (1 - sigma)) into W1/b1 on the query side and W2/b2 on
-    the item side of the query view; for t2i the two are swapped back.
-    """
-    _check_aligned(tetrads, v)
-    _check_tetrads(tetrads, dataset.n)
-    if fwd is None:
-        fwd = forward(params, dataset, normalized)
-    X, Z, H, G, S = _query_view(fwd, dataset, direction)
-
-    # C[k, j] is tetrad (k, j)'s coefficient; the flat coefficients are
-    # dropped before the dense products below
-    n = dataset.n
-    coef = np.where(_hinge_args(S, tetrads, cfg.margin) > 0.0, v.values, 0.0)
+def _coefficients(Q: np.ndarray, tetrads: TetradSet, v: ImportanceVector, margin: float) -> np.ndarray:
+    """Entry (k, j): tetrad (k, j)'s weight if its hinge on Q (queries as rows) is active, else 0."""
+    n = Q.shape[0]
+    coef = np.where(_hinge_args(Q, tetrads, margin) > 0.0, v.values, 0.0)
     C = np.zeros((n, n))
     if tetrads.is_full:
         _off_diagonal(C)[...] = coef.reshape(n - 1, n)
     else:
         C[tetrads.flat_queries, tetrads.negatives] = coef
-    del coef
-    s_row = C.sum(axis=1)
+    return C
+
+
+def grad_loss_term(
+    params: EmbeddingParams,
+    dataset: Dataset,
+    blocks: Sequence[Block],
+    cfg: LossConfig,
+    normalized: bool = False,
+    fwd=None,
+) -> EmbeddingParams:
+    """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
+
+    fwd is the forward pass at params; it is computed when not given. A
+    tetrad contributes iff its hinge argument is strictly positive. Each
+    block's coefficient matrix, with its queries as rows, adds its row sums
+    into s and itself (a t2i block's transposed) into one image-row C; then
+    sum C_kj S_kj - sum s_k S_kk is backpropagated once, through the sigmoid
+    (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2.
+    """
+    for b in blocks:
+        _check_aligned(b.tetrads, b.v)
+        _check_tetrads(b.tetrads, dataset.n)
+    if not blocks:
+        return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
+    H, G, S = fwd or forward(params, dataset, normalized)
+
+    C = s = None
+    for b in blocks:
+        Cb = _coefficients(query_scores(S, b.direction), b.tetrads, b.v, cfg.margin)
+        if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
+            s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
+        else:
+            s += Cb.sum(axis=1)
+            C += query_scores(Cb, b.direction)
+    del Cb
 
     # products are einsum loops, not BLAS: a threaded BLAS splits them by
     # thread count, which would change the gradient's bits
-    if not normalized:
-        dH_pre = np.einsum("kj,jl->kl", C, G) - s_row[:, None] * G
-        dG_pre = np.einsum("kj,kl->jl", C, H) - s_row[:, None] * H
-    else:
+    if normalized:
         nh = np.sqrt(np.sum(H * H, axis=1))
         ng = np.sqrt(np.sum(G * G, axis=1))
-        H_hat = H / nh[:, None]
-        G_hat = G / ng[:, None]
+        A, B = H / nh[:, None], G / ng[:, None]
+    else:
+        A, B = H, G
+    dH_pre = np.einsum("kj,jl->kl", C, B) - s[:, None] * B
+    dG_pre = np.einsum("kj,kl->jl", C, A) - s[:, None] * A
+    if normalized:
+        # both sums of C * S run along contiguous rows, so a t2i block gives
+        # the same bits as its swapped i2t problem
+        CS = np.multiply(C, S, order="C")
+        del C
         diag = np.diagonal(S)
-        CS = C * S
-        row_cs = CS.sum(axis=1)
-        col_cs = CS.sum(axis=0)
-        w_h = (row_cs - s_row * diag) / (nh * nh)
-        w_g = (col_cs - s_row * diag) / (ng * ng)
-        dH_pre = (np.einsum("kj,jl->kl", C, G_hat) - s_row[:, None] * G_hat) / nh[:, None] - w_h[:, None] * H
-        dG_pre = (np.einsum("kj,kl->jl", C, H_hat) - s_row[:, None] * H_hat) / ng[:, None] - w_g[:, None] * G
+        w_h = (CS.sum(axis=1) - s * diag) / (nh * nh)
+        w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * diag) / (ng * ng)
+        dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H
+        dG_pre = dG_pre / ng[:, None] - w_g[:, None] * G
 
     dH = dH_pre * H * (1.0 - H)
     dG = dG_pre * G * (1.0 - G)
-    dW_query = np.einsum("kl,kp->lp", dH, X)
-    db_query = dH.sum(axis=0)
-    dW_item = np.einsum("kl,kp->lp", dG, Z)
-    db_item = dG.sum(axis=0)
-
-    if direction == "t2i":
-        return EmbeddingParams(dW_item, db_item, dW_query, db_query)
-    return EmbeddingParams(dW_query, db_query, dW_item, db_item)
+    dW1 = np.einsum("kl,kp->lp", dH, dataset.images)
+    return EmbeddingParams(dW1, dH.sum(axis=0), np.einsum("kl,kp->lp", dG, dataset.texts), dG.sum(axis=0))
 
 
 def grad_params(
@@ -309,12 +300,7 @@ def grad_params(
     """Gradient of ridge + every block's weighted hinge term, from one forward pass.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
-    penalized); each block's term is then added in block order.
+    penalized); the blocks' term is added to it.
     """
-    if fwd is None:
-        fwd = forward(params, dataset, normalized)
-    grad = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    for b in blocks:
-        term = grad_loss_term(params, dataset, b.tetrads, b.v, cfg, b.direction, normalized, fwd)
-        grad = grad.axpy(1.0, term)
-    return grad
+    ridge = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
+    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, cfg, normalized, fwd))

@@ -48,6 +48,8 @@ from .errors import (
     CorruptCheckpoint,
     IoFailure,
     NonFiniteObjective,
+    NonFiniteValue,
+    ShapeMismatch,
     VersionMismatch,
 )
 from .embed import forward
@@ -425,12 +427,9 @@ class _Cursor:
 
 def _unpack_matrix(cur: _Cursor, vector: bool) -> np.ndarray:
     rows, cols = struct.unpack("<II", cur.take(8))
-    data = np.frombuffer(cur.take(8 * rows * cols), dtype="<f8")
-    if vector:
-        if cols != 1:
-            raise CorruptCheckpoint("expected a vector block")
-        return data.copy()
-    return data.reshape(rows, cols).copy()
+    data = np.frombuffer(cur.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
+    # a vector is stored with cols = 1; a wider one stays 2-D, which from_arrays rejects
+    return (data[:, 0] if vector and cols == 1 else data).copy()
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -498,7 +497,12 @@ def load_checkpoint(path) -> Checkpoint:
     b2 = _unpack_matrix(cur, vector=True)
     if cur.pos != len(payload):
         raise CorruptCheckpoint("trailing bytes after parameter blocks")
-    params = EmbeddingParams.from_arrays(W1, b1, W2, b2)
+    try:
+        params = EmbeddingParams.from_arrays(W1, b1, W2, b2)
+    except (ConfigInvalid, NonFiniteValue, ShapeMismatch) as exc:
+        raise CorruptCheckpoint(f"invalid parameters in checkpoint: {exc}") from exc
+    if config.embedding_dim != params.d:
+        raise CorruptCheckpoint(f"checkpoint embedding_dim {config.embedding_dim} but parameters have d={params.d}")
     return Checkpoint(
         version=version,
         params=params,

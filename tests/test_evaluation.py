@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pacedrank import evaluation
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import score_matrix
 from pacedrank.errors import InvalidCutoff
@@ -117,6 +118,18 @@ class TestRetrieve:
         params = random_params(rng, d=2, p=3, q=3)
         ranked = retrieve(params, rng.standard_normal(3), rng.standard_normal((7, 3)), top_k=4)
         assert len(ranked.indices) == 4
+
+    @pytest.mark.parametrize("top_k", [0, True, 2.5, "3"])
+    def test_bad_top_k_raises_before_embedding(self, monkeypatch, top_k):
+        rng = np.random.default_rng(4)
+        params = random_params(rng, d=2, p=3, q=3)
+
+        def no_embedding(*args):
+            raise AssertionError("corpus embedded before top_k was checked")
+
+        monkeypatch.setattr(evaluation, "embed_texts", no_embedding)
+        with pytest.raises(InvalidCutoff):
+            retrieve(params, rng.standard_normal(3), rng.standard_normal((7, 3)), top_k=top_k)
 
 
 class TestMeanAp:

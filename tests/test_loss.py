@@ -19,13 +19,12 @@ from pacedrank.core import (
     build_tetrads,
     validate_dataset,
 )
-from pacedrank.embed import forward, score_matrix
+from pacedrank.embed import forward, query_scores, score_matrix
 from pacedrank.errors import AlignmentError, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     Block,
     _hinge_args,
-    _query_view,
     all_losses,
     grad_loss_term,
     grad_params,
@@ -132,9 +131,70 @@ class TestTextQueryDirection:
         assert np.array_equal(losses.values, swapped.values)
         assert (losses.values > 0.0).any()
 
-        g = grad_loss_term(params, dataset, tetrads, v, cfg, "t2i", normalized)
-        s = grad_loss_term(swapped_params, swapped_data, tetrads, v, cfg, "i2t", normalized)
+        g = grad_loss_term(params, dataset, [Block(tetrads, "t2i", v)], cfg, normalized)
+        s = grad_loss_term(swapped_params, swapped_data, [Block(tetrads, "i2t", v)], cfg, normalized)
         for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
+            assert np.array_equal(got, want)
+
+    # numpy sums a contiguous run of 8 or more entries pairwise and a column
+    # sequentially, so at n=20 the cosine term's sums of C * S must both run
+    # along contiguous rows for the two orientations to agree bit for bit
+    @pytest.mark.parametrize("sample", [None, 12])
+    def test_cosine_gradient_equals_swapped_i2t_bitwise_at_n20(self, sample):
+        dataset, params, _, _ = random_instance(8, n=20, p=5, q=4)
+        tetrads = build_tetrads(dataset, sample, 1)
+        v = ImportanceVector(np.random.default_rng(9).uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
+        cfg = LossConfig(margin=0.3)
+        g = grad_loss_term(params, dataset, [Block(tetrads, "t2i", v)], cfg, normalized=True)
+        s = grad_loss_term(
+            EmbeddingParams(params.W2, params.b2, params.W1, params.b1),
+            Dataset(dataset.texts, dataset.images),
+            [Block(tetrads, "i2t", v)],
+            cfg,
+            normalized=True,
+        )
+        for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestOneBackwardPass:
+    """One grad_loss_term call over [i2t, t2i] equals the sum of its one-block terms.
+
+    The t2i term is taken from the swapped problem scored as i2t, so a t2i
+    block must be backpropagated in its own orientation to match.
+    """
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("sample", [None, 3])
+    def test_two_blocks_equal_sum_of_one_block_terms(self, sample, normalized):
+        dataset, params, _, _ = random_instance(12, n=9, p=5, q=4)
+        rng = np.random.default_rng(6)
+        i2t_block, t2i_block = (
+            Block(t, direction, ImportanceVector(rng.uniform(0.0, 1.0, t.total), t.offsets))
+            for t, direction in ((build_tetrads(dataset, sample, 2), "i2t"), (build_tetrads(dataset, sample, 3), "t2i"))
+        )
+        assert i2t_block.tetrads.is_full == (sample is None)
+        cfg = LossConfig(margin=0.3)
+
+        got = grad_loss_term(params, dataset, [i2t_block, t2i_block], cfg, normalized)
+        i2t = grad_loss_term(params, dataset, [i2t_block], cfg, normalized)
+        swapped = grad_loss_term(
+            EmbeddingParams(params.W2, params.b2, params.W1, params.b1),
+            Dataset(dataset.texts, dataset.images),
+            [Block(t2i_block.tetrads, "i2t", t2i_block.v)],
+            cfg,
+            normalized,
+        )
+        for g, a, b in zip(got.arrays, i2t.arrays, (swapped.W2, swapped.b2, swapped.W1, swapped.b1)):
+            want = a + b
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_blocks_leaves_the_ridge(self):
+        dataset, params, _, _ = random_instance(3)
+        g = grad_loss_term(params, dataset, [], LossConfig())
+        assert all(not a.any() and a.shape == b.shape for a, b in zip(g.arrays, params.arrays))
+        ridge = grad_params(params, dataset, [], LossConfig())
+        for got, want in zip(ridge.arrays, (params.W1, np.zeros(params.d), params.W2, np.zeros(params.d))):
             assert np.array_equal(got, want)
 
 
@@ -197,7 +257,7 @@ _GRADIENT_BYTES = """
 import hashlib
 import numpy as np
 from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
-from pacedrank.loss import grad_loss_term
+from pacedrank.loss import Block, grad_loss_term
 from pacedrank.trainer import init_params
 
 rng = np.random.default_rng(7)
@@ -207,8 +267,9 @@ tetrads = build_tetrads(dataset, 32, 7)
 v = ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
 digest = hashlib.sha256()
 for normalized in (False, True):
-    for direction in ("i2t", "t2i"):
-        g = grad_loss_term(params, dataset, tetrads, v, LossConfig(margin=0.1), direction, normalized)
+    for directions in (("i2t",), ("t2i",), ("i2t", "t2i")):
+        blocks = [Block(tetrads, d, v) for d in directions]
+        g = grad_loss_term(params, dataset, blocks, LossConfig(margin=0.1), normalized)
         for arr in g.arrays:
             digest.update(arr.tobytes())
 print(digest.hexdigest())
@@ -328,7 +389,7 @@ class TestFullSetPath:
     def test_strided_hinge_args_equal_gather_bitwise(self, n, direction, normalized):
         dataset, params, tetrads, _ = random_instance(90 + n, n=n)
         assert tetrads.is_full
-        *_, S = _query_view(forward(params, dataset, normalized), dataset, direction)
+        S = query_scores(forward(params, dataset, normalized)[2], direction)
         got = _hinge_args(S, tetrads, 0.1)
         want = gathered_hinge_args(S, tetrads, 0.1)
         assert got.shape == want.shape == (n * (n - 1),)
@@ -338,7 +399,7 @@ class TestFullSetPath:
         dataset, params, tetrads, v = random_instance(23, n=9)
         shuffled, order = reversed_groups(tetrads)
         assert shuffled.total == 9 * 8 and not shuffled.is_full
-        *_, S = _query_view(forward(params, dataset), dataset, "i2t")
+        S = forward(params, dataset)[2]
         got = _hinge_args(S, shuffled, 0.1)
         assert got.tobytes() == gathered_hinge_args(S, shuffled, 0.1).tobytes()
         assert got.tobytes() == _hinge_args(S, tetrads, 0.1)[order].tobytes()

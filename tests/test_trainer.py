@@ -136,8 +136,8 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None):
     """Reference W-step in which no forward pass is shared.
 
     Every block embeds and scores each line-search trial itself, every
-    gradient runs its own pass per block, and the losses at the final params
-    come from one more pass per block.
+    gradient runs its own pass, and the losses at the final params come
+    from one more pass per block.
     """
     lcfg = cfg.loss_config()
     norm = cfg.normalized_similarity
@@ -147,9 +147,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None):
 
     def gradient(p):
         g = EmbeddingParams(p.W1, np.zeros_like(p.b1), p.W2, np.zeros_like(p.b2))
-        for b in blocks:
-            g = g.axpy(1.0, grad_loss_term(p, dataset, b.tetrads, b.v, lcfg, b.direction, norm))
-        return g
+        return g.axpy(1.0, grad_loss_term(p, dataset, blocks, lcfg, norm))
 
     steps = 0
     for _ in range(cfg.max_inner_steps):
@@ -457,6 +455,33 @@ class TestCheckpoint:
     def test_mistyped_config_value(self, tmp_path, key, value):
         path = tmp_path / "model.bin"
         self.write_edited_header(path, lambda header: header["config"].update({key: value}))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    def test_embedding_dim_disagreeing_with_params(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self.write_edited_header(path, lambda header: header["config"].update({"embedding_dim": 10}))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", ["nan", "short-bias", "ragged-dim", "matrix-bias", "zero-dim"])
+    def test_inconsistent_params(self, tmp_path, defect):
+        # the constructor does not validate, so save_checkpoint writes these
+        # with a valid digest
+        ckpt = self.make()
+        W1, b1, W2, b2 = (a.copy() for a in ckpt.params.arrays)
+        if defect == "nan":
+            W2[1, 2] = np.nan
+        elif defect == "short-bias":
+            b1 = b1[:2]
+        elif defect == "ragged-dim":
+            W2 = W2[:2]
+        elif defect == "matrix-bias":
+            b2 = np.stack([b2, b2], axis=1)
+        else:
+            W1, b1, W2, b2 = W1[:0], b1[:0], W2[:0], b2[:0]
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, dataclasses.replace(ckpt, params=EmbeddingParams(W1, b1, W2, b2)))
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
