@@ -2,17 +2,15 @@
 
 Both modalities go through an affine map followed by an elementwise
 sigmoid, so every embedding component lies strictly inside (0, 1) and every
-raw similarity score strictly inside (0, d). The batched score matrix uses
-the same per-entry summation order as the single-pair path, so batch and
-pointwise results are bit-identical.
+raw similarity score strictly inside (0, d).
 
-The single-pair path sums the d products h * g with np.sum, which adds a
-contiguous run by numpy's pairwise_sum. inner_scores builds the score
-matrix from the d lanes H[:, l] (x) G[:, l] with _pairwise_lanes, the same
-recursion written out on whole lanes, row block by row block, so it never
-holds an n x m x d product. Problems of at most _BROADCAST_MAX_ENTRIES
-entries, such as one query against a test corpus, reduce one broadcast
-product instead, which is cheaper there.
+Every product, the affine map and the score matrix alike, is one np.einsum
+without an optimize argument: it runs numpy's own C loop and never calls
+BLAS. The summation order of an output entry then depends only on the length
+and memory layout of its two operand rows, not on how many rows there are,
+so the inputs are made C-contiguous first. A batch entry is then
+bit-identical to the same einsum on one row (or one pair), whatever the
+thread settings.
 """
 
 from __future__ import annotations
@@ -26,12 +24,6 @@ _EXP_CLAMP = 500.0  # keeps exp() finite; output is re-clipped into open (0, 1)
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
 
-# At most this many score entries: one broadcast product beats the lane
-# kernel's ~2d numpy calls (measured crossover near 1-2k entries at d=10).
-_BROADCAST_MAX_ENTRIES = 1024
-# Output entries per row block of the lane kernel; its 9 scratch buffers stay in L2.
-_BLOCK_ENTRIES = 1 << 14
-
 
 def sigmoid(t):
     """Elementwise 1/(1+exp(-t)), clamped to stay strictly inside (0, 1)."""
@@ -41,19 +33,8 @@ def sigmoid(t):
 
 
 def _affine_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise X W^T + b with a fixed per-entry summation order.
-
-    Entry (i, j) reduces the length-p lane X[i] * W[j] the same way for any
-    batch size, so embedding one row or many gives bit-identical values.
-    """
-    n, p = X.shape
-    d = W.shape[0]
-    out = np.empty((n, d))
-    chunk = max(1, int(4_000_000 // max(1, d * p)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out[lo:hi] = (X[lo:hi, None, :] * W[None, :, :]).sum(axis=2)
-    return out + b
+    """Row-wise X W^T + b; each row is bit-identical to mapping it alone."""
+    return np.einsum("np,dp->nd", np.ascontiguousarray(X), np.ascontiguousarray(W)) + b
 
 
 def map_image(params: EmbeddingParams, x) -> np.ndarray:
@@ -93,73 +74,9 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(E * E, axis=1))
 
 
-def _lane(Hb: np.ndarray, GT: np.ndarray, lane: int, out: np.ndarray) -> np.ndarray:
-    """Write lane Hb[lane] (x) GT[lane] into out."""
-    return np.multiply(Hb[lane, :, None], GT[lane], out=out)
-
-
-def _pairwise_lanes(Hb: np.ndarray, GT: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Sum the lanes Hb[l] (x) GT[l] into out in the order of numpy's pairwise_sum.
-
-    Above 128 lanes, the two halves (the first rounded down to a multiple of
-    8) are summed so and added. Otherwise, from 8 lanes on, 8 interleaved
-    accumulators are combined; the remaining lanes follow one at a time.
-    scratch holds the 8 accumulators and a lane temporary; each level above
-    128 lanes adds one buffer.
-    """
-    d = len(Hb)
-    if d > 128:
-        half = d // 2
-        half -= half % 8
-        _pairwise_lanes(Hb[:half], GT[:half], out, scratch)
-        rest = np.empty_like(out)
-        _pairwise_lanes(Hb[half:], GT[half:], rest, scratch)
-        np.add(out, rest, out=out)
-        return
-    acc, tmp = scratch[:8], scratch[8]
-    if d < 8:
-        _lane(Hb, GT, 0, out)
-        end = 1
-    else:
-        for j in range(8):
-            _lane(Hb, GT, j, acc[j])
-        end = d - d % 8
-        for i in range(8, end, 8):
-            for j in range(8):
-                np.add(acc[j], _lane(Hb, GT, i + j, tmp), out=acc[j])
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        np.add(acc[0:8:2], acc[1:8:2], out=acc[0:8:2])
-        np.add(acc[0:8:4], acc[2:8:4], out=acc[0:8:4])
-        np.add(acc[0], acc[4], out=out)
-    for lane in range(end, d):
-        np.add(out, _lane(Hb, GT, lane, tmp), out=out)
-
-
 def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """All-pairs inner products with a fixed per-entry summation order.
-
-    Entry (k, j) is bit-identical to float(np.sum(H[k] * G[j])). Up to
-    _BROADCAST_MAX_ENTRIES entries, one broadcast product is reduced over
-    its last axis. Larger problems sum the d lanes H[:, l] (x) G[:, l] with
-    _pairwise_lanes over row blocks of about _BLOCK_ENTRIES entries.
-    Neither the path nor the blocking changes any entry.
-    """
-    n, m = H.shape[0], G.shape[0]
-    if n * m <= _BROADCAST_MAX_ENTRIES:
-        return (H[:, None, :] * G[None, :, :]).sum(axis=2)
-    HT = np.ascontiguousarray(H.T)
-    GT = np.ascontiguousarray(G.T)
-    out = np.empty((n, m))
-    rows = max(1, _BLOCK_ENTRIES // m)
-    scratch = np.empty((9, min(rows, n), m))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        _pairwise_lanes(HT[:, lo:hi], GT, out[lo:hi], scratch[:, : hi - lo])
-    # np.sum starts from +0.0, so an entry whose products are all -0.0 is +0.0
-    # there; only a zero or negative factor can make a -0.0 product
-    if not (H.min() > 0.0 and G.min() > 0.0):
-        np.add(out, 0.0, out=out)
-    return out
+    """All-pairs inner products: entry (k, j) is bit-identical to np.einsum("l,l->", H[k], G[j])."""
+    return np.einsum("kl,jl->kj", np.ascontiguousarray(H), np.ascontiguousarray(G))
 
 
 def normalized_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -180,7 +97,7 @@ def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float
     """
     h = map_image(params, x)
     g = map_text(params, z)
-    s = float(np.sum(h * g))
+    s = float(np.einsum("l,l->", h, g))
     if normalized:
         s = s / (float(np.sqrt(np.sum(h * h))) * float(np.sqrt(np.sum(g * g))))
     return s

@@ -131,7 +131,8 @@ def mean_ap(
     """mAP over all queries of a paired test set; relevance is the aligned item."""
     check_direction(direction)
     _check_mode(mode)
-    S = query_scores(forward(params, dataset_test, normalized)[2], direction)
+    # a contiguous copy of t2i's S.T, so ranks are counted along rows in memory
+    S = np.ascontiguousarray(query_scores(forward(params, dataset_test, normalized)[2], direction))
     n = dataset_test.n
     r_eff = _resolve_r(r, n)
     # the aligned item's place in the stable descending order: behind every

@@ -6,8 +6,9 @@ import pytest
 
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import (
-    _BLOCK_ENTRIES,
-    _BROADCAST_MAX_ENTRIES,
+    _affine_rows,
+    embed_images,
+    embed_texts,
     inner_scores,
     map_image,
     map_text,
@@ -16,6 +17,7 @@ from pacedrank.embed import (
     similarity,
 )
 from pacedrank.errors import DimensionMismatch
+from pacedrank.evaluation import retrieve
 
 from conftest import random_dataset, random_params
 
@@ -129,23 +131,15 @@ class TestScoreMatrix:
                 assert S[k, j] == similarity(params, ds.images[k], ds.texts[j], normalized=True)
 
 
-def broadcast_reference(H, G):
-    """The reduction the lane kernel replaces: each row's d products summed by numpy."""
-    return np.array([(h * G).sum(axis=1) for h in H])
+def row_reference(H, G):
+    """Each row of scores from its own einsum: no entry can depend on the other rows."""
+    return np.array([np.einsum("l,jl->j", h, G) for h in H])
 
 
 class TestInnerScores:
-    # below the broadcast cutoff; above it in one partial row block; several blocks and a tail
-    SHAPES = [(3, 7), (41, 50), (2 * (_BLOCK_ENTRIES // 2000) + 3, 2000)]
+    # tiny, a few thousand entries, and 38,000 entries in long rows
+    SHAPES = [(3, 7), (41, 50), (19, 2000)]
 
-    def test_shapes_cover_both_paths(self):
-        small, one_block, blocks = self.SHAPES
-        assert small[0] * small[1] <= _BROADCAST_MAX_ENTRIES
-        assert one_block[0] * one_block[1] > _BROADCAST_MAX_ENTRIES
-        assert one_block[0] < _BLOCK_ENTRIES // one_block[1]
-        assert blocks[0] % (_BLOCK_ENTRIES // blocks[1]) != 0
-
-    # 300 and 1000 recurse twice: their halves are above 128 lanes too
     @pytest.mark.parametrize("d", list(range(1, 41)) + [64, 127, 128, 129, 200, 300, 1000])
     def test_equals_pointwise_sum_bitwise(self, d):
         rng = np.random.default_rng(d)
@@ -156,7 +150,7 @@ class TestInnerScores:
                 (rng.standard_normal((n, d)), rng.standard_normal((m, d))),
             ):
                 S = inner_scores(H, G)
-                ref = broadcast_reference(H, G)
+                ref = row_reference(H, G)
                 assert np.array_equal(S, ref)
                 assert S.tobytes() == ref.tobytes()
                 pairs = [(k, j) for k in range(n) for j in range(m)]
@@ -164,14 +158,14 @@ class TestInnerScores:
                     picks = rng.choice(len(pairs), 256, replace=False)
                     pairs = [pairs[i] for i in picks] + [(n - 1, m - 1)]
                 for k, j in pairs:
-                    assert S[k, j] == float(np.sum(H[k] * G[j]))
+                    assert S[k, j] == float(np.einsum("l,l->", H[k], G[j]))
 
     @pytest.mark.parametrize("d", [3, 10, 200])
     def test_all_negative_zero_products_give_positive_zero(self, d):
         H = np.zeros((40, d))
         G = -np.ones((60, d))
         S = inner_scores(H, G)
-        assert S.tobytes() == broadcast_reference(H, G).tobytes()
+        assert S.tobytes() == row_reference(H, G).tobytes()
         assert not np.signbit(S).any()
 
     def test_peak_memory_below_two_score_matrices(self):
@@ -185,6 +179,50 @@ class TestInnerScores:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * m * 8
+
+
+class TestAffineRows:
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 129, 300])
+    @pytest.mark.parametrize("d", [1, 3, 10, 64])
+    def test_batch_rows_equal_one_row_bitwise(self, p, d):
+        rng = np.random.default_rng(1000 * p + d)
+        X, W, b = rng.standard_normal((37, p)), rng.standard_normal((d, p)), rng.standard_normal(d)
+        out = _affine_rows(X, W, b)
+        for i in range(len(X)):
+            assert out[i].tobytes() == _affine_rows(X[i : i + 1], W, b)[0].tobytes()
+
+
+class TestInputLayout:
+    """Fortran-order and strided inputs give the bytes of their C-order copies."""
+
+    @staticmethod
+    def layouts(A):
+        wide = np.zeros((2 * A.shape[0], A.shape[1]))
+        wide[::2] = A
+        return [np.asfortranarray(A), wide[::2]]
+
+    def test_embed_and_inner_scores(self):
+        rng = np.random.default_rng(21)
+        params = random_params(rng, d=10, p=64, q=48)
+        X, Z = rng.standard_normal((120, 64)), rng.standard_normal((120, 48))
+        H, G = embed_images(params, X), embed_texts(params, Z)
+        S = inner_scores(H, G)
+        for X2, Z2 in zip(self.layouts(X), self.layouts(Z)):
+            assert embed_images(params, X2).tobytes() == H.tobytes()
+            assert embed_texts(params, Z2).tobytes() == G.tobytes()
+        for H2, G2 in zip(self.layouts(H), self.layouts(G)):
+            assert inner_scores(H2, G2).tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    def test_retrieve_corpus(self, direction):
+        rng = np.random.default_rng(22)
+        params = random_params(rng, d=10, p=64, q=64)
+        query, corpus = rng.standard_normal(64), rng.standard_normal((150, 64))
+        ranked = retrieve(params, query, corpus, direction)
+        for corpus2 in self.layouts(corpus):
+            again = retrieve(params, query, corpus2, direction)
+            assert again.indices.tobytes() == ranked.indices.tobytes()
+            assert again.scores.tobytes() == ranked.scores.tobytes()
 
 
 class TestRangeInvariants:

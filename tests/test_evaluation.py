@@ -175,6 +175,18 @@ class TestMeanAp:
                     got = mean_ap(params, ds, direction, r, mode, normalized).per_query
                     assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_t2i_equals_i2t_of_swapped_problem_bitwise(self, normalized):
+        # the score kernel makes the swapped problem's scores the exact transpose
+        rng = np.random.default_rng(53)
+        ds = random_dataset(rng, n=40, p=6, q=5)
+        params = random_params(rng, d=10, p=6, q=5)
+        swapped_ds = validate_dataset(ds.texts, ds.images)
+        swapped = EmbeddingParams.from_arrays(params.W2, params.b2, params.W1, params.b1)
+        t2i = mean_ap(params, ds, "t2i", normalized=normalized).per_query
+        i2t = mean_ap(swapped, swapped_ds, "i2t", normalized=normalized).per_query
+        assert t2i.tobytes() == i2t.tobytes()
+
     def test_to_text_round_trip_fields(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=3, p=3, q=3)

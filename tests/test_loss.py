@@ -252,11 +252,14 @@ class TestObjective:
 
 
 # At n=600 a BLAS matrix product is split across threads (n=300 is not), so
-# a BLAS product anywhere in the gradient shows up as differing bytes here.
+# a BLAS product anywhere in the gradient or the forward pass shows up as
+# differing bytes here. One retrieve is compared as well.
 _GRADIENT_BYTES = """
 import hashlib
 import numpy as np
 from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
+from pacedrank.embed import forward
+from pacedrank.evaluation import retrieve
 from pacedrank.loss import Block, grad_loss_term
 from pacedrank.trainer import init_params
 
@@ -272,7 +275,14 @@ for normalized in (False, True):
         g = grad_loss_term(params, dataset, blocks, LossConfig(margin=0.1), normalized)
         for arr in g.arrays:
             digest.update(arr.tobytes())
-print(digest.hexdigest())
+print("gradient", digest.hexdigest())
+for normalized in (False, True):
+    digest = hashlib.sha256()
+    for arr in forward(params, dataset, normalized):
+        digest.update(arr.tobytes())
+    print("forward", normalized, digest.hexdigest())
+ranked = retrieve(params, dataset.images[0], dataset.texts)
+print("retrieve", hashlib.sha256(ranked.indices.tobytes() + ranked.scores.tobytes()).hexdigest())
 """
 
 
