@@ -11,6 +11,11 @@ and memory layout of its two operand rows, not on how many rows there are,
 so the inputs are made C-contiguous first. A batch entry is then
 bit-identical to the same einsum on one row (or one pair), whatever the
 thread settings.
+
+The forward pass has two forms. The dense one scores every pair into the
+n x n matrix S. The gathered one scores only the pairs asked for, each as
+the einsum of two gathered rows, so its entries equal S's bit for bit
+(pair_scores).
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .errors import DimensionMismatch
 _EXP_CLAMP = 500.0  # keeps exp() finite; output is re-clipped into open (0, 1)
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
+# embedding values per gathered chunk (256 KB): fresh buffers much larger than
+# this cost page faults that took longer, per pass, than the products
+_GATHER_ENTRIES = 1 << 15
 
 
 def sigmoid(t):
@@ -79,6 +87,25 @@ def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.einsum("kl,jl->kj", np.ascontiguousarray(H), np.ascontiguousarray(G))
 
 
+def pair_scores(H: np.ndarray, G: np.ndarray, rows, cols, normalized: bool = False) -> np.ndarray:
+    """Scores of image rows[t] against text cols[t], without the score matrix.
+
+    Entry t equals inner_scores(H, G)[rows[t], cols[t]] bit for bit (or
+    normalized_scores' entry): np.take gathers C-contiguous rows, and the
+    einsum sums their products in the same order. Rows are gathered in
+    chunks of _GATHER_ENTRIES values, so the temporaries stay small however
+    many pairs there are.
+    """
+    s = np.empty(len(rows))
+    step = max(1, _GATHER_ENTRIES // H.shape[1])
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        np.einsum("tl,tl->t", np.take(H, rows[part], axis=0), np.take(G, cols[part], axis=0), out=s[part])
+    if normalized:
+        s /= _row_norms(H)[rows] * _row_norms(G)[cols]
+    return s
+
+
 def normalized_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Cosine variant of inner_scores: each entry divided by the norm product.
 
@@ -103,13 +130,18 @@ def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float
     return s
 
 
-def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False):
+def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False, pairs=None):
     """The one forward pass: embeddings H (images), G (texts) and scores S.
 
     S has image queries as rows; query_scores gives a direction its view.
+    Given pairs, a list of (rows, cols) index arrays (query_pairs), the pass
+    is gathered: S is not formed, and the third item is instead the list of
+    each pair set's pair_scores.
     """
     H = embed_images(params, dataset.images)
     G = embed_texts(params, dataset.texts)
+    if pairs is not None:
+        return H, G, [pair_scores(H, G, rows, cols, normalized) for rows, cols in pairs]
     S = normalized_scores(H, G) if normalized else inner_scores(H, G)
     return H, G, S
 
@@ -122,6 +154,15 @@ def query_scores(S: np.ndarray, direction: str) -> np.ndarray:
     """
     check_direction(direction)
     return S if direction == "i2t" else S.T
+
+
+def query_pairs(queries, items, direction: str):
+    """(image rows, text cols) of the pairs (queries[t], items[t]): query_scores' index form.
+
+    pair_scores over them gives query_scores(S, direction)[queries, items].
+    """
+    check_direction(direction)
+    return (queries, items) if direction == "i2t" else (items, queries)
 
 
 def score_matrix(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> np.ndarray:

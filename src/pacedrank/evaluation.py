@@ -131,15 +131,18 @@ def mean_ap(
     """mAP over all queries of a paired test set; relevance is the aligned item."""
     check_direction(direction)
     _check_mode(mode)
-    # a contiguous copy of t2i's S.T, so ranks are counted along rows in memory
-    S = np.ascontiguousarray(query_scores(forward(params, dataset_test, normalized)[2], direction))
+    S = forward(params, dataset_test, normalized)[2]
     n = dataset_test.n
     r_eff = _resolve_r(r, n)
     # the aligned item's place in the stable descending order: behind every
-    # higher score and every equal score at a lower index
-    aligned = np.diagonal(S)[:, None]
-    ahead = (S > aligned) | ((S == aligned) & np.tri(n, k=-1, dtype=bool))
-    rank = 1 + np.count_nonzero(ahead, axis=1)
+    # higher score and every equal score at a lower index. The masks are
+    # built on S as it lies in memory, with the aligned scores (a contiguous
+    # copy of the diagonal) and the tie mask in direction's view, so t2i
+    # counts down S's columns and makes no transposed copy of S.
+    aligned = query_scores(np.diagonal(S).copy()[:, None], direction)
+    tie = query_scores(np.tri(n, k=-1, dtype=bool), direction)
+    ahead = (S > aligned) | ((S == aligned) & tie)
+    rank = 1 + np.count_nonzero(query_scores(ahead, direction), axis=1)
     # with one relevant item, AP within the cutoff is precision at its rank
     aps = np.where(rank <= r_eff, 1.0 / rank, 0.0)
     if mode == "by_r":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,11 +51,13 @@ def make_instance(
     d: int = 3,
     directions: tuple[str, ...] = ("i2t",),
     normalized: bool = False,
+    m: Optional[int] = None,
 ) -> GradCheckInstance:
     """Seeded random instance with hinge arguments pushed off their kinks.
 
-    Each direction gets its own block over the full tetrad set with its own
-    random weights; two blocks give the symmetric trainer's gradient.
+    Each direction gets its own block over one tetrad set (the full set, or
+    m sampled negatives per query) with its own random weights; two blocks
+    give the symmetric trainer's gradient.
     """
     rng = np.random.default_rng(seed)
     dataset = validate_dataset(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
@@ -64,7 +67,7 @@ def make_instance(
         rng.standard_normal((d, q)) * 0.5,
         rng.standard_normal(d) * 0.1,
     )
-    tetrads = build_tetrads(dataset)
+    tetrads = build_tetrads(dataset, m, seed)
     blocks = tuple(
         Block(tetrads, direction, ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets))
         for direction in directions

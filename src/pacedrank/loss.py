@@ -11,12 +11,15 @@ weighted loss sum, minus each block's selection regularizers
 lam * |v|_1 (easiness) and gamma * sum_k sqrt(sum_j v_kj) (diversity
 across query groups).
 
-Every loss and gradient reads one forward pass (embed.forward) per
+Every loss and gradient reads one forward pass (forward_pass) per
 parameter point: all_losses, block_losses, grad_loss_term and grad_params
-take an optional pass fwd = (H, G, S) computed at their params, and run
-forward themselves only when it is not given. Blocks at the same point
-share one pass (a t2i block reads S.T: embed.query_scores) and one
-backward pass (grad_loss_term).
+take an optional Pass computed at their params for their blocks, and build
+one themselves only when it is not given. Blocks at the same point share
+one pass (a t2i block reads S.T: embed.query_scores) and one backward pass
+(grad_loss_term). A pass whose blocks hold few tetrads against the n x n
+score entries is gathered: it scores only the aligned pairs and the
+tetrads, and its entries equal the dense ones bit for bit, so losses and
+gradients do not depend on the path.
 
 All reductions are whole-array numpy reductions in a fixed order, and the
 gradient's matrix products are einsum loops, never BLAS, so objective and
@@ -44,8 +47,16 @@ from .core import (
     TetradSet,
     check_direction,
 )
-from .embed import forward, query_scores
+from .embed import forward, query_pairs, query_scores
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
+
+
+# A pass gathers its blocks' scores when they hold fewer tetrads than this
+# share of the n x n score entries. Dense scoring costs the same at any share
+# and gathering grows with it; measured crossovers lie between 0.3 (n = 300,
+# d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
+# is always dense.
+GATHER_MAX_SHARE = 0.25
 
 
 @dataclass
@@ -55,6 +66,52 @@ class Block:
     tetrads: TetradSet
     direction: str
     v: Optional[ImportanceVector]
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One forward pass at a parameter point, for a list of blocks.
+
+    H and G are the embeddings. A dense pass holds the image-row score matrix
+    S. A gathered pass (S is None) holds only what its blocks read: aligned[k]
+    = S_kk, and per block (tetrads, direction) its tetrads' S_kj, queries as
+    rows, each equal to the dense entry bit for bit.
+    """
+
+    H: np.ndarray
+    G: np.ndarray
+    S: Optional[np.ndarray]
+    aligned: Optional[np.ndarray] = None
+    gathered: tuple = ()  # ((tetrads, direction, scores), ...)
+
+    def tetrad_scores(self, tetrads: TetradSet, direction: str) -> np.ndarray:
+        """A gathered pass's S_kj for each of these tetrads, queries as rows."""
+        for t, d, scores in self.gathered:
+            if t is tetrads and d == direction:
+                return scores
+        raise AlignmentError("the forward pass was not gathered for this tetrad set and direction")
+
+
+def _tetrad_pairs(tetrads: TetradSet, direction: str):
+    """(image rows, text cols) of every tetrad's (query, negative) pair."""
+    return query_pairs(tetrads.flat_queries, tetrads.negatives, direction)
+
+
+def forward_pass(
+    params: EmbeddingParams, dataset: Dataset, blocks: Sequence[Block], normalized: bool = False
+) -> Pass:
+    """The one forward pass at params for these blocks: dense, or gathered when they hold few tetrads.
+
+    Both forms embed the dataset once. The gathered form scores the n aligned
+    pairs and each block's tetrads, and never forms the n x n matrix.
+    """
+    n = dataset.n
+    if sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n:
+        return Pass(*forward(params, dataset, normalized))
+    every = np.arange(n)
+    pairs = [(every, every)] + [_tetrad_pairs(b.tetrads, b.direction) for b in blocks]
+    H, G, (aligned, *scores) = forward(params, dataset, normalized, pairs)
+    return Pass(H, G, None, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
@@ -80,6 +137,13 @@ def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
         return _off_diagonal(A).ravel()  # a fresh copy that owns its data
     ks = tetrads.flat_queries
     return S[ks, tetrads.negatives] - S[ks, ks] + margin
+
+
+def _pass_hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) -> np.ndarray:
+    """_hinge_args of these tetrads in direction, read from a dense or a gathered pass."""
+    if fwd.S is not None:
+        return _hinge_args(query_scores(fwd.S, direction), tetrads, margin)
+    return fwd.tetrad_scores(tetrads, direction) - fwd.aligned[tetrads.flat_queries] + margin
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -133,15 +197,16 @@ def all_losses(
     normalized: bool = False,
     fwd=None,
 ) -> GroupedVector:
-    """Hinge losses for every tetrad, from one score matrix.
+    """Hinge losses for every tetrad, from one forward pass.
 
-    fwd is the forward pass at params; it is computed when not given. The
-    values are nonnegative by construction and are not re-checked; a
-    non-finite loss shows up in the objective value, which the trainer checks.
+    fwd is the forward pass at params for this set and direction; it is
+    computed when not given. The values are nonnegative by construction and
+    are not re-checked; a non-finite loss shows up in the objective value,
+    which the trainer checks.
     """
     _check_tetrads(tetrads, dataset.n)
-    S = (fwd or forward(params, dataset, normalized))[2]
-    hinges = _hinge_args(query_scores(S, direction), tetrads, cfg.margin)
+    fwd = fwd or forward_pass(params, dataset, [Block(tetrads, direction, None)], normalized)
+    hinges = _pass_hinge_args(fwd, tetrads, direction, cfg.margin)  # a fresh array either way
     np.maximum(0.0, hinges, out=hinges)
     hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
     return GroupedVector(hinges, tetrads.offsets)
@@ -179,7 +244,7 @@ def block_losses(
     fwd=None,
 ) -> list[GroupedVector]:
     """all_losses for each block, in block order, all from one forward pass."""
-    fwd = fwd or forward(params, dataset, normalized)
+    fwd = fwd or forward_pass(params, dataset, blocks, normalized)
     return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd) for b in blocks]
 
 
@@ -216,10 +281,10 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def _coefficients(Q: np.ndarray, tetrads: TetradSet, v: ImportanceVector, margin: float) -> np.ndarray:
-    """Entry (k, j): tetrad (k, j)'s weight if its hinge on Q (queries as rows) is active, else 0."""
-    n = Q.shape[0]
-    coef = np.where(_hinge_args(Q, tetrads, margin) > 0.0, v.values, 0.0)
+def _coefficients(active: np.ndarray, tetrads: TetradSet, v: ImportanceVector) -> np.ndarray:
+    """Entry (k, j), queries as rows: tetrad (k, j)'s weight if active (a positive hinge argument), else 0."""
+    n = tetrads.n
+    coef = np.where(active, v.values, 0.0)
     C = np.zeros((n, n))
     if tetrads.is_full:
         _off_diagonal(C)[...] = coef.reshape(n - 1, n)
@@ -238,23 +303,26 @@ def grad_loss_term(
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
-    fwd is the forward pass at params; it is computed when not given. A
-    tetrad contributes iff its hinge argument is strictly positive. Each
-    block's coefficient matrix, with its queries as rows, adds its row sums
-    into s and itself (a t2i block's transposed) into one image-row C; then
-    sum C_kj S_kj - sum s_k S_kk is backpropagated once, through the sigmoid
-    (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2.
+    fwd is the forward pass at params for these blocks; it is computed when
+    not given. A tetrad contributes iff its hinge argument is strictly
+    positive. Each block's coefficient matrix, with its queries as rows, adds
+    its row sums into s and itself (a t2i block's transposed) into one
+    image-row C; then sum C_kj S_kj - sum s_k S_kk is backpropagated once,
+    through the sigmoid (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2.
+    A gathered pass gives the cosine term's C * S by placing its tetrads'
+    scores at their entries.
     """
     for b in blocks:
         _check_aligned(b.tetrads, b.v)
         _check_tetrads(b.tetrads, dataset.n)
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
-    H, G, S = fwd or forward(params, dataset, normalized)
+    fwd = fwd or forward_pass(params, dataset, blocks, normalized)
+    H, G, S = fwd.H, fwd.G, fwd.S
 
     C = s = None
     for b in blocks:
-        Cb = _coefficients(query_scores(S, b.direction), b.tetrads, b.v, cfg.margin)
+        Cb = _coefficients(_pass_hinge_args(fwd, b.tetrads, b.direction, cfg.margin) > 0.0, b.tetrads, b.v)
         if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
             s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
         else:
@@ -275,9 +343,19 @@ def grad_loss_term(
     if normalized:
         # both sums of C * S run along contiguous rows, so a t2i block gives
         # the same bits as its swapped i2t problem
-        CS = np.multiply(C, S, order="C")
+        if S is not None:
+            CS = np.multiply(C, S, order="C")
+            diag = np.diagonal(S)
+        else:
+            # C * S from the gathered scores: C is +0.0 off the tetrads, and
+            # scores of sigmoid embeddings are never negative, so the dense
+            # product is +0.0 there too
+            CS = np.zeros_like(C, order="C")
+            for b in blocks:
+                rows, cols = _tetrad_pairs(b.tetrads, b.direction)
+                CS[rows, cols] = C[rows, cols] * fwd.tetrad_scores(b.tetrads, b.direction)
+            diag = fwd.aligned
         del C
-        diag = np.diagonal(S)
         w_h = (CS.sum(axis=1) - s * diag) / (nh * nh)
         w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * diag) / (ng * ng)
         dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H

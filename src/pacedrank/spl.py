@@ -74,7 +74,7 @@ def _check_group(losses: np.ndarray, lam: float, gamma: float) -> np.ndarray:
 def psi_value(weights: np.ndarray, losses: np.ndarray, lam: float, gamma: float) -> float:
     """The subproblem objective evaluated from its definition."""
     mass = float(np.sum(weights))
-    return float(np.dot(weights, losses)) - lam * mass - gamma * float(np.sqrt(mass))
+    return float(np.einsum("l,l->", weights, losses)) - lam * mass - gamma * float(np.sqrt(mass))
 
 
 def solve_spl(losses, lam: float) -> WeightSolution:

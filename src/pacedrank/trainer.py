@@ -8,7 +8,8 @@ are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
 Every parameter point the W-step visits is embedded and scored once
-(embed.forward): one pass serves all blocks, the accepted line-search
+(loss.forward_pass, which scores only the tetrads when the sampled sets are
+small against n^2): one pass serves all blocks, the accepted line-search
 trial's pass serves the next gradient, and its losses are the losses the
 weight solve reads, so no point is scored twice.
 
@@ -52,9 +53,8 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .embed import forward
 from .evaluation import mean_ap
-from .loss import Block, block_losses, grad_params, smooth_part, with_penalties
+from .loss import Block, block_losses, forward_pass, grad_params, smooth_part, with_penalties
 
 CHECKPOINT_MAGIC = b"SCCM"
 CHECKPOINT_VERSION = 1
@@ -232,8 +232,8 @@ def optimize_W(
     last: dict = {}  # the latest trial's forward pass and per-block losses
 
     def value_fn(p):
-        last.clear()  # keep at most one score matrix while a trial is scored
-        fwd = forward(p, dataset, normalized)
+        last.clear()  # keep at most one pass alive while a trial is scored
+        fwd = forward_pass(p, dataset, blocks, normalized)
         trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, fwd)
         last.update(fwd=fwd, losses=trial_losses)
         return smooth_part(p, blocks, trial_losses)

@@ -6,12 +6,15 @@ import pytest
 
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import (
+    _GATHER_ENTRIES,
     _affine_rows,
     embed_images,
     embed_texts,
     inner_scores,
     map_image,
     map_text,
+    normalized_scores,
+    pair_scores,
     score_matrix,
     sigmoid,
     similarity,
@@ -179,6 +182,23 @@ class TestInnerScores:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * m * 8
+
+
+class TestPairScores:
+    # the 800 x 700 pairs span several gather chunks at every d here
+    @pytest.mark.parametrize("d", [1, 3, 10, 37, 64, 129])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_equals_score_matrix_entries_bitwise(self, d, normalized):
+        rng = np.random.default_rng(d)
+        H, G = rng.random((800, d)), rng.random((700, d))
+        S = normalized_scores(H, G) if normalized else inner_scores(H, G)
+        rows = np.repeat(np.arange(800), 700)
+        cols = np.tile(np.arange(700), 800)
+        assert len(rows) * d > _GATHER_ENTRIES
+        got = pair_scores(H, G, rows, cols, normalized)
+        assert got.tobytes() == S.ravel().tobytes()
+        order = rng.permutation(len(rows))  # any pair order gives the same entries
+        assert pair_scores(H, G, rows[order], cols[order], normalized).tobytes() == got[order].tobytes()
 
 
 class TestAffineRows:

@@ -175,6 +175,21 @@ class TestMeanAp:
                     got = mean_ap(params, ds, direction, r, mode, normalized).per_query
                     assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    def test_tied_integer_scores_rank_like_stable_argsort(self, monkeypatch, direction):
+        # three score values: most queries tie their aligned item with others,
+        # above and below its index, so the tie mask decides their ranks
+        rng = np.random.default_rng(54)
+        n = 60
+        S = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        monkeypatch.setattr(evaluation, "forward", lambda params, dataset, normalized: (None, None, S))
+        ds = random_dataset(rng, n=n, p=3, q=3)
+        Q = S if direction == "i2t" else S.T
+        for r in ("all", 5):
+            expected = np.array([average_precision(np.argsort(-Q[k], kind="stable") == k, r) for k in range(n)])
+            got = mean_ap(random_params(rng, d=2, p=3, q=3), ds, direction, r).per_query
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("normalized", [False, True])
     def test_t2i_equals_i2t_of_swapped_problem_bitwise(self, normalized):
         # the score kernel makes the swapped problem's scores the exact transpose

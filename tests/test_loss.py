@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import pacedrank
 
+from pacedrank import loss
 from pacedrank.core import (
     Dataset,
     EmbeddingParams,
@@ -26,15 +28,22 @@ from pacedrank.loss import (
     Block,
     _hinge_args,
     all_losses,
+    block_losses,
+    forward_pass,
     grad_loss_term,
     grad_params,
     objective,
     ridge_value,
+    smooth_part,
     tetrad_loss,
     weighted_sum_from,
 )
 
-from conftest import random_instance, random_params
+from conftest import random_dataset, random_instance, random_params
+
+
+# (directions, normalized) of the sampled finite-difference cases
+SAMPLED_GRADCHECK_CASES = [(("i2t",), False), (("t2i",), False), (("i2t", "t2i"), True)]
 
 
 def zero_params(d, p, q):
@@ -321,18 +330,29 @@ class TestGradient:
         inst = make_instance(48, n=6, p=5, q=5, d=3)
         assert max_relative_error(inst, h=1e-5) < 1e-5
 
-    @pytest.mark.parametrize("seed", range(20))
+    # seeds from 20 on are sampled sets, one negative per query, few enough
+    # against n^2 that the gradient reads a gathered pass
+    @pytest.mark.parametrize("seed", range(20 + len(SAMPLED_GRADCHECK_CASES)))
     def test_finite_difference_sweep(self, seed):
         rng = np.random.default_rng(seed * 31 + 5)
+        if seed < 20:
+            n, m = int(rng.integers(4, 9)), None
+            directions, normalized = (("i2t",), ("i2t", "t2i"), ("t2i",))[seed % 3], seed % 4 == 3
+        else:
+            n, m = int(rng.integers(12, 17)), 1
+            directions, normalized = SAMPLED_GRADCHECK_CASES[seed - 20]
         inst = make_instance(
             seed,
-            n=int(rng.integers(4, 9)),
+            n=n,
             p=int(rng.integers(2, 9)),
             q=int(rng.integers(2, 9)),
             d=int(rng.integers(1, 5)),
-            directions=(("i2t",), ("i2t", "t2i"), ("t2i",))[seed % 3],
-            normalized=(seed % 4 == 3),
+            directions=directions,
+            normalized=normalized,
+            m=m,
         )
+        fwd = forward_pass(inst.params, inst.dataset, inst.blocks, inst.normalized)
+        assert (fwd.S is None) == (m is not None)
         assert max_relative_error(inst, h=1e-5) < 1e-5
 
     # groups of 11 tetrads (n=12) are long enough for pairwise summation to
@@ -445,3 +465,93 @@ class TestFullSetPath:
         want = float(np.sum(v.values[sel] * losses.values[sel]))
         assert np.array_equal(v.positive_index, np.flatnonzero(sel))
         assert weighted_sum_from(losses, v).hex() == want.hex()
+
+
+def layout_dataset(rng, n, layout):
+    """A random dataset whose feature arrays are C-order, Fortran-order or [::2]-strided views."""
+    images, texts = rng.standard_normal((n, 20)), rng.standard_normal((n, 20))
+    if layout == "fortran":
+        images, texts = np.asfortranarray(images), np.asfortranarray(texts)
+    elif layout == "strided":
+        images, texts = np.repeat(images, 2, axis=0)[::2], np.repeat(texts, 2, axis=0)[::2]
+    return Dataset(images, texts)
+
+
+def sampled_blocks(rng, dataset, m, directions):
+    blocks = []
+    for i, direction in enumerate(directions):
+        tetrads = build_tetrads(dataset, m, i)
+        values = rng.uniform(size=tetrads.total)
+        values[rng.uniform(size=tetrads.total) < 0.2] = 0.0
+        blocks.append(Block(tetrads, direction, ImportanceVector(values, tetrads.offsets)))
+    return blocks
+
+
+class TestGatheredPass:
+    # (n, d, m, layout of the dataset arrays)
+    @pytest.mark.parametrize("n, d, m, layout", [
+        (600, 10, 16, "C"), (2000, 10, 16, "C"), (600, 37, 16, "C"), (40, 4, 6, "C"),
+        (40, 4, 6, "fortran"), (40, 4, 6, "strided"), (600, 10, 16, "fortran"), (600, 10, 16, "strided"),
+    ])
+    @pytest.mark.parametrize("directions", [("i2t",), ("t2i",), ("i2t", "t2i")], ids=["i2t", "t2i", "both"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_losses_and_gradient_equal_dense_bitwise(self, monkeypatch, n, d, m, layout, directions, normalized):
+        rng = np.random.default_rng(n + d + m)
+        dataset = layout_dataset(rng, n, layout)
+        params = random_params(rng, d=d, p=20, q=20)
+        blocks = sampled_blocks(rng, dataset, m, directions)
+        cfg = LossConfig(margin=0.1)
+        results = []
+        for share, gathered in ((0.0, False), (np.inf, True)):
+            monkeypatch.setattr(loss, "GATHER_MAX_SHARE", share)
+            fwd = forward_pass(params, dataset, blocks, normalized)
+            assert (fwd.S is None) == gathered
+            losses = block_losses(params, dataset, blocks, cfg, normalized, fwd)
+            grad = grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
+            results.append([x.values.tobytes() for x in losses] + [a.tobytes() for a in grad.arrays])
+        assert results[0] == results[1]
+
+    def test_path_choice_on_each_side_of_the_constant(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        dataset = random_dataset(rng, n=n, p=5, q=4)
+        params = random_params(rng)
+        limit = loss.GATHER_MAX_SHARE * n * n
+        for directions in (("i2t",), ("i2t", "t2i")):
+            m_dense = math.ceil(limit / (n * len(directions)))  # the fewest negatives with T >= limit
+            for m, gathered in ((m_dense - 1, True), (m_dense, False)):
+                blocks = sampled_blocks(rng, dataset, m, directions)
+                assert (sum(b.tetrads.total for b in blocks) < limit) == gathered
+                assert (forward_pass(params, dataset, blocks).S is None) == gathered
+        full = build_tetrads(dataset)
+        assert forward_pass(params, dataset, [Block(full, "i2t", None)]).S is not None
+
+    def test_pass_gathered_for_other_tetrads_raises(self):
+        rng = np.random.default_rng(13)
+        dataset = random_dataset(rng, n=40, p=5, q=4)
+        params = random_params(rng)
+        blocks = sampled_blocks(rng, dataset, 2, ("i2t",))
+        fwd = forward_pass(params, dataset, blocks)
+        assert fwd.S is None
+        other = build_tetrads(dataset, 2, 99)
+        with pytest.raises(AlignmentError):
+            all_losses(params, dataset, other, LossConfig(), fwd=fwd)
+        with pytest.raises(AlignmentError):
+            all_losses(params, dataset, blocks[0].tetrads, LossConfig(), "t2i", fwd=fwd)
+
+    def test_value_evaluation_memory_is_below_one_eighth_of_the_score_matrix(self):
+        # the pass picks the gathered path itself: 2 x 160,000 tetrads at n = 10,000
+        rng = np.random.default_rng(12)
+        n = 10_000
+        dataset = random_dataset(rng, n=n, p=8, q=8)
+        params = random_params(rng, d=10, p=8, q=8)
+        blocks = sampled_blocks(rng, dataset, 16, ("i2t", "t2i"))
+        assert sum(b.tetrads.total for b in blocks) < loss.GATHER_MAX_SHARE * n * n  # no 800 MB dense pass
+        tracemalloc.start()
+        try:
+            losses = block_losses(params, dataset, blocks, LossConfig(), normalized=True)
+            smooth_part(params, blocks, losses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8
