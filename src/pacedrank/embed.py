@@ -14,8 +14,8 @@ thread settings.
 
 The forward pass has two forms. The dense one scores every pair into the
 n x n matrix S. The gathered one scores only the pairs asked for, each as
-the einsum of two gathered rows, so its entries equal S's bit for bit
-(pair_scores).
+the einsum of two gathered rows (pair_scores), divided for cosine scores by
+row norms computed once per pass, so its entries equal S's bit for bit.
 """
 
 from __future__ import annotations
@@ -87,22 +87,19 @@ def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.einsum("kl,jl->kj", np.ascontiguousarray(H), np.ascontiguousarray(G))
 
 
-def pair_scores(H: np.ndarray, G: np.ndarray, rows, cols, normalized: bool = False) -> np.ndarray:
-    """Scores of image rows[t] against text cols[t], without the score matrix.
+def pair_scores(H: np.ndarray, G: np.ndarray, rows, cols) -> np.ndarray:
+    """Inner products of image rows[t] with text cols[t], without the score matrix.
 
-    Entry t equals inner_scores(H, G)[rows[t], cols[t]] bit for bit (or
-    normalized_scores' entry): np.take gathers C-contiguous rows, and the
-    einsum sums their products in the same order. Rows are gathered in
-    chunks of _GATHER_ENTRIES values, so the temporaries stay small however
-    many pairs there are.
+    Entry t equals inner_scores(H, G)[rows[t], cols[t]] bit for bit: np.take
+    gathers C-contiguous rows, and the einsum sums their products in the
+    same order. Rows are gathered in chunks of _GATHER_ENTRIES values, so the
+    temporaries stay small however many pairs there are.
     """
     s = np.empty(len(rows))
     step = max(1, _GATHER_ENTRIES // H.shape[1])
     for lo in range(0, len(rows), step):
         part = slice(lo, lo + step)
         np.einsum("tl,tl->t", np.take(H, rows[part], axis=0), np.take(G, cols[part], axis=0), out=s[part])
-    if normalized:
-        s /= _row_norms(H)[rows] * _row_norms(G)[cols]
     return s
 
 
@@ -136,12 +133,17 @@ def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False,
     S has image queries as rows; query_scores gives a direction its view.
     Given pairs, a list of (rows, cols) index arrays (query_pairs), the pass
     is gathered: S is not formed, and the third item is instead the list of
-    each pair set's pair_scores.
+    each pair set's pair_scores, divided by the row norms when normalized.
     """
     H = embed_images(params, dataset.images)
     G = embed_texts(params, dataset.texts)
     if pairs is not None:
-        return H, G, [pair_scores(H, G, rows, cols, normalized) for rows, cols in pairs]
+        scores = [pair_scores(H, G, rows, cols) for rows, cols in pairs]
+        if normalized:
+            nh, ng = _row_norms(H), _row_norms(G)
+            for s, (rows, cols) in zip(scores, pairs):
+                s /= nh[rows] * ng[cols]
+        return H, G, scores
     S = normalized_scores(H, G) if normalized else inner_scores(H, G)
     return H, G, S
 

@@ -23,8 +23,7 @@ from .core import (
     build_tetrads,
     validate_dataset,
 )
-from .embed import forward, query_scores
-from .loss import Block, _hinge_args, block_losses, grad_params, smooth_part
+from .loss import Block, _hinge_args, block_losses, forward_pass, grad_params, smooth_part
 
 KINK_BAND = 1e-6
 
@@ -72,18 +71,18 @@ def make_instance(
         Block(tetrads, direction, ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets))
         for direction in directions
     )
-    S = forward(params, dataset, normalized)[2]
+    fwd = forward_pass(params, dataset, blocks, normalized)
     margin = 0.05
     for _ in range(100):
-        if _min_kink_distance(S, blocks, margin) > KINK_BAND:
+        if _min_kink_distance(fwd, blocks, margin) > KINK_BAND:
             return GradCheckInstance(dataset, params, blocks, LossConfig(margin=margin), normalized)
         margin += 1e-3
     raise RuntimeError("could not find a kink-free margin")
 
 
-def _min_kink_distance(S, blocks, margin: float) -> float:
-    """Smallest |hinge argument| over every block's tetrads at scores S."""
-    args = [_hinge_args(query_scores(S, b.direction), b.tetrads, margin) for b in blocks]
+def _min_kink_distance(fwd, blocks, margin: float) -> float:
+    """Smallest |hinge argument| over every block's tetrads in the forward pass fwd."""
+    args = [_hinge_args(fwd, b.tetrads, b.direction, margin) for b in blocks]
     return min(float(np.min(np.abs(a), initial=np.inf)) for a in args)
 
 

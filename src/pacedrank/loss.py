@@ -15,11 +15,11 @@ Every loss and gradient reads one forward pass (forward_pass) per
 parameter point: all_losses, block_losses, grad_loss_term and grad_params
 take an optional Pass computed at their params for their blocks, and build
 one themselves only when it is not given. Blocks at the same point share
-one pass (a t2i block reads S.T: embed.query_scores) and one backward pass
-(grad_loss_term). A pass whose blocks hold few tetrads against the n x n
-score entries is gathered: it scores only the aligned pairs and the
-tetrads, and its entries equal the dense ones bit for bit, so losses and
-gradients do not depend on the path.
+one pass and one backward pass (grad_loss_term). A pass holds the aligned
+scores S_kk and each block's tetrad scores S_kj, whether forward_pass read
+them from the dense n x n matrix or, when the blocks hold few tetrads
+against it, gathered them: the values are the same bit for bit, so losses
+and gradients do not depend on the form.
 
 All reductions are whole-array numpy reductions in a fixed order, and the
 gradient's matrix products are einsum loops, never BLAS, so objective and
@@ -45,9 +45,8 @@ from .core import (
     LossConfig,
     PacingState,
     TetradSet,
-    check_direction,
 )
-from .embed import forward, query_pairs, query_scores
+from .embed import _row_norms, forward, query_pairs, query_scores
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
@@ -72,24 +71,23 @@ class Block:
 class Pass:
     """One forward pass at a parameter point, for a list of blocks.
 
-    H and G are the embeddings. A dense pass holds the image-row score matrix
-    S. A gathered pass (S is None) holds only what its blocks read: aligned[k]
-    = S_kk, and per block (tetrads, direction) its tetrads' S_kj, queries as
-    rows, each equal to the dense entry bit for bit.
+    H and G are the embeddings, aligned[k] = S_kk, and per block (tetrads,
+    direction) its tetrads' S_kj in flat tetrad order, queries as rows.
+    Whether the pass scored the dense matrix or gathered these entries is
+    known only to forward_pass: the values are the same bit for bit.
     """
 
     H: np.ndarray
     G: np.ndarray
-    S: Optional[np.ndarray]
-    aligned: Optional[np.ndarray] = None
-    gathered: tuple = ()  # ((tetrads, direction, scores), ...)
+    aligned: np.ndarray
+    scores: tuple  # ((tetrads, direction, S_kj per tetrad), ...)
 
     def tetrad_scores(self, tetrads: TetradSet, direction: str) -> np.ndarray:
-        """A gathered pass's S_kj for each of these tetrads, queries as rows."""
-        for t, d, scores in self.gathered:
+        """S_kj for each of these tetrads, queries as rows."""
+        for t, d, scores in self.scores:
             if t is tetrads and d == direction:
                 return scores
-        raise AlignmentError("the forward pass was not gathered for this tetrad set and direction")
+        raise AlignmentError("the forward pass was not computed for this tetrad set and direction")
 
 
 def _tetrad_pairs(tetrads: TetradSet, direction: str):
@@ -102,16 +100,19 @@ def forward_pass(
 ) -> Pass:
     """The one forward pass at params for these blocks: dense, or gathered when they hold few tetrads.
 
-    Both forms embed the dataset once. The gathered form scores the n aligned
-    pairs and each block's tetrads, and never forms the n x n matrix.
+    Both forms embed the dataset once. The dense form reads the aligned
+    scores and each block's entries from the n x n matrix, then drops it.
     """
     n = dataset.n
     if sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n:
-        return Pass(*forward(params, dataset, normalized))
-    every = np.arange(n)
-    pairs = [(every, every)] + [_tetrad_pairs(b.tetrads, b.direction) for b in blocks]
-    H, G, (aligned, *scores) = forward(params, dataset, normalized, pairs)
-    return Pass(H, G, None, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
+        H, G, S = forward(params, dataset, normalized)
+        aligned = np.diagonal(S).copy()
+        scores = [_entries(query_scores(S, b.direction), b.tetrads) for b in blocks]
+    else:
+        every = np.arange(n)
+        pairs = [(every, every)] + [_tetrad_pairs(b.tetrads, b.direction) for b in blocks]
+        H, G, (aligned, *scores) = forward(params, dataset, normalized, pairs)
+    return Pass(H, G, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
@@ -124,26 +125,31 @@ def _off_diagonal(M: np.ndarray) -> np.ndarray:
     return M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _hinge_args(S: np.ndarray, tetrads: TetradSet, margin: float) -> np.ndarray:
-    """S_kj - S_kk + margin for every tetrad, with query rows in S.
+def _entries(M: np.ndarray, tetrads: TetradSet) -> np.ndarray:
+    """A fresh array of M[k, j] for every tetrad (query k, negative j), in flat tetrad order."""
+    if tetrads.is_full:  # canonical order: the off-diagonal view, with no flat_queries
+        return _off_diagonal(np.ascontiguousarray(M)).ravel()  # ravel copies the strided view
+    return M[tetrads.flat_queries, tetrads.negatives]
 
-    A full set in canonical order (TetradSet.is_full) reads its tetrads
-    from the off-diagonal view of S - diag + margin; any other set gathers
-    them. Each entry is the same (S_kj - S_kk) + margin either way.
-    """
+
+def _scatter(values: np.ndarray, tetrads: TetradSet) -> np.ndarray:
+    """_entries' inverse: an n x n matrix, queries as rows, with values at the tetrads' entries, +0.0 elsewhere."""
+    n = tetrads.n
+    M = np.zeros((n, n))
     if tetrads.is_full:
-        A = np.subtract(S, np.diagonal(S)[:, None], order="C")
-        A += margin
-        return _off_diagonal(A).ravel()  # a fresh copy that owns its data
-    ks = tetrads.flat_queries
-    return S[ks, tetrads.negatives] - S[ks, ks] + margin
+        _off_diagonal(M)[...] = values.reshape(n - 1, n)
+    else:
+        M[tetrads.flat_queries, tetrads.negatives] = values
+    return M
 
 
-def _pass_hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) -> np.ndarray:
-    """_hinge_args of these tetrads in direction, read from a dense or a gathered pass."""
-    if fwd.S is not None:
-        return _hinge_args(query_scores(fwd.S, direction), tetrads, margin)
-    return fwd.tetrad_scores(tetrads, direction) - fwd.aligned[tetrads.flat_queries] + margin
+def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) -> np.ndarray:
+    """A fresh array of (S_kj - S_kk) + margin for every tetrad in direction, read from the pass."""
+    # repeated over the group sizes: flat_queries would cache n(n-1) int64 for a full set
+    args = np.repeat(fwd.aligned, np.diff(tetrads.offsets))
+    np.subtract(fwd.tetrad_scores(tetrads, direction), args, out=args)
+    args += margin
+    return args
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -206,7 +212,7 @@ def all_losses(
     """
     _check_tetrads(tetrads, dataset.n)
     fwd = fwd or forward_pass(params, dataset, [Block(tetrads, direction, None)], normalized)
-    hinges = _pass_hinge_args(fwd, tetrads, direction, cfg.margin)  # a fresh array either way
+    hinges = _hinge_args(fwd, tetrads, direction, cfg.margin)
     np.maximum(0.0, hinges, out=hinges)
     hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
     return GroupedVector(hinges, tetrads.offsets)
@@ -281,18 +287,6 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def _coefficients(active: np.ndarray, tetrads: TetradSet, v: ImportanceVector) -> np.ndarray:
-    """Entry (k, j), queries as rows: tetrad (k, j)'s weight if active (a positive hinge argument), else 0."""
-    n = tetrads.n
-    coef = np.where(active, v.values, 0.0)
-    C = np.zeros((n, n))
-    if tetrads.is_full:
-        _off_diagonal(C)[...] = coef.reshape(n - 1, n)
-    else:
-        C[tetrads.flat_queries, tetrads.negatives] = coef
-    return C
-
-
 def grad_loss_term(
     params: EmbeddingParams,
     dataset: Dataset,
@@ -309,8 +303,9 @@ def grad_loss_term(
     its row sums into s and itself (a t2i block's transposed) into one
     image-row C; then sum C_kj S_kj - sum s_k S_kk is backpropagated once,
     through the sigmoid (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2.
-    A gathered pass gives the cosine term's C * S by placing its tetrads'
-    scores at their entries.
+    The cosine term's C * S multiplies C's off-diagonal view by a full
+    block's scores in place, or, with no full block, forms the product at
+    each tetrad's entry.
     """
     for b in blocks:
         _check_aligned(b.tetrads, b.v)
@@ -318,11 +313,12 @@ def grad_loss_term(
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
     fwd = fwd or forward_pass(params, dataset, blocks, normalized)
-    H, G, S = fwd.H, fwd.G, fwd.S
+    H, G = fwd.H, fwd.G
 
     C = s = None
     for b in blocks:
-        Cb = _coefficients(_pass_hinge_args(fwd, b.tetrads, b.direction, cfg.margin) > 0.0, b.tetrads, b.v)
+        active = _hinge_args(fwd, b.tetrads, b.direction, cfg.margin) > 0.0
+        Cb = _scatter(np.where(active, b.v.values, 0.0), b.tetrads)
         if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
             s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
         else:
@@ -333,31 +329,30 @@ def grad_loss_term(
     # products are einsum loops, not BLAS: a threaded BLAS splits them by
     # thread count, which would change the gradient's bits
     if normalized:
-        nh = np.sqrt(np.sum(H * H, axis=1))
-        ng = np.sqrt(np.sum(G * G, axis=1))
+        nh, ng = _row_norms(H), _row_norms(G)
         A, B = H / nh[:, None], G / ng[:, None]
     else:
         A, B = H, G
     dH_pre = np.einsum("kj,jl->kl", C, B) - s[:, None] * B
     dG_pre = np.einsum("kj,kl->jl", C, A) - s[:, None] * A
     if normalized:
-        # both sums of C * S run along contiguous rows, so a t2i block gives
-        # the same bits as its swapped i2t problem
-        if S is not None:
-            CS = np.multiply(C, S, order="C")
-            diag = np.diagonal(S)
+        # C * S is the dense product bit for bit: off the tetrads C is +0.0
+        # and S > 0. Both sums of it run along contiguous rows, so a t2i
+        # block gives the same bits as its swapped i2t problem.
+        full = next((b for b in blocks if b.tetrads.is_full), None)
+        if full is not None:  # its tetrads are every off-diagonal entry, and C's diagonal is +0.0
+            CS = np.ascontiguousarray(query_scores(C, full.direction))  # C itself, or a copy in full's query rows
+            off = _off_diagonal(CS)
+            off *= fwd.tetrad_scores(full.tetrads, full.direction).reshape(off.shape)
+            CS = query_scores(CS, full.direction)
         else:
-            # C * S from the gathered scores: C is +0.0 off the tetrads, and
-            # scores of sigmoid embeddings are never negative, so the dense
-            # product is +0.0 there too
             CS = np.zeros_like(C, order="C")
             for b in blocks:
                 rows, cols = _tetrad_pairs(b.tetrads, b.direction)
                 CS[rows, cols] = C[rows, cols] * fwd.tetrad_scores(b.tetrads, b.direction)
-            diag = fwd.aligned
         del C
-        w_h = (CS.sum(axis=1) - s * diag) / (nh * nh)
-        w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * diag) / (ng * ng)
+        w_h = (np.ascontiguousarray(CS).sum(axis=1) - s * fwd.aligned) / (nh * nh)
+        w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * fwd.aligned) / (ng * ng)
         dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H
         dG_pre = dG_pre / ng[:, None] - w_g[:, None] * G
 

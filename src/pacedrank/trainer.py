@@ -8,10 +8,11 @@ are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
 Every parameter point the W-step visits is embedded and scored once
-(loss.forward_pass, which scores only the tetrads when the sampled sets are
-small against n^2): one pass serves all blocks, the accepted line-search
-trial's pass serves the next gradient, and its losses are the losses the
-weight solve reads, so no point is scored twice.
+(loss.forward_pass: the aligned and tetrad scores, read from the n x n
+matrix or, for sampled sets small against n^2, gathered without it): one
+pass serves all blocks, the accepted line-search trial's pass serves the
+next gradient, and its losses are the losses the weight solve reads, so no
+point is scored twice.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four

@@ -10,11 +10,10 @@ from pacedrank.embed import (
     _affine_rows,
     embed_images,
     embed_texts,
+    forward,
     inner_scores,
     map_image,
     map_text,
-    normalized_scores,
-    pair_scores,
     score_matrix,
     sigmoid,
     similarity,
@@ -185,20 +184,25 @@ class TestInnerScores:
 
 
 class TestPairScores:
-    # the 800 x 700 pairs span several gather chunks at every d here
+    # forward's gathered form: pair_scores per pair set, divided by the row
+    # norms when normalized; the 800 x 800 pairs span several gather chunks
     @pytest.mark.parametrize("d", [1, 3, 10, 37, 64, 129])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
     def test_equals_score_matrix_entries_bitwise(self, d, normalized):
         rng = np.random.default_rng(d)
-        H, G = rng.random((800, d)), rng.random((700, d))
-        S = normalized_scores(H, G) if normalized else inner_scores(H, G)
-        rows = np.repeat(np.arange(800), 700)
-        cols = np.tile(np.arange(700), 800)
+        n = 800
+        dataset = random_dataset(rng, n=n)
+        params = random_params(rng, d=d)
+        S = forward(params, dataset, normalized)[2]
+        rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         assert len(rows) * d > _GATHER_ENTRIES
-        got = pair_scores(H, G, rows, cols, normalized)
-        assert got.tobytes() == S.ravel().tobytes()
         order = rng.permutation(len(rows))  # any pair order gives the same entries
-        assert pair_scores(H, G, rows[order], cols[order], normalized).tobytes() == got[order].tobytes()
+        every = np.arange(n)
+        pairs = [(every, every), (rows, cols), (rows[order], cols[order])]
+        aligned, got, permuted = forward(params, dataset, normalized, pairs)[2]
+        assert got.tobytes() == S.ravel().tobytes()
+        assert permuted.tobytes() == got[order].tobytes()
+        assert aligned.tobytes() == np.diagonal(S).tobytes()
 
 
 class TestAffineRows:

@@ -10,7 +10,7 @@ import pytest
 
 import pacedrank
 
-from pacedrank import loss
+from pacedrank import embed, loss
 from pacedrank.core import (
     Dataset,
     EmbeddingParams,
@@ -26,7 +26,8 @@ from pacedrank.errors import AlignmentError, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     Block,
-    _hinge_args,
+    _entries,
+    _scatter,
     all_losses,
     block_losses,
     forward_pass,
@@ -44,6 +45,22 @@ from conftest import random_dataset, random_instance, random_params
 
 # (directions, normalized) of the sampled finite-difference cases
 SAMPLED_GRADCHECK_CASES = [(("i2t",), False), (("t2i",), False), (("i2t", "t2i"), True)]
+
+
+def scored_pass(params, dataset, blocks, normalized=False):
+    """forward_pass at params, and whether it scored the dense matrix (called embed.inner_scores)."""
+    calls = []
+    real = embed.inner_scores
+
+    def counting(H, G):
+        calls.append(H.shape)
+        return real(H, G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "inner_scores", counting)
+        fwd = forward_pass(params, dataset, blocks, normalized)
+    assert len(calls) <= 1
+    return fwd, bool(calls)
 
 
 def zero_params(d, p, q):
@@ -351,8 +368,7 @@ class TestGradient:
             normalized=normalized,
             m=m,
         )
-        fwd = forward_pass(inst.params, inst.dataset, inst.blocks, inst.normalized)
-        assert (fwd.S is None) == (m is not None)
+        assert scored_pass(inst.params, inst.dataset, inst.blocks, inst.normalized)[1] == (m is None)
         assert max_relative_error(inst, h=1e-5) < 1e-5
 
     # groups of 11 tetrads (n=12) are long enough for pairwise summation to
@@ -398,10 +414,9 @@ class TestGradient:
         assert outputs[0] == outputs[1]
 
 
-def gathered_hinge_args(S, tetrads, margin):
-    """The general path of _hinge_args: one gather per tetrad."""
-    ks = tetrads.flat_queries
-    return S[ks, tetrads.negatives] - S[ks, ks] + margin
+def gathered_entries(M, tetrads):
+    """The general path of _entries: one gather per tetrad."""
+    return M[tetrads.flat_queries, tetrads.negatives]
 
 
 def reversed_groups(tetrads):
@@ -420,19 +435,22 @@ class TestFullSetPath:
         dataset, params, tetrads, _ = random_instance(90 + n, n=n)
         assert tetrads.is_full
         S = query_scores(forward(params, dataset, normalized)[2], direction)
-        got = _hinge_args(S, tetrads, 0.1)
-        want = gathered_hinge_args(S, tetrads, 0.1)
+        got = _entries(S, tetrads)
+        want = gathered_entries(S, tetrads)
         assert got.shape == want.shape == (n * (n - 1),)
         assert got.tobytes() == want.tobytes()
+        # _scatter is the inverse: the off-diagonal entries of S, +0.0 on the diagonal
+        assert _scatter(got, tetrads).tobytes() == (S - np.diag(np.diagonal(S))).tobytes()
 
     def test_non_canonical_full_size_set_gathers(self):
         dataset, params, tetrads, v = random_instance(23, n=9)
         shuffled, order = reversed_groups(tetrads)
         assert shuffled.total == 9 * 8 and not shuffled.is_full
         S = forward(params, dataset)[2]
-        got = _hinge_args(S, shuffled, 0.1)
-        assert got.tobytes() == gathered_hinge_args(S, shuffled, 0.1).tobytes()
-        assert got.tobytes() == _hinge_args(S, tetrads, 0.1)[order].tobytes()
+        got = _entries(S, shuffled)
+        assert got.tobytes() == gathered_entries(S, shuffled).tobytes()
+        assert got.tobytes() == _entries(S, tetrads)[order].tobytes()
+        assert _scatter(got, shuffled).tobytes() == _scatter(_entries(S, tetrads), tetrads).tobytes()
 
         # the gradient's strided scatter builds the same coefficient matrix as the gather
         v_shuffled = ImportanceVector(v.values[order], v.offsets)
@@ -465,6 +483,84 @@ class TestFullSetPath:
         want = float(np.sum(v.values[sel] * losses.values[sel]))
         assert np.array_equal(v.positive_index, np.flatnonzero(sel))
         assert weighted_sum_from(losses, v).hex() == want.hex()
+
+
+def dense_reference(params, dataset, blocks, cfg, normalized):
+    """Losses and loss-term gradient from the dense score matrix: each tetrad gathered, C * S over every entry."""
+    H, G, S = forward(params, dataset, normalized)
+    n = dataset.n
+    losses, C, s = [], np.zeros((n, n)), np.zeros(n)
+    for b in blocks:
+        Sq = query_scores(S, b.direction)
+        ks, js = b.tetrads.flat_queries, b.tetrads.negatives
+        args = Sq[ks, js] - Sq[ks, ks] + cfg.margin
+        losses.append(np.maximum(0.0, args))
+        Cb = np.zeros((n, n))
+        Cb[ks, js] = np.where(args > 0.0, b.v.values, 0.0)
+        s += Cb.sum(axis=1)
+        C += query_scores(Cb, b.direction)
+    if normalized:
+        nh, ng = np.sqrt(np.sum(H * H, axis=1)), np.sqrt(np.sum(G * G, axis=1))
+        A, B = H / nh[:, None], G / ng[:, None]
+    else:
+        A, B = H, G
+    dH_pre = np.einsum("kj,jl->kl", C, B) - s[:, None] * B
+    dG_pre = np.einsum("kj,kl->jl", C, A) - s[:, None] * A
+    if normalized:
+        CS = np.multiply(C, S, order="C")
+        w_h = (CS.sum(axis=1) - s * np.diagonal(S)) / (nh * nh)
+        w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * np.diagonal(S)) / (ng * ng)
+        dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H
+        dG_pre = dG_pre / ng[:, None] - w_g[:, None] * G
+    dH = dH_pre * H * (1.0 - H)
+    dG = dG_pre * G * (1.0 - G)
+    grad = (np.einsum("kl,kp->lp", dH, dataset.images), dH.sum(axis=0),
+            np.einsum("kl,kp->lp", dG, dataset.texts), dG.sum(axis=0))
+    return losses, grad
+
+
+class TestMixedBlocks:
+    """Block lists that mix full and sampled sets: the cosine term multiplies C by a full block's scores in place."""
+
+    @pytest.mark.parametrize("kinds", [
+        (("full", "i2t"), ("sampled", "t2i")),
+        (("sampled", "i2t"), ("full", "t2i")),
+        (("full", "t2i"),),
+        (("full", "i2t"), ("full", "t2i")),
+    ], ids=["full-i2t+sampled-t2i", "sampled-i2t+full-t2i", "full-t2i", "full-i2t+full-t2i"])
+    @pytest.mark.parametrize("n", [7, 40])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_equal_dense_reference_bitwise(self, n, kinds, normalized):
+        rng = np.random.default_rng(n)
+        dataset = random_dataset(rng, n=n, p=5, q=4)
+        params = random_params(rng, d=4)
+        blocks = []
+        for i, (kind, direction) in enumerate(kinds):
+            tetrads = build_tetrads(dataset, None if kind == "full" else 3, i)
+            assert tetrads.is_full == (kind == "full")
+            values = rng.uniform(size=tetrads.total)
+            values[rng.uniform(size=tetrads.total) < 0.2] = 0.0
+            blocks.append(Block(tetrads, direction, ImportanceVector(values, tetrads.offsets)))
+        cfg = LossConfig(margin=0.1)
+        want_losses, want_grad = dense_reference(params, dataset, blocks, cfg, normalized)
+        losses = block_losses(params, dataset, blocks, cfg, normalized)
+        assert any((x.values > 0.0).any() for x in losses)
+        assert [x.values.tobytes() for x in losses] == [x.tobytes() for x in want_losses]
+        grad = grad_loss_term(params, dataset, blocks, cfg, normalized)
+        assert [a.tobytes() for a in grad.arrays] == [a.tobytes() for a in want_grad]
+
+    @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_full_sets_never_build_flat_queries(self, directions, normalized):
+        # a cached flat_queries would hold n(n-1) int64 entries for a full set
+        dataset, params, tetrads, v = random_instance(41, n=30)
+        blocks = [Block(tetrads, d, v) for d in directions]
+        cfg = LossConfig(margin=0.1)
+        fwd = forward_pass(params, dataset, blocks, normalized)
+        block_losses(params, dataset, blocks, cfg, normalized, fwd)
+        grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
+        grad_params(params, dataset, blocks, cfg, normalized)
+        assert "flat_queries" not in tetrads.__dict__
 
 
 def layout_dataset(rng, n, layout):
@@ -502,13 +598,14 @@ class TestGatheredPass:
         blocks = sampled_blocks(rng, dataset, m, directions)
         cfg = LossConfig(margin=0.1)
         results = []
-        for share, gathered in ((0.0, False), (np.inf, True)):
+        for share, dense in ((0.0, True), (np.inf, False)):
             monkeypatch.setattr(loss, "GATHER_MAX_SHARE", share)
-            fwd = forward_pass(params, dataset, blocks, normalized)
-            assert (fwd.S is None) == gathered
+            fwd, scored_dense = scored_pass(params, dataset, blocks, normalized)
+            assert scored_dense == dense
+            scores = [fwd.aligned.tobytes()] + [fwd.tetrad_scores(b.tetrads, b.direction).tobytes() for b in blocks]
             losses = block_losses(params, dataset, blocks, cfg, normalized, fwd)
             grad = grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
-            results.append([x.values.tobytes() for x in losses] + [a.tobytes() for a in grad.arrays])
+            results.append(scores + [x.values.tobytes() for x in losses] + [a.tobytes() for a in grad.arrays])
         assert results[0] == results[1]
 
     def test_path_choice_on_each_side_of_the_constant(self):
@@ -522,22 +619,24 @@ class TestGatheredPass:
             for m, gathered in ((m_dense - 1, True), (m_dense, False)):
                 blocks = sampled_blocks(rng, dataset, m, directions)
                 assert (sum(b.tetrads.total for b in blocks) < limit) == gathered
-                assert (forward_pass(params, dataset, blocks).S is None) == gathered
+                assert scored_pass(params, dataset, blocks)[1] != gathered
         full = build_tetrads(dataset)
-        assert forward_pass(params, dataset, [Block(full, "i2t", None)]).S is not None
+        assert scored_pass(params, dataset, [Block(full, "i2t", None)])[1]
 
-    def test_pass_gathered_for_other_tetrads_raises(self):
+    def test_pass_gathered_for_other_tetrads_raises(self, monkeypatch):
         rng = np.random.default_rng(13)
         dataset = random_dataset(rng, n=40, p=5, q=4)
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, 2, ("i2t",))
-        fwd = forward_pass(params, dataset, blocks)
-        assert fwd.S is None
         other = build_tetrads(dataset, 2, 99)
-        with pytest.raises(AlignmentError):
-            all_losses(params, dataset, other, LossConfig(), fwd=fwd)
-        with pytest.raises(AlignmentError):
-            all_losses(params, dataset, blocks[0].tetrads, LossConfig(), "t2i", fwd=fwd)
+        for share, dense in ((np.inf, False), (0.0, True)):  # the dense form keeps only its blocks' entries too
+            monkeypatch.setattr(loss, "GATHER_MAX_SHARE", share)
+            fwd, scored_dense = scored_pass(params, dataset, blocks)
+            assert scored_dense == dense
+            with pytest.raises(AlignmentError):
+                all_losses(params, dataset, other, LossConfig(), fwd=fwd)
+            with pytest.raises(AlignmentError):
+                all_losses(params, dataset, blocks[0].tetrads, LossConfig(), "t2i", fwd=fwd)
 
     def test_value_evaluation_memory_is_below_one_eighth_of_the_score_matrix(self):
         # the pass picks the gathered path itself: 2 x 160,000 tetrads at n = 10,000
