@@ -7,12 +7,14 @@ per query group, then grows the pacing thresholds. Both alternation steps
 are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
-Every parameter point the W-step visits is embedded and scored once
+Every point the W-step scores is embedded and scored once
 (loss.forward_pass: the aligned and tetrad scores, read from the n x n
 matrix or, for sampled sets small against n^2, gathered without it): one
 pass serves all blocks, the accepted line-search trial's pass serves the
-next gradient, and its losses are the losses the weight solve reads, so no
-point is scored twice.
+next gradient, and its losses are the losses the weight solve reads. The
+pass at a W-step's final params serves the next W-step's entry gradient,
+so no point is scored twice. A line-search trial whose ridge term alone
+fails the Armijo test is rejected unscored.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -55,7 +57,16 @@ from .errors import (
     VersionMismatch,
 )
 from .evaluation import mean_ap
-from .loss import Block, block_losses, forward_pass, grad_params, smooth_part, with_penalties
+from .loss import (
+    Block,
+    Pass,
+    block_losses,
+    forward_pass,
+    grad_params,
+    ridge_value,
+    smooth_part,
+    with_penalties,
+)
 
 CHECKPOINT_MAGIC = b"SCCM"
 CHECKPOINT_VERSION = 1
@@ -192,6 +203,13 @@ def line_search(
     Halving (by shrink_factor) stops at the first step satisfying
     f(new) <= f(old) - c * step * |grad|^2. Returns (0, params, value) when
     no trial of MAX_BACKTRACKS does; callers treat step 0 as converged.
+
+    value_fn is the smooth subproblem: ridge_value plus nonnegative terms,
+    added to the ridge in floating point. Such a sum is never below the
+    ridge, so a trial whose ridge alone exceeds the bound is rejected
+    without calling value_fn, with the same decision value_fn's result
+    would give. value_fn is called only for the other trials, and the
+    accepted trial is the last one it scores.
     """
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
@@ -199,9 +217,11 @@ def line_search(
     step = cfg.initial_step
     for _ in range(MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
-        value = value_fn(trial)
-        if np.isfinite(value) and value <= current_value - cfg.sufficient_decrease * step * gnorm2:
-            return step, trial, value
+        bound = current_value - cfg.sufficient_decrease * step * gnorm2
+        if not ridge_value(trial) > bound:
+            value = value_fn(trial)
+            if np.isfinite(value) and value <= bound:
+                return step, trial, value
         step *= cfg.shrink_factor
     return 0.0, params, current_value
 
@@ -213,7 +233,8 @@ def optimize_W(
     cfg: TrainConfig,
     value: float,
     losses: Optional[list[GroupedVector]] = None,
-) -> tuple[EmbeddingParams, int]:
+    fwd: Optional[Pass] = None,
+) -> tuple[EmbeddingParams, int, Optional[Pass]]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
 
     value is the smooth value at params, which the caller already holds.
@@ -222,10 +243,14 @@ def optimize_W(
     are the losses at the returned params (they do not depend on v). Only
     one set of losses is alive at a time.
 
-    Each parameter point gets one forward pass. The entry gradient computes
-    its own; each line-search trial's pass serves every block, and the
-    accepted trial's pass (line_search accepts its last trial) serves the
-    next gradient and is then dropped.
+    Each parameter point gets one forward pass. fwd, when given, is the
+    pass at params for these blocks (it does not depend on v either) and
+    serves the entry gradient, which otherwise computes its own. Each
+    scored line-search trial's pass serves every block, and the accepted
+    trial's pass (line_search accepts its last scored trial) serves the
+    next gradient. Returns the final params, the inner steps taken and the
+    pass at the final params, or None when the last line search failed and
+    that pass was dropped before it.
     """
     cfg.validate()
     lcfg = cfg.loss_config()
@@ -234,15 +259,14 @@ def optimize_W(
 
     def value_fn(p):
         last.clear()  # keep at most one pass alive while a trial is scored
-        fwd = forward_pass(p, dataset, blocks, normalized)
-        trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, fwd)
-        last.update(fwd=fwd, losses=trial_losses)
+        trial_fwd = forward_pass(p, dataset, blocks, normalized)
+        trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, trial_fwd)
+        last.update(fwd=trial_fwd, losses=trial_losses)
         return smooth_part(p, blocks, trial_losses)
 
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
     steps = 0
-    fwd = None
     for _ in range(cfg.max_inner_steps):
         steps += 1
         grad = grad_params(params, dataset, blocks, lcfg, normalized, fwd)
@@ -260,7 +284,7 @@ def optimize_W(
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
             break
-    return params, steps
+    return params, steps, fwd
 
 
 def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
@@ -307,7 +331,11 @@ def train(
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
     lcfg = cfg.loss_config()
-    losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity)
+    # The pass at the current params, for the next W-step's entry gradient.
+    # It is popped as it is handed over, so no reference here keeps it alive
+    # while optimize_W's line search scores its trials.
+    held = {"fwd": forward_pass(params, dataset, blocks, cfg.normalized_similarity)}
+    losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity, held["fwd"])
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
     _update_weights(blocks, losses, pacing)
@@ -324,7 +352,9 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        params, inner_steps = optimize_W(params, dataset, blocks, cfg, smooth, losses=losses)
+        params, inner_steps, held["fwd"] = optimize_W(
+            params, dataset, blocks, cfg, smooth, losses=losses, fwd=held.pop("fwd")
+        )
         obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
         _update_weights(blocks, losses, pacing)

@@ -82,7 +82,7 @@ class TestOptimizeW:
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         cfg = TrainConfig(max_inner_steps=200, rel_tol=1e-12)
         blocks = [Block(tetrads, "i2t", v)]
-        out, steps = optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
+        out, steps, _ = optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
         norm = np.sqrt(np.sum(out.W1**2) + np.sum(out.W2**2))
         assert norm < 1e-3
         assert steps <= 200
@@ -95,7 +95,7 @@ class TestOptimizeW:
         )
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
-        out, steps = optimize_W(zero, dataset, blocks, cfg, smooth_value(zero, dataset, blocks, cfg))
+        out, steps, _ = optimize_W(zero, dataset, blocks, cfg, smooth_value(zero, dataset, blocks, cfg))
         assert steps == 1
         assert params_equal(out, zero)
 
@@ -132,12 +132,13 @@ def tiny_corpus(seed=0, n=30):
     return synth_generate(SynthSpec(n=n, latent=3, p=8, q=8, noise=0.1, seed=seed))
 
 
-def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None):
+def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=None):
     """Reference W-step in which no forward pass is shared.
 
     Every block embeds and scores each line-search trial itself, every
-    gradient runs its own pass, and the losses at the final params come
-    from one more pass per block.
+    gradient runs its own pass (the given fwd is ignored), and the losses
+    at the final params come from one more pass per block. It hands back
+    no pass.
     """
     lcfg = cfg.loss_config()
     norm = cfg.normalized_similarity
@@ -162,7 +163,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None):
         if rel < cfg.rel_tol:
             break
     losses[:] = losses_at(params)
-    return params, steps
+    return params, steps, None
 
 
 SHARED_PASS_MODES = {
@@ -225,13 +226,170 @@ class TestSharedForwardPass:
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(embed, "inner_scores", counting_scores)
         monkeypatch.setattr(trainer, "line_search", counting_search)
-        out, steps = optimize_W(params, ds, blocks, cfg, value, losses=losses)
+        out, steps, _ = optimize_W(params, ds, blocks, cfg, value, losses=losses)
         assert steps >= 2
         assert len(passes) == len(evals) + 1
         # a full set's passes score the dense matrix; a sampled W-step's are all gathered
         assert len(scored) == (0 if cfg.sample_negatives else len(passes))
         want = block_losses(out, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
         assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
+
+    @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
+    def test_train_scores_each_point_once(self, monkeypatch, mode):
+        ds = tiny_corpus(seed=2, n=40)
+        cfg = TrainConfig(embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
+        passes, evals, steps = [], [], []
+        real_embed, real_search = embed.embed_images, trainer.line_search
+
+        def counting_embed(params, X):
+            passes.append(params)
+            return real_embed(params, X)
+
+        def counting_search(params, grad, value_fn, current_value, cfg):
+            def counted(p):
+                evals.append(p)
+                return value_fn(p)
+            out = real_search(params, grad, counted, current_value, cfg)
+            steps.append(out[0])
+            return out
+
+        monkeypatch.setattr(embed, "embed_images", counting_embed)
+        monkeypatch.setattr(trainer, "line_search", counting_search)
+        _, history = train(ds, cfg)
+        assert len(history) == 3 and all(s > 0.0 for s in steps)
+        # the initial params, then each scored trial; no W-step re-scores its entry point
+        assert len(passes) == len(evals) + 1
+
+
+def floor_free_line_search(params, grad, value_fn, current_value, cfg, within_floor=None):
+    """line_search without its ridge floor: every trial is scored.
+
+    within_floor, when given, collects each trial whose ridge does not
+    exceed its Armijo bound: the trials the floor passes on to value_fn.
+    """
+    gnorm2 = grad.norm_sq()
+    if gnorm2 == 0.0:
+        return 0.0, params, current_value
+    step = cfg.initial_step
+    for _ in range(trainer.MAX_BACKTRACKS):
+        trial = params.axpy(-step, grad)
+        value = value_fn(trial)
+        bound = current_value - cfg.sufficient_decrease * step * gnorm2
+        if within_floor is not None and not ridge_value(trial) > bound:
+            within_floor.append(trial)
+        if np.isfinite(value) and value <= current_value - cfg.sufficient_decrease * step * gnorm2:
+            return step, trial, value
+        step *= cfg.shrink_factor
+    return 0.0, params, current_value
+
+
+def params_bytes(p):
+    return b"".join(a.tobytes() for a in p.arrays)
+
+
+def scored_and_expected(params, grad, value_fn, current_value, cfg):
+    """Run line_search and its floor-free copy on the same inputs.
+
+    Returns both results, the trials line_search scored and the trials the
+    floor-free copy found within the floor, each as parameter bytes.
+    """
+    scored, within = [], []
+
+    def counted(p):
+        scored.append(params_bytes(p))
+        return value_fn(p)
+
+    got = line_search(params, grad, counted, current_value, cfg)
+    want = floor_free_line_search(params, grad, value_fn, current_value, cfg, within)
+    return got, want, scored, [params_bytes(p) for p in within]
+
+
+def assert_same_search(got, want):
+    assert got[0] == want[0]
+    assert params_bytes(got[1]) == params_bytes(want[1])
+    assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+# Searches from W1 = [[1.0]] along gradient g: (g, current value, sufficient decrease)
+EDGE_SEARCHES = {
+    # step 1 lands on 0 and step 0.5 on 0.5; both ridges equal their bounds exactly
+    "ridge-on-bound": (1.0, 0.25, 0.25),
+    # gnorm2 = 1e308: the bound turns positive only at step 2^-14, yet from step 2^-13
+    # on the ridge lies below the current value
+    "huge-gnorm2": (1e154, 1e300, 1e-4),
+    # gnorm2 overflows to inf, so every bound is -inf and no trial is scored
+    "infinite-gnorm2": (1e155, 1e300, 1e-4),
+}
+VALUE_FNS = {"ridge": ridge_value, "nan": lambda p: np.nan, "inf": lambda p: np.inf}
+
+
+class TestRidgeFloor:
+    @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
+    def test_train_equals_floor_free_bitwise(self, monkeypatch, mode):
+        ds = tiny_corpus(seed=2, n=40)
+        # a sufficient decrease of 0.1 puts some ruled-out trials' ridges below the current value
+        cfg = TrainConfig(
+            embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, sufficient_decrease=0.1,
+            **SHARED_PASS_MODES[mode],
+        )
+        scored, within, trials = [], [], []
+
+        def counting_search(params, grad, value_fn, current_value, cfg):
+            def counted(p):
+                scored.append(params_bytes(p))
+                return value_fn(p)
+            return line_search(params, grad, counted, current_value, cfg)
+
+        monkeypatch.setattr(trainer, "line_search", counting_search)
+        params, history = train(ds, cfg)
+
+        def floor_free(params, grad, value_fn, current_value, cfg):
+            def counted(p):
+                trials.append(p)
+                return value_fn(p)
+            return floor_free_line_search(params, grad, counted, current_value, cfg, within)
+
+        monkeypatch.setattr(trainer, "line_search", floor_free)
+        ref_params, ref_history = train(ds, cfg)
+        assert len(history) == 3
+        assert params_bytes(params) == params_bytes(ref_params)
+        assert history_rows(history) == history_rows(ref_history)
+        # the floor rules trials out, and exactly those whose ridge exceeds the bound
+        assert scored == [params_bytes(p) for p in within]
+        assert len(scored) < len(trials)
+
+    @pytest.mark.parametrize("seed", [60, 61, 62])
+    def test_value_fn_skips_only_trials_above_the_floor(self, seed):
+        # at n = 30 the leading trials' ridges exceed their bounds, some of them
+        # while still below the current value
+        dataset, params, tetrads, v = random_instance(seed, n=30)
+        cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5)
+        blocks = [Block(tetrads, "i2t", v)]
+        f = lambda p: smooth_value(p, dataset, blocks, cfg)
+        grad = grad_params(params, dataset, blocks, cfg.loss_config())
+        got, want, scored, within = scored_and_expected(params, grad, f, f(params), cfg)
+        assert got[0] > 0.0
+        assert_same_search(got, want)
+        assert scored == within
+        # the accepted trial is the last one scored, after at least one ruled out
+        assert scored[-1] == params_bytes(got[1])
+        trials = round(np.log2(cfg.initial_step / got[0])) + 1
+        assert len(scored) < trials
+
+    @pytest.mark.parametrize("value", VALUE_FNS)
+    @pytest.mark.parametrize("case", EDGE_SEARCHES)
+    def test_edge_values_equal_floor_free(self, case, value):
+        g, current_value, c = EDGE_SEARCHES[case]
+        grad = EmbeddingParams(np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        cfg = TrainConfig(sufficient_decrease=c)
+        with np.errstate(over="ignore"):  # gnorm2 and the large steps' ridges overflow to inf
+            got, want, scored, within = scored_and_expected(
+                scalar_params(1.0), grad, VALUE_FNS[value], current_value, cfg
+            )
+        assert_same_search(got, want)
+        assert scored == within
+        if case != "infinite-gnorm2":
+            assert scored  # trials on or below the bound are scored
 
 
 class TestTrain:
