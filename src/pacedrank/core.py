@@ -226,7 +226,8 @@ class TetradSet:
             raise ConfigInvalid(f"a set over {self.n} items needs {self.n + 1} offsets")
         if len(negatives) and (negatives.min() < 0 or negatives.max() >= self.n):
             raise IndexOutOfRange(f"negative index outside 0..{self.n - 1}")
-        # not cached: a full set never reads flat_queries (see loss._entries, _scatter, _hinge_args)
+        # not cached: a full set never reads flat_queries (see loss._entries, _scatter, _hinge_args
+        # and _selected_active, which finds the queries of the tetrads it lists alone)
         if (negatives == _group_ids(offsets)).any():
             raise ConfigInvalid("negative index must differ from the query index")
 

@@ -129,24 +129,28 @@ def run_gradient_check(
     h: float = 1e-5,
     corrupt: float = 0.0,
 ) -> float:
-    """Worst relative error across seeded instances (small dims, n <= 8).
+    """Worst relative error across seeded instances (small dims).
 
-    Instance dimensions cycle through p, q <= 8, d <= 4, n <= 8 and cover
-    both retrieval directions, their two-block sum (symmetric training) and
-    the normalized-similarity mode.
+    Instance dimensions cycle through p, q <= 8, d <= 4 and cover both
+    retrieval directions, their two-block sum (symmetric training) and the
+    normalized-similarity mode. Every third instance is a sampled set, one
+    negative per query at 12 <= n <= 16, whose gradient is scatter-added as
+    it is for train's sampled sets; the others are full sets at n <= 8.
     """
     worst = 0.0
     for i in range(n_instances):
         seed = base_seed + i
         rng = np.random.default_rng(seed ^ 0x5EED)
+        sampled = i % 3 == 2
         inst = make_instance(
             seed,
-            n=int(rng.integers(4, 9)),
+            n=int(rng.integers(12, 17) if sampled else rng.integers(4, 9)),
             p=int(rng.integers(2, 9)),
             q=int(rng.integers(2, 9)),
             d=int(rng.integers(1, 5)),
             directions=(("i2t", "t2i"), ("i2t",), ("i2t",), ("t2i",))[i % 4],
             normalized=(i % 5 == 4),
+            m=1 if sampled else None,
         )
         worst = max(worst, max_relative_error(inst, h=h, corrupt=corrupt))
     return worst

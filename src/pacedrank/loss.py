@@ -21,13 +21,21 @@ them from the dense n x n matrix or, when the blocks hold few tetrads
 against it, gathered them: the values are the same bit for bit, so losses
 and gradients do not depend on the form.
 
-All reductions are whole-array numpy reductions in a fixed order, and the
-gradient's matrix products are einsum loops, never BLAS, so objective and
-gradient values are identical across runs and BLAS thread counts. The
-weighted loss sums the products of the strictly positive weights in flat
-tetrad order; group masses add each group's weights in index order.
-Tetrads with zero weight therefore cannot perturb either value even at the
-bit level.
+Only selected active tetrads (weight and hinge both strictly positive)
+carry gradient. When the selected tetrads are few against n x n
+(SCATTER_MAX_SHARE), the gradient adds the active ones among them one by
+one with np.bincount, in flat tetrad order, and allocates no n x n array;
+otherwise it multiplies a dense n x n coefficient matrix by the
+embeddings. The selected count picks the path, so both pass forms, and a
+set with its zero-weight tetrads removed, give the same gradient bits.
+
+All reductions are whole-array numpy reductions or np.bincount sums in a
+fixed order, and the gradient's matrix products are einsum loops, never
+BLAS, so objective and gradient values are identical across runs and BLAS
+thread counts. The weighted loss sums the products of the strictly
+positive weights in flat tetrad order; group masses add each group's
+weights in index order. Tetrads with zero weight therefore cannot perturb
+either value even at the bit level.
 """
 
 from __future__ import annotations
@@ -56,6 +64,21 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 # d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
 # is always dense.
 GATHER_MAX_SHARE = 0.25
+# The gradient scatter-adds its selected active tetrads (v > 0, positive hinge)
+# when the selected ones are fewer than this share of the n x n entries, and
+# otherwise builds the dense coefficient matrix C. Dense costs the same at any
+# share and scattering grows with the active count. Measured at d = 10 on a
+# 2-vCPU Xeon share (numpy 2.4, one BLAS thread), both directions, shares
+# 0.1 / 0.2 / 0.3 of n^2 selected: with every selected hinge active, scattering
+# took 0.3-0.5x / 0.7-1.15x / 1.0-1.7x the dense time at n = 600 and 2000, raw
+# and cosine; with 55-85% of them active (margin 0.1), 0.25-0.35x / 0.4-0.65x /
+# 0.6-0.9x. train-sampled-sym's first W-step (12,085 selected active tetrads
+# against 600 x 600) took 10-16 ms and a 6.1 MB tracemalloc peak dense, 2.5-3.5
+# ms and 1.3 MB scattered; a full symmetric set at n = 2000 with half its
+# weights positive took 220-300 ms and 100 MB dense, 460-780 ms and 180-275 MB
+# scattered. So the limit sits at the all-active crossover, and dense
+# selections, a full set's among them, stay dense.
+SCATTER_MAX_SHARE = 0.2
 
 
 @dataclass
@@ -143,13 +166,36 @@ def _scatter(values: np.ndarray, tetrads: TetradSet) -> np.ndarray:
     return M
 
 
-def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) -> np.ndarray:
-    """A fresh array of (S_kj - S_kk) + margin for every tetrad in direction, read from the pass."""
-    # repeated over the group sizes: flat_queries would cache n(n-1) int64 for a full set
-    args = np.repeat(fwd.aligned, np.diff(tetrads.offsets))
-    np.subtract(fwd.tetrad_scores(tetrads, direction), args, out=args)
+def _hinge(aligned: np.ndarray, sizes: np.ndarray, scores: np.ndarray, margin: float) -> np.ndarray:
+    """A fresh array of (S_kj - S_kk) + margin, for scores listing sizes[k] tetrads of each query k in turn."""
+    # S_kk repeated over the group sizes: flat_queries would cache n(n-1) int64 for a full set
+    args = np.repeat(aligned, sizes)
+    np.subtract(scores, args, out=args)
     args += margin
     return args
+
+
+def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) -> np.ndarray:
+    """A fresh array of (S_kj - S_kk) + margin for every tetrad in direction, read from the pass."""
+    return _hinge(fwd.aligned, np.diff(tetrads.offsets), fwd.tetrad_scores(tetrads, direction), margin)
+
+
+def _selected_active(fwd: Pass, block: Block, margin: float):
+    """The block's tetrads with v > 0 and a positive hinge, in flat tetrad order.
+
+    Returns (queries, negatives, v, S_kj), queries as rows. Only
+    v.positive_index is read, and the hinge is _hinge_args' at those
+    tetrads, so a set with its zero-weight tetrads removed gives the same
+    arrays. Each list's queries are repeated over per-group counts found
+    by np.searchsorted, so no index over the whole set is built.
+    """
+    offsets = block.tetrads.offsets
+    sel = block.v.positive_index
+    scores = fwd.tetrad_scores(block.tetrads, block.direction)[sel]
+    kept = np.flatnonzero(_hinge(fwd.aligned, np.diff(np.searchsorted(sel, offsets)), scores, margin) > 0.0)
+    pos = sel[kept]
+    queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, offsets)))
+    return queries, block.tetrads.negatives[pos], block.v.values[pos], scores[kept]
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -287,6 +333,83 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
+def _dense_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.ndarray, B: np.ndarray, normalized: bool):
+    """(s, C B, C^T A, row sums of C * S, column sums of C * S) through the dense n x n matrix C.
+
+    Each block's coefficients, its weights where the hinge is active and
+    +0.0 elsewhere, with its queries as rows, add their row sums into s and
+    themselves (a t2i block's transposed) into one image-row C. The cosine
+    term's C * S multiplies C's off-diagonal view by a full block's scores
+    in place, or, with no full block, forms the product at each tetrad's
+    entry. The sums of C * S are None for raw scores.
+    """
+    C = s = None
+    for b in blocks:
+        active = _hinge_args(fwd, b.tetrads, b.direction, margin) > 0.0
+        Cb = _scatter(np.where(active, b.v.values, 0.0), b.tetrads)
+        if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
+            s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
+        else:
+            s += Cb.sum(axis=1)
+            C += query_scores(Cb, b.direction)
+    del Cb
+
+    # products are einsum loops, not BLAS: a threaded BLAS splits them by
+    # thread count, which would change the gradient's bits
+    CB = np.einsum("kj,jl->kl", C, B)
+    CtA = np.einsum("kj,kl->jl", C, A)
+    if not normalized:
+        return s, CB, CtA, None, None
+    # C * S is the dense product bit for bit: off the tetrads C is +0.0
+    # and S > 0. Both sums of it run along contiguous rows, so a t2i
+    # block gives the same bits as its swapped i2t problem.
+    full = next((b for b in blocks if b.tetrads.is_full), None)
+    if full is not None:  # its tetrads are every off-diagonal entry, and C's diagonal is +0.0
+        CS = np.ascontiguousarray(query_scores(C, full.direction))  # C itself, or a copy in full's query rows
+        off = _off_diagonal(CS)
+        off *= fwd.tetrad_scores(full.tetrads, full.direction).reshape(off.shape)
+        CS = query_scores(CS, full.direction)
+    else:
+        CS = np.zeros_like(C, order="C")
+        for b in blocks:
+            rows, cols = _tetrad_pairs(b.tetrads, b.direction)
+            CS[rows, cols] = C[rows, cols] * fwd.tetrad_scores(b.tetrads, b.direction)
+    del C
+    return s, CB, CtA, np.ascontiguousarray(CS).sum(axis=1), np.ascontiguousarray(CS.T).sum(axis=1)
+
+
+def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """out[i] = the sum of w[t] * E[other[t]] over index[t] == i: C E without C, one np.bincount per column."""
+    out = np.empty(E.shape)
+    for l, column in enumerate(np.ascontiguousarray(E.T)):
+        out[:, l] = np.bincount(index, weights=w * column[other], minlength=len(out))
+    return out
+
+
+def _scattered_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.ndarray, B: np.ndarray,
+                     normalized: bool):
+    """_dense_terms' values without an n x n array, added over the selected active tetrads alone.
+
+    Every block's tetrads are listed (_selected_active) in block order,
+    then flat tetrad order; a t2i tetrad (query k, negative j) lands on
+    image row j and text column k. Each sum is one np.bincount per output
+    column, which adds an entry's terms in that order.
+    """
+    n = A.shape[0]
+    lists = []
+    for b in blocks:
+        q, j, w, sc = _selected_active(fwd, b, margin)
+        lists.append((q, *query_pairs(q, j, b.direction), w, sc))
+    queries, rows, cols, w, scores = (np.concatenate(parts) for parts in zip(*lists))
+    s = np.bincount(queries, weights=w, minlength=n)
+    CB = _scattered_product(rows, cols, w, B)
+    CtA = _scattered_product(cols, rows, w, A)
+    if not normalized:
+        return s, CB, CtA, None, None
+    ws = w * scores
+    return s, CB, CtA, np.bincount(rows, weights=ws, minlength=n), np.bincount(cols, weights=ws, minlength=n)
+
+
 def grad_loss_term(
     params: EmbeddingParams,
     dataset: Dataset,
@@ -298,14 +421,22 @@ def grad_loss_term(
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
     fwd is the forward pass at params for these blocks; it is computed when
-    not given. A tetrad contributes iff its hinge argument is strictly
-    positive. Each block's coefficient matrix, with its queries as rows, adds
-    its row sums into s and itself (a t2i block's transposed) into one
-    image-row C; then sum C_kj S_kj - sum s_k S_kk is backpropagated once,
-    through the sigmoid (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2.
-    The cosine term's C * S multiplies C's off-diagonal view by a full
-    block's scores in place, or, with no full block, forms the product at
-    each tetrad's entry.
+    not given. A tetrad contributes iff its weight and its hinge argument
+    are strictly positive: it is selected and active. With C the image-row
+    matrix of those tetrads' weights (a t2i tetrad (query k, negative j)
+    sits at row j, column k) and s its per-query sums, sum C_kj S_kj -
+    sum s_k S_kk is backpropagated once, through the sigmoid
+    (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2. A and B are the
+    image and text embeddings, divided by their norms for cosine scores.
+
+    When the selected tetrads (v > 0) are fewer than SCATTER_MAX_SHARE of
+    n^2, C B, C^T A, s and the cosine term's sums of C * S are added over
+    the selected active ones alone with np.bincount (_scattered_terms): no
+    n x n array. Else they go through the dense C with einsum
+    (_dense_terms). The two paths add in different orders, so their bits
+    differ, but the selected count alone picks the path: the dense and
+    gathered pass forms, and a set with its zero-weight tetrads removed,
+    take the same path and give the same bits.
     """
     for b in blocks:
         _check_aligned(b.tetrads, b.v)
@@ -314,45 +445,22 @@ def grad_loss_term(
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
     fwd = fwd or forward_pass(params, dataset, blocks, normalized)
     H, G = fwd.H, fwd.G
+    n = dataset.n
 
-    C = s = None
-    for b in blocks:
-        active = _hinge_args(fwd, b.tetrads, b.direction, cfg.margin) > 0.0
-        Cb = _scatter(np.where(active, b.v.values, 0.0), b.tetrads)
-        if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
-            s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
-        else:
-            s += Cb.sum(axis=1)
-            C += query_scores(Cb, b.direction)
-    del Cb
-
-    # products are einsum loops, not BLAS: a threaded BLAS splits them by
-    # thread count, which would change the gradient's bits
     if normalized:
         nh, ng = _row_norms(H), _row_norms(G)
         A, B = H / nh[:, None], G / ng[:, None]
     else:
         A, B = H, G
-    dH_pre = np.einsum("kj,jl->kl", C, B) - s[:, None] * B
-    dG_pre = np.einsum("kj,kl->jl", C, A) - s[:, None] * A
+    # the selected count, not the active one: it is known before any hinge is read
+    scattered = sum(len(b.v.positive_index) for b in blocks) < SCATTER_MAX_SHARE * n * n
+    terms = _scattered_terms if scattered else _dense_terms
+    s, CB, CtA, cs_rows, cs_cols = terms(fwd, blocks, cfg.margin, A, B, normalized)
+    dH_pre = CB - s[:, None] * B
+    dG_pre = CtA - s[:, None] * A
     if normalized:
-        # C * S is the dense product bit for bit: off the tetrads C is +0.0
-        # and S > 0. Both sums of it run along contiguous rows, so a t2i
-        # block gives the same bits as its swapped i2t problem.
-        full = next((b for b in blocks if b.tetrads.is_full), None)
-        if full is not None:  # its tetrads are every off-diagonal entry, and C's diagonal is +0.0
-            CS = np.ascontiguousarray(query_scores(C, full.direction))  # C itself, or a copy in full's query rows
-            off = _off_diagonal(CS)
-            off *= fwd.tetrad_scores(full.tetrads, full.direction).reshape(off.shape)
-            CS = query_scores(CS, full.direction)
-        else:
-            CS = np.zeros_like(C, order="C")
-            for b in blocks:
-                rows, cols = _tetrad_pairs(b.tetrads, b.direction)
-                CS[rows, cols] = C[rows, cols] * fwd.tetrad_scores(b.tetrads, b.direction)
-        del C
-        w_h = (np.ascontiguousarray(CS).sum(axis=1) - s * fwd.aligned) / (nh * nh)
-        w_g = (np.ascontiguousarray(CS.T).sum(axis=1) - s * fwd.aligned) / (ng * ng)
+        w_h = (cs_rows - s * fwd.aligned) / (nh * nh)
+        w_g = (cs_cols - s * fwd.aligned) / (ng * ng)
         dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H
         dG_pre = dG_pre / ng[:, None] - w_g[:, None] * G
 

@@ -10,7 +10,7 @@ import pytest
 
 import pacedrank
 
-from pacedrank import embed, loss
+from pacedrank import embed, loss, trainer
 from pacedrank.core import (
     Dataset,
     EmbeddingParams,
@@ -573,12 +573,13 @@ def layout_dataset(rng, n, layout):
     return Dataset(images, texts)
 
 
-def sampled_blocks(rng, dataset, m, directions):
+def sampled_blocks(rng, dataset, m, directions, zero_share=0.2):
+    """One block per direction over its own tetrad set (the full set for m=None), weights zeroed at rate zero_share."""
     blocks = []
     for i, direction in enumerate(directions):
         tetrads = build_tetrads(dataset, m, i)
         values = rng.uniform(size=tetrads.total)
-        values[rng.uniform(size=tetrads.total) < 0.2] = 0.0
+        values[rng.uniform(size=tetrads.total) < zero_share] = 0.0
         blocks.append(Block(tetrads, direction, ImportanceVector(values, tetrads.offsets)))
     return blocks
 
@@ -654,3 +655,140 @@ class TestGatheredPass:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 8
+
+
+def gradient_and_path(*args):
+    """grad_loss_term(*args), and which terms it took: "_scattered_terms" or "_dense_terms"."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_dense_terms", "_scattered_terms"):
+            def spy(*a, _real=getattr(loss, name), _name=name):
+                taken.append(_name)
+                return _real(*a)
+
+            mp.setattr(loss, name, spy)
+        grad = grad_loss_term(*args)
+    assert len(taken) == 1
+    return grad, taken[0]
+
+
+def selected_active_count(params, dataset, blocks, cfg, normalized=False):
+    losses = block_losses(params, dataset, blocks, cfg, normalized)
+    return sum(int(np.count_nonzero((x.values > 0.0) & (b.v.values > 0.0))) for x, b in zip(losses, blocks))
+
+
+class TestScatteredGradient:
+    """Few selected active tetrads against n^2: the gradient is scatter-added with np.bincount, no n x n matrix."""
+
+    # (n, negatives per query or None for the full set, share of zero weights)
+    @pytest.mark.parametrize("n, m, zero_share", [
+        (13, 1, 0.0), (40, 3, 0.2), (150, 8, 0.2), (600, 16, 0.5), (30, None, 0.9),
+    ])
+    @pytest.mark.parametrize("directions", [("i2t",), ("t2i",), ("i2t", "t2i")], ids=["i2t", "t2i", "both"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_equals_dense_reference(self, n, m, zero_share, directions, normalized):
+        rng = np.random.default_rng(n + len(directions))
+        dataset = random_dataset(rng, n=n, p=6, q=5)
+        params = random_params(rng, d=4, p=6, q=5)
+        blocks = sampled_blocks(rng, dataset, m, directions, zero_share)
+        cfg = LossConfig(margin=0.1)
+        grad, path = gradient_and_path(params, dataset, blocks, cfg, normalized)
+        assert path == "_scattered_terms"
+        assert selected_active_count(params, dataset, blocks, cfg, normalized) > 0
+        _, want_grad = dense_reference(params, dataset, blocks, cfg, normalized)
+        for got, want in zip(grad.arrays, want_grad):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
+    def test_path_choice_on_each_side_of_the_constant(self, directions):
+        # the count of positive weights picks the path, however many hinges are active
+        rng = np.random.default_rng(5)
+        n = 40
+        dataset = random_dataset(rng, n=n, p=5, q=4)
+        params = random_params(rng)
+        cfg = LossConfig(margin=0.1)
+        limit = math.ceil(loss.SCATTER_MAX_SHARE * n * n)
+        for count, want in ((limit - 1, "_scattered_terms"), (limit, "_dense_terms")):
+            blocks = sampled_blocks(rng, dataset, None, directions, 1.0)
+            for i in rng.permutation(len(blocks) * (n * (n - 1)))[:count]:
+                b = blocks[i % len(blocks)]
+                values = b.v.values.copy()
+                values[i // len(blocks)] = rng.uniform(0.5, 1.0)
+                b.v = ImportanceVector(values, b.v.offsets)
+            assert sum(len(b.v.positive_index) for b in blocks) == count
+            assert gradient_and_path(params, dataset, blocks, cfg)[1] == want
+
+    @pytest.mark.parametrize("m", [None, 6])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_zero_weight_and_inactive_tetrads_are_never_read(self, m, normalized):
+        rng = np.random.default_rng(21)
+        dataset = random_dataset(rng, n=30, p=5, q=4)
+        params = random_params(rng)
+        blocks = sampled_blocks(rng, dataset, m, ("i2t", "t2i"), 0.95)
+        cfg = LossConfig(margin=0.0)  # about half the hinges are active, raw or cosine
+        fwd = forward_pass(params, dataset, blocks, normalized)
+        grad, path = gradient_and_path(params, dataset, blocks, cfg, normalized, fwd)
+        assert path == "_scattered_terms"
+
+        # infinite scores at the zero-weight tetrads (read, they would be
+        # active, and 0 * inf is NaN in the cosine sums), and new positive
+        # weights at the selected inactive ones, leave the gradient's bits alone
+        poisoned, reweighted, pruned = [], [], []
+        for b in blocks:
+            scores = fwd.tetrad_scores(b.tetrads, b.direction).copy()
+            scores[b.v.values == 0.0] = np.inf
+            poisoned.append((b.tetrads, b.direction, scores))
+            hinges = all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd).values
+            values = np.where((hinges > 0.0) | (b.v.values == 0.0), b.v.values,
+                              rng.uniform(0.5, 1.0, size=b.tetrads.total))
+            reweighted.append(Block(b.tetrads, b.direction, ImportanceVector(values, b.v.offsets)))
+            kept = (hinges > 0.0) & (b.v.values > 0.0)
+            counts = np.bincount(b.tetrads.flat_queries[kept], minlength=b.tetrads.n)
+            tetrads = TetradSet(b.tetrads.n, np.concatenate([[0], np.cumsum(counts)]), b.tetrads.negatives[kept])
+            pruned.append(Block(tetrads, b.direction, ImportanceVector(b.v.values[kept], tetrads.offsets)))
+        assert any(not np.array_equal(r.v.values, b.v.values) for r, b in zip(reweighted, blocks))
+        poisoned_fwd = loss.Pass(fwd.H, fwd.G, fwd.aligned, tuple(poisoned))
+        want = [a.tobytes() for a in grad.arrays]
+        for args in (
+            (params, dataset, blocks, cfg, normalized, poisoned_fwd),
+            (params, dataset, reweighted, cfg, normalized),
+            (params, dataset, pruned, cfg, normalized),  # only the selected active tetrads
+        ):
+            got, path = gradient_and_path(*args)
+            assert path == "_scattered_terms"
+            assert [a.tobytes() for a in got.arrays] == want
+
+    @pytest.mark.parametrize("zero_share, path", [(0.95, "_scattered_terms"), (0.0, "_dense_terms")])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_full_set_gradient_builds_no_per_tetrad_index(self, zero_share, path, normalized):
+        # a cached group_ids or flat_queries would hold n(n-1) int64 entries
+        rng = np.random.default_rng(44)
+        dataset = random_dataset(rng, n=30, p=5, q=4)
+        params = random_params(rng)
+        blocks = sampled_blocks(rng, dataset, None, ("i2t", "t2i"), zero_share)
+        assert gradient_and_path(params, dataset, blocks, LossConfig(margin=0.3), normalized)[1] == path
+        for b in blocks:
+            assert "group_ids" not in b.v.__dict__
+            assert "flat_queries" not in b.tetrads.__dict__
+
+    def test_auto_sampled_gradient_memory_is_below_one_score_matrix(self):
+        # train's auto-sampled set at n = 10,000: 400 negatives per query,
+        # 4 M tetrads, about half of them weighted
+        rng = np.random.default_rng(15)
+        n = 10_000
+        m = trainer._auto_sample(trainer.TrainConfig(), n)
+        assert m == 400
+        dataset = random_dataset(rng, n=n, p=8, q=8)
+        params = random_params(rng, d=10, p=8, q=8)
+        blocks = sampled_blocks(rng, dataset, m, ("i2t",), 0.5)
+        cfg = LossConfig(margin=0.1)
+        tracemalloc.start()
+        try:
+            fwd = forward_pass(params, dataset, blocks, normalized=True)
+            smooth_part(params, blocks, block_losses(params, dataset, blocks, cfg, True, fwd))
+            _, path = gradient_and_path(params, dataset, blocks, cfg, True, fwd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path == "_scattered_terms"
+        assert peak < n * n * 8
