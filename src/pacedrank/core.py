@@ -204,7 +204,7 @@ def _group_ids(offsets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TetradSet:
-    """Every tetrad, flat: query k's negatives are negatives[offsets[k]:offsets[k + 1]].
+    """Every tetrad, flat: query k's negatives are negatives[offsets[k]:offsets[k + 1]], strictly ascending.
 
     The order label is always +1 (the aligned item must outrank the
     negative), so a tetrad is stored as its (query, negative) pair.
@@ -230,6 +230,13 @@ class TetradSet:
         # and _selected_active, which finds the queries of the tetrads it lists alone)
         if (negatives == _group_ids(offsets)).any():
             raise ConfigInvalid("negative index must differ from the query index")
+        # a (query, negative) pair listed twice would count twice in the loss but once in the
+        # dense gradient's coefficient matrix. Across a group boundary the negatives may fall.
+        ascending = np.diff(negatives) > 0
+        ends = offsets[1:-1]
+        ascending[ends[(ends > 0) & (ends < len(negatives))] - 1] = True
+        if not ascending.all():
+            raise ConfigInvalid("negatives must be strictly ascending within each query's group")
 
     @property
     def total(self) -> int:
@@ -239,19 +246,15 @@ class TetradSet:
     def flat_queries(self) -> np.ndarray:
         return _group_ids(self.offsets)
 
-    @cached_property
+    @property
     def is_full(self) -> bool:
         """Whether this is build_tetrads' full set: every j != k for query k, ascending.
 
         Its tetrads are then the off-diagonal entries of an n x n matrix in
-        row-major order.
+        row-major order. A group holds at most n - 1 distinct ascending
+        negatives, so n(n - 1) tetrads can only be that set.
         """
-        n = self.n
-        return (
-            self.total == n * (n - 1)
-            and np.array_equal(self.offsets, np.arange(n + 1) * (n - 1))
-            and np.array_equal(self.negatives, _all_negatives(n).reshape(-1))
-        )
+        return self.total == self.n * (self.n - 1)
 
 
 def _all_negatives(n: int) -> np.ndarray:
@@ -326,18 +329,28 @@ class GroupedVector:
         return self.values[int(self.offsets[k]) : int(self.offsets[k + 1])]
 
     @cached_property
-    def group_ids(self) -> np.ndarray:
-        return _group_ids(self.offsets)
-
-    @cached_property
     def positive_index(self) -> np.ndarray:
         """Flat positions of the strictly positive values, ascending."""
         return _frozen_array(np.flatnonzero(self.values > 0.0), dtype=np.int64)
 
-    def group_sums(self) -> np.ndarray:
-        """Per-group sums, each added in index order; zeros and empty groups add 0."""
-        sums = np.bincount(self.group_ids, weights=self.values, minlength=self.n_groups)
-        return sums.astype(np.float64, copy=False)  # bincount gives ints when values is empty
+    def positive_counts(self) -> np.ndarray:
+        """Per-group number of strictly positive values."""
+        return np.diff(np.searchsorted(self.positive_index, self.offsets))
+
+    def group_sums(self, factor: Optional["GroupedVector"] = None) -> np.ndarray:
+        """Per-group sums of the strictly positive values, or of their products with factor's values.
+
+        Only positive_index is read, with each entry's group from
+        positive_counts: no index over every value is built. Each group adds
+        its terms in index order, so for nonnegative values (losses, weights)
+        these are the bits of the sums over every value, to which a zero adds
+        exact +0.0. Empty groups sum to 0.
+        """
+        sel = self.positive_index
+        terms = self.values[sel] if factor is None else self.values[sel] * factor.values[sel]
+        groups = np.repeat(np.arange(self.n_groups), self.positive_counts())
+        sums = np.bincount(groups, weights=terms, minlength=self.n_groups)
+        return sums.astype(np.float64, copy=False)  # bincount gives ints when there are no terms
 
 
 class ImportanceVector(GroupedVector):

@@ -29,6 +29,12 @@ otherwise it multiplies a dense n x n coefficient matrix by the
 embeddings. The selected count picks the path, so both pass forms, and a
 set with its zero-weight tetrads removed, give the same gradient bits.
 
+A line-search trial can be rejected from part of its value: the ridge plus
+the weighted hinges of any queries bound the smooth part from below.
+prefix_rejects scores the queries heaviest at the current point
+(heaviest_queries) in nested prefixes of rows of the dense score matrix,
+and rejects once that bound, less a slack for rounding, exceeds the bound.
+
 All reductions are whole-array numpy reductions or np.bincount sums in a
 fixed order, and the gradient's matrix products are einsum loops, never
 BLAS, so objective and gradient values are identical across runs and BLAS
@@ -41,7 +47,7 @@ either value even at the bit level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +60,7 @@ from .core import (
     PacingState,
     TetradSet,
 )
-from .embed import _row_norms, forward, query_pairs, query_scores
+from .embed import _row_norms, embed_images, embed_texts, forward, inner_scores, query_pairs, query_scores
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
@@ -79,6 +85,10 @@ GATHER_MAX_SHARE = 0.25
 # scattered. So the limit sits at the all-active crossover, and dense
 # selections, a full set's among them, stay dense.
 SCATTER_MAX_SHARE = 0.2
+# prefix_rejects scores these nested shares of the queries, heaviest first, in turn.
+# On train-full (n = 300) a rejected line-search trial needed the top 0.3% / 1.8% /
+# 33% of queries by weighted loss at its 10th / 50th / 90th percentile.
+PREFIX_SHARES = (1 / 64, 1 / 16, 1 / 4)
 
 
 @dataclass
@@ -118,6 +128,11 @@ def _tetrad_pairs(tetrads: TetradSet, direction: str):
     return query_pairs(tetrads.flat_queries, tetrads.negatives, direction)
 
 
+def dense_pass(n: int, blocks: Sequence[Block]) -> bool:
+    """Whether forward_pass scores these blocks through the n x n matrix: they hold GATHER_MAX_SHARE of it."""
+    return sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n
+
+
 def forward_pass(
     params: EmbeddingParams, dataset: Dataset, blocks: Sequence[Block], normalized: bool = False
 ) -> Pass:
@@ -127,7 +142,7 @@ def forward_pass(
     scores and each block's entries from the n x n matrix, then drops it.
     """
     n = dataset.n
-    if sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n:
+    if dense_pass(n, blocks):
         H, G, S = forward(params, dataset, normalized)
         aligned = np.diagonal(S).copy()
         scores = [_entries(query_scores(S, b.direction), b.tetrads) for b in blocks]
@@ -314,6 +329,115 @@ def with_penalties(smooth: float, blocks: Sequence[Block], pacing: PacingState) 
     for b in blocks:
         total += selection_penalty(b.v, pacing)
     return total
+
+
+@dataclass(frozen=True)
+class QueryPrefix:
+    """A block's queries by weighted loss, heaviest first, as far as the largest prefix share reads.
+
+    counts[i] is the number of selected tetrads (v > 0) of queries[i], and
+    ends[i] that of queries[:i]; negatives and weights list those tetrads
+    query after query, each group in flat tetrad order.
+    """
+
+    queries: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray
+    negatives: np.ndarray
+    weights: np.ndarray
+
+
+def heaviest_queries(block: Block, losses: GroupedVector) -> QueryPrefix:
+    """The block's QueryPrefix at the point where losses were evaluated: the order per-query v * loss gives.
+
+    A stable sort keeps equal queries in index order. Only v.positive_index
+    is read, so no index over the whole set is built.
+    """
+    queries = np.argsort(-block.v.group_sums(losses), kind="stable")[: int(PREFIX_SHARES[-1] * block.tetrads.n)]
+    sel = block.v.positive_index
+    starts = np.searchsorted(sel, block.tetrads.offsets)
+    counts = starts[queries + 1] - starts[queries]
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    pos = sel[np.arange(ends[-1]) + np.repeat(starts[queries] - ends[:-1], counts)]
+    return QueryPrefix(queries, counts, ends, block.tetrads.negatives[pos], block.v.values[pos])
+
+
+def _query_rows(H: np.ndarray, G: np.ndarray, norms, direction: str, queries: np.ndarray) -> np.ndarray:
+    """query_scores(S, direction)[queries] bit for bit, from forward's embeddings and, for cosine scores, their norms.
+
+    Each row is scored by the same einsum loop as in S (image rows against
+    G for i2t, text rows against H for t2i), and a cosine score is divided
+    by the same product of two norms.
+    """
+    Q, E = (H, G) if direction == "i2t" else (G, H)
+    R = inner_scores(Q[queries], E)
+    if norms is not None:
+        nq, ne = norms if direction == "i2t" else norms[::-1]
+        R /= np.outer(nq[queries], ne)
+    return R
+
+
+def _prefix_terms(R: np.ndarray, prefix: QueryPrefix, lo: int, hi: int, margin: float) -> float:
+    """The sum of v * loss over the selected tetrads of prefix.queries[lo:hi], whose score rows R holds.
+
+    Each hinge and product is computed as all_losses and weighted_sum_from
+    compute it; only their sum runs in another order.
+    """
+    queries, counts, listed = prefix.queries[lo:hi], prefix.counts[lo:hi], slice(prefix.ends[lo], prefix.ends[hi])
+    rows = np.repeat(np.arange(hi - lo), counts)
+    hinges = _hinge(R[np.arange(hi - lo), queries], counts, R[rows, prefix.negatives[listed]], margin)
+    np.maximum(0.0, hinges, out=hinges)
+    return float(np.sum(prefix.weights[listed] * hinges))
+
+
+def prefix_rejects(
+    params: EmbeddingParams,
+    dataset: Dataset,
+    blocks: Sequence[Block],
+    cfg: LossConfig,
+    normalized: bool,
+    prefixes: Callable[[], Sequence[QueryPrefix]],
+    bound: float,
+) -> bool:
+    """Whether smooth_part at params surely exceeds bound, shown by a prefix of its nonnegative terms.
+
+    The ridge alone is the first, 0-row prefix: smooth_part adds
+    nonnegative terms to it, so a ridge above bound rejects exactly. Only
+    if it does not are prefixes() (one QueryPrefix per block) read and the
+    dataset embedded. Then for each share in PREFIX_SHARES, every block
+    scores its next queries from their rows of the dense score matrix, and
+    their weighted hinges join the lower bound. Blocks add their terms.
+    """
+    lb = ridge_value(params)
+    if lb > bound:
+        return True
+    # Rounding. smooth_part is a floating-point sum, in some order, of T nonnegative
+    # terms: the ridge and each block's v * loss products. lb sums, in another
+    # order, a subset of the same terms, equal bit for bit (its rows are S's, and
+    # each term is computed alike). A sum of at most T nonnegative terms lies
+    # within a factor 1 +- g of its exact value, g = (T-1)u / (1 - (T-1)u) <= T eps
+    # (u = eps / 2). So smooth_part >= exact (1 - g) >= exact lb (1 - g)
+    # >= lb (1 - g) / (1 + g) >= lb (1 - 2 T eps), and lb (1 - 4 T eps) > bound,
+    # whose factor and product round by about eps each, implies smooth_part >
+    # bound: value_fn's result would reject the trial too. A NaN or infinite lb,
+    # or one within the slack, decides nothing.
+    terms = 1 + sum(len(b.v.positive_index) for b in blocks)
+    scale = 1.0 - 4.0 * terms * np.finfo(np.float64).eps
+    plans = prefixes()
+    H, G = embed_images(params, dataset.images), embed_texts(params, dataset.texts)
+    norms = (_row_norms(H), _row_norms(G)) if normalized else None
+    done = 0
+    for share in PREFIX_SHARES:
+        rows = int(share * dataset.n)
+        if rows <= done:
+            continue
+        for b, plan in zip(blocks, plans):
+            R = _query_rows(H, G, norms, b.direction, plan.queries[done:rows])
+            lb += _prefix_terms(R, plan, done, rows, cfg.margin)
+        done = rows
+        if np.isfinite(lb) and lb * scale > bound:
+            return True
+    return False
 
 
 def objective(

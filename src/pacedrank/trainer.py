@@ -14,7 +14,12 @@ pass serves all blocks, the accepted line-search trial's pass serves the
 next gradient, and its losses are the losses the weight solve reads. The
 pass at a W-step's final params serves the next W-step's entry gradient,
 so no point is scored twice. A line-search trial whose ridge term alone
-fails the Armijo test is rejected unscored.
+fails the Armijo test is rejected unscored. When the passes are dense, a
+trial the ridge passes is next bounded below by the ridge plus the weighted
+hinges of its heaviest queries, scored in nested prefixes of n/64, n/16
+and n/4 rows, and rejected once that bound exceeds the Armijo bound beyond
+the rounding of both sums. A trial no prefix rejects gets the full pass, so
+every decision, and so every trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -61,8 +66,11 @@ from .loss import (
     Block,
     Pass,
     block_losses,
+    dense_pass,
     forward_pass,
     grad_params,
+    heaviest_queries,
+    prefix_rejects,
     ridge_value,
     smooth_part,
     with_penalties,
@@ -191,12 +199,17 @@ def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingPa
     return EmbeddingParams.from_arrays(W1, np.zeros(d), W2, np.zeros(d))
 
 
+def _ridge_floor(trial: EmbeddingParams, bound: float) -> bool:
+    return ridge_value(trial) > bound
+
+
 def line_search(
     params: EmbeddingParams,
     grad: EmbeddingParams,
     value_fn: Callable[[EmbeddingParams], float],
     current_value: float,
     cfg: TrainConfig,
+    rejects: Optional[Callable[[EmbeddingParams, float], bool]] = None,
 ) -> tuple[float, EmbeddingParams, float]:
     """Backtracking Armijo search along the negative gradient.
 
@@ -205,12 +218,18 @@ def line_search(
     no trial of MAX_BACKTRACKS does; callers treat step 0 as converged.
 
     value_fn is the smooth subproblem: ridge_value plus nonnegative terms,
-    added to the ridge in floating point. Such a sum is never below the
-    ridge, so a trial whose ridge alone exceeds the bound is rejected
-    without calling value_fn, with the same decision value_fn's result
-    would give. value_fn is called only for the other trials, and the
-    accepted trial is the last one it scores.
+    added to the ridge in floating point. Any part of such a sum bounds it
+    from below. rejects(trial, bound) tests such a lower bound and returns
+    True only when value_fn(trial) would exceed the Armijo bound; a
+    rejected trial is never scored, and its decision is the one value_fn's
+    result would give. The default is the ridge floor: the ridge alone,
+    which the sum is never below. loss.prefix_rejects also adds the
+    weighted hinges of the heaviest queries, and rejects only beyond a
+    slack that covers the rounding of both sums; a bound within the slack,
+    or a NaN, falls through to value_fn. value_fn is called only for the
+    other trials, and the accepted trial is the last one it scores.
     """
+    rejects = rejects or _ridge_floor
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
         return 0.0, params, current_value
@@ -218,7 +237,7 @@ def line_search(
     for _ in range(MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
         bound = current_value - cfg.sufficient_decrease * step * gnorm2
-        if not ridge_value(trial) > bound:
+        if not rejects(trial, bound):
             value = value_fn(trial)
             if np.isfinite(value) and value <= bound:
                 return step, trial, value
@@ -251,11 +270,29 @@ def optimize_W(
     next gradient. Returns the final params, the inner steps taken and the
     pass at the final params, or None when the last line search failed and
     that pass was dropped before it.
+
+    When the passes are dense and the losses at params are in hand, a trial
+    the ridge floor passes is first bounded from below by its heaviest
+    queries (loss.prefix_rejects): each block's queries ordered by their
+    weighted loss at params, built once per inner step, at its first check.
     """
     cfg.validate()
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
     last: dict = {}  # the latest trial's forward pass and per-block losses
+    in_hand = losses  # each block's losses at params, once known
+    plans: list = []  # each block's heaviest queries at params
+
+    def prefixes():
+        if not plans:
+            plans.extend(heaviest_queries(b, l) for b, l in zip(blocks, in_hand))
+        return plans
+
+    def prefix(trial, bound):
+        return prefix_rejects(trial, dataset, blocks, lcfg, normalized, prefixes, bound)
+
+    # a gathered pass costs about what the prefix does, and a trial that falls through pays both
+    dense = dense_pass(dataset.n, blocks)
 
     def value_fn(p):
         last.clear()  # keep at most one pass alive while a trial is scored
@@ -273,13 +310,15 @@ def optimize_W(
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
-        step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
+        rejects = prefix if dense and in_hand is not None else None
+        step, new_params, new_value = line_search(params, grad, value_fn, value, cfg, rejects)
         if step == 0.0:
             break
-        fwd = last["fwd"]
+        fwd, in_hand = last["fwd"], last["losses"]
         if losses is not None:
-            losses[:] = last["losses"]
+            losses[:] = in_hand
         last.clear()
+        plans.clear()
         rel = (value - new_value) / max(1.0, abs(value))
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
@@ -363,9 +402,7 @@ def train(
         if not (np.isfinite(obj_entry) and np.isfinite(obj_after_w) and np.isfinite(obj_after_v)):
             raise NonFiniteObjective(f"objective became non-finite at iteration {it}")
 
-        counts = np.concatenate(
-            [np.bincount(b.v.group_ids[b.v.values > 0.0], minlength=b.v.n_groups) for b in blocks]
-        )
+        counts = np.concatenate([b.v.positive_counts() for b in blocks])
         mass = float(sum(float(np.sum(b.v.values)) for b in blocks))
         val_map: Optional[float] = None
         if val_dataset is not None:

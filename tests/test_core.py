@@ -149,6 +149,17 @@ class TestTetrad:
         with pytest.raises(ConfigInvalid):
             TetradSet(2, [0, 1, 3], [1, 0])  # does not end at the number of negatives
 
+    def test_repeated_or_descending_negatives_rejected(self):
+        # query 0 lists negative 1 twice: the loss would count both copies, the dense
+        # gradient's coefficient matrix one
+        with pytest.raises(ConfigInvalid, match="strictly ascending"):
+            TetradSet(4, [0, 2, 3, 4, 5], [1, 1, 0, 0, 0])
+        with pytest.raises(ConfigInvalid, match="strictly ascending"):
+            TetradSet(4, [0, 2, 3, 4, 5], [2, 1, 0, 0, 0])
+        # negatives may fall across a group boundary, and groups may be empty
+        assert TetradSet(4, [0, 0, 2, 2, 5], [2, 3, 0, 1, 2]).total == 5
+        assert TetradSet(4, [0, 2, 2, 2, 2], [1, 3]).total == 2
+
 
 class TestGroupedVector:
     def test_group_views(self):
@@ -157,6 +168,28 @@ class TestGroupedVector:
         assert list(gv.group(0)) == [1.0, 2.0]
         assert list(gv.group(1)) == [3.0]
         assert list(gv.group_sums()) == [3.0, 3.0]
+
+    def test_group_sums_read_only_the_positive_values(self):
+        rng = np.random.default_rng(9)
+        tetrads = build_tetrads(validate_dataset(rng.standard_normal((12, 2)), rng.standard_normal((12, 2))), 5, 0)
+        sizes = np.diff(tetrads.offsets)
+        sizes[[0, 4, 5]] = 0  # empty groups, one of them first
+        values = rng.uniform(size=sizes.sum())
+        values[rng.uniform(size=values.size) < 0.4] = 0.0
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        v = ImportanceVector(values, offsets)
+        losses = GroupedVector(rng.uniform(size=values.size), offsets)
+        group = np.repeat(np.arange(12), sizes)
+        # bincount over every value adds the zeros as exact +0.0
+        assert v.group_sums().tobytes() == np.bincount(group, weights=values, minlength=12).tobytes()
+        assert v.group_sums(losses).tobytes() == np.bincount(
+            group, weights=values * losses.values, minlength=12
+        ).tobytes()
+        assert v.positive_counts().tolist() == np.bincount(group[values > 0.0], minlength=12).tolist()
+        assert "group_ids" not in dir(v)  # no per-value group index is kept
+        empty = ImportanceVector(np.zeros(0), np.zeros(3, dtype=int))
+        assert empty.group_sums().tolist() == [0.0, 0.0]
+        assert empty.group_sums().dtype == np.float64
 
     def test_offsets_validated(self):
         with pytest.raises(ConfigInvalid):

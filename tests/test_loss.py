@@ -21,19 +21,23 @@ from pacedrank.core import (
     build_tetrads,
     validate_dataset,
 )
-from pacedrank.embed import forward, query_scores, score_matrix
-from pacedrank.errors import AlignmentError, IndexOutOfRange
+from pacedrank.embed import _row_norms, forward, query_scores, score_matrix
+from pacedrank.errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     Block,
     _entries,
+    _prefix_terms,
+    _query_rows,
     _scatter,
     all_losses,
     block_losses,
     forward_pass,
     grad_loss_term,
     grad_params,
+    heaviest_queries,
     objective,
+    prefix_rejects,
     ridge_value,
     smooth_part,
     tetrad_loss,
@@ -419,12 +423,10 @@ def gathered_entries(M, tetrads):
     return M[tetrads.flat_queries, tetrads.negatives]
 
 
-def reversed_groups(tetrads):
-    """The same tetrads with each query's negatives listed in descending order."""
-    order = np.concatenate(
-        [np.arange(tetrads.offsets[k + 1] - 1, tetrads.offsets[k] - 1, -1) for k in range(tetrads.n)]
-    )
-    return TetradSet(tetrads.n, tetrads.offsets, tetrads.negatives[order]), order
+def without_first_negatives(tetrads):
+    """The tetrads less each query's first negative, a valid set that is not full, and the kept positions."""
+    kept = np.setdiff1d(np.arange(tetrads.total), tetrads.offsets[:-1])
+    return TetradSet(tetrads.n, tetrads.offsets - np.arange(tetrads.n + 1), tetrads.negatives[kept]), kept
 
 
 class TestFullSetPath:
@@ -443,21 +445,28 @@ class TestFullSetPath:
         assert _scatter(got, tetrads).tobytes() == (S - np.diag(np.diagonal(S))).tobytes()
 
     def test_non_canonical_full_size_set_gathers(self):
+        # a set of full size is always full now (TetradSet rejects repeated negatives),
+        # so the non-canonical set lacks one tetrad per group
         dataset, params, tetrads, v = random_instance(23, n=9)
-        shuffled, order = reversed_groups(tetrads)
-        assert shuffled.total == 9 * 8 and not shuffled.is_full
+        pruned, kept = without_first_negatives(tetrads)
+        assert pruned.total == 9 * 7 and not pruned.is_full
         S = forward(params, dataset)[2]
-        got = _entries(S, shuffled)
-        assert got.tobytes() == gathered_entries(S, shuffled).tobytes()
-        assert got.tobytes() == _entries(S, tetrads)[order].tobytes()
-        assert _scatter(got, shuffled).tobytes() == _scatter(_entries(S, tetrads), tetrads).tobytes()
+        got = _entries(S, pruned)
+        assert got.tobytes() == gathered_entries(S, pruned).tobytes()
+        assert got.tobytes() == _entries(S, tetrads)[kept].tobytes()
+        dropped_zero = np.zeros(tetrads.total)
+        dropped_zero[kept] = got
+        assert _scatter(got, pruned).tobytes() == _scatter(dropped_zero, tetrads).tobytes()
 
         # the gradient's strided scatter builds the same coefficient matrix as the gather
-        v_shuffled = ImportanceVector(v.values[order], v.offsets)
+        values = np.zeros(tetrads.total)
+        values[kept] = v.values[kept]
+        v_full = ImportanceVector(values, v.offsets)
+        v_pruned = ImportanceVector(v.values[kept], pruned.offsets)
         for direction in ("i2t", "t2i"):
-            g = grad_params(params, dataset, [Block(tetrads, direction, v)], LossConfig())
-            g_shuffled = grad_params(params, dataset, [Block(shuffled, direction, v_shuffled)], LossConfig())
-            for a, b in zip(g.arrays, g_shuffled.arrays):
+            g = grad_params(params, dataset, [Block(tetrads, direction, v_full)], LossConfig())
+            g_pruned = grad_params(params, dataset, [Block(pruned, direction, v_pruned)], LossConfig())
+            for a, b in zip(g.arrays, g_pruned.arrays):
                 assert a.tobytes() == b.tobytes()
 
     def test_other_layouts_are_not_full(self):
@@ -465,8 +474,10 @@ class TestFullSetPath:
         assert build_tetrads(dataset).is_full
         assert build_tetrads(dataset, m=4, seed=0).is_full  # sampling all n - 1 sorts them
         assert not build_tetrads(dataset, m=2, seed=0).is_full
-        # n(n-1) tetrads whose group sizes differ from n-1
-        assert not TetradSet(3, [0, 3, 4, 6], [1, 2, 1, 0, 0, 1]).is_full
+        # n(n-1) tetrads whose group sizes differ from n-1 must repeat a negative
+        with pytest.raises(ConfigInvalid):
+            TetradSet(3, [0, 3, 4, 6], [1, 2, 1, 0, 0, 1])
+        assert not without_first_negatives(build_tetrads(dataset))[0].is_full
 
     @pytest.mark.parametrize("weights", ["random", "zeros", "ones"])
     def test_weighted_sum_index_equals_mask_bitwise(self, weights):
@@ -792,3 +803,134 @@ class TestScatteredGradient:
             tracemalloc.stop()
         assert path == "_scattered_terms"
         assert peak < n * n * 8
+
+
+def heaviest_first(blocks, losses):
+    """Each block's heaviest queries, as the W-step builds them."""
+    plans = [heaviest_queries(b, x) for b, x in zip(blocks, losses)]
+    return lambda: plans
+
+
+def embedded(params, dataset, normalized):
+    """forward's embeddings H and G, and their norms for cosine scores."""
+    H, G = forward(params, dataset, normalized, [])[:2]
+    return H, G, (_row_norms(H), _row_norms(G)) if normalized else None
+
+
+def selected_positions(v, queries):
+    """Flat positions of the selected tetrads of these queries, query after query."""
+    return np.array([t for k in queries for t in range(v.offsets[k], v.offsets[k + 1]) if v.values[t] > 0.0],
+                    dtype=np.int64)
+
+
+def with_empty_groups(rng, tetrads, v):
+    """The tetrads and weights with every third query's group emptied and a random third of the rest dropped."""
+    kept = (rng.uniform(size=tetrads.total) > 0.3) & (tetrads.flat_queries % 3 != 0)
+    counts = np.bincount(tetrads.flat_queries[kept], minlength=tetrads.n)
+    pruned = TetradSet(tetrads.n, np.concatenate([[0], np.cumsum(counts)]), tetrads.negatives[kept])
+    return pruned, ImportanceVector(v.values[kept], pruned.offsets)
+
+
+class TestPrefixBound:
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_rows_equal_score_matrix_rows_bitwise(self, n, direction, normalized):
+        dataset, params, _, _ = random_instance(70 + n, n=n, p=20, q=20, d=10)
+        S = query_scores(forward(params, dataset, normalized)[2], direction)
+        H, G, norms = embedded(params, dataset, normalized)
+        order = np.random.default_rng(n).permutation(n)
+        for queries in (order[:1], order[: n // 4], order):
+            R = _query_rows(H, G, norms, direction, queries)
+            assert R.tobytes() == np.ascontiguousarray(S[queries]).tobytes()
+
+    @pytest.mark.parametrize("layout", ["full", "empty-groups"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    def test_terms_equal_weighted_loss_terms_bitwise(self, direction, normalized, layout):
+        rng = np.random.default_rng(71)
+        dataset, params, tetrads, v = random_instance(71, n=40)
+        values = v.values.copy()
+        values[rng.uniform(size=tetrads.total) < 0.3] = 0.0
+        v = ImportanceVector(values, tetrads.offsets)
+        if layout == "empty-groups":
+            tetrads, v = with_empty_groups(rng, tetrads, v)
+        block = Block(tetrads, direction, v)
+        cfg = LossConfig(margin=0.1)
+        losses = all_losses(params, dataset, tetrads, cfg, direction, normalized)
+        plan = heaviest_queries(block, losses)
+        assert len(plan.queries) == 10  # 40 / 4
+        # the order per-query v * loss gives, ties in index order
+        key = [float(np.sum(v.group(k) * losses.group(k))) for k in range(40)]
+        assert plan.queries.tolist() == sorted(range(40), key=lambda k: -key[k])[:10]
+        H, G, norms = embedded(params, dataset, normalized)
+        for lo, hi in ((0, 2), (2, 10), (0, 10)):
+            R = _query_rows(H, G, norms, direction, plan.queries[lo:hi])
+            pos = selected_positions(v, plan.queries[lo:hi])
+            want = float(np.sum(v.values[pos] * losses.values[pos]))
+            assert _prefix_terms(R, plan, lo, hi, cfg.margin) == want
+
+    @pytest.mark.parametrize("layout", ["full", "empty-groups"])
+    @pytest.mark.parametrize("directions", [("i2t",), ("t2i",), ("i2t", "t2i")], ids=["i2t", "t2i", "both"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_rejects_only_what_the_full_value_rejects(self, directions, normalized, layout):
+        rng = np.random.default_rng(72)
+        dataset, params, tetrads, v = random_instance(72, n=64)
+        if layout == "empty-groups":
+            tetrads, v = with_empty_groups(rng, tetrads, v)
+        blocks = [Block(tetrads, d, v) for d in directions]
+        cfg = LossConfig(margin=0.1)
+        losses = block_losses(params, dataset, blocks, cfg, normalized)
+        order = heaviest_first(blocks, losses)
+        value = smooth_part(params, blocks, losses)
+        ridge = ridge_value(params)
+        assert value > 2.0 * ridge
+        rejected = []
+        for share in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.5):
+            bound = ridge + share * (value - ridge)
+            rejected.append(prefix_rejects(params, dataset, blocks, cfg, normalized, order, bound))
+            assert not (rejected[-1] and value <= bound)
+        assert rejected[0] and not rejected[-2]  # a bound at the ridge falls to the first prefix
+
+    def test_bound_within_the_slack_falls_through(self):
+        # one weighted query: its prefix holds every term, so the bound equals the value
+        dataset, params, tetrads, v = random_instance(73, n=64)
+        values = np.zeros(tetrads.total)
+        values[tetrads.offsets[5]:tetrads.offsets[6]] = 0.5
+        blocks = [Block(tetrads, "i2t", ImportanceVector(values, tetrads.offsets))]
+        cfg = LossConfig(margin=0.1)
+        losses = block_losses(params, dataset, blocks, cfg)
+        order = heaviest_first(blocks, losses)
+        assert order()[0].queries[0] == 5  # the first prefix, 64 / 64 rows
+        value = smooth_part(params, blocks, losses)
+        assert value > 1.01 * ridge_value(params)
+        slack = 4.0 * (1 + 63) * np.finfo(np.float64).eps
+        for bound, rejects in ((np.nextafter(value, -np.inf), False), (value * (1.0 - slack / 2), False),
+                               (value * (1.0 - 2 * slack), True)):
+            assert value > bound
+            assert prefix_rejects(params, dataset, blocks, cfg, False, order, bound) == rejects
+
+    @pytest.mark.parametrize("case", ["nan-params", "infinite-hinge-sum"])
+    def test_non_finite_lower_bound_falls_through(self, case):
+        dataset, params, tetrads, v = random_instance(74, n=64)
+        cfg = LossConfig(margin=1e308 if case == "infinite-hinge-sum" else 0.1)
+        if case == "nan-params":
+            params = EmbeddingParams(params.W1 * np.nan, params.b1, params.W2, params.b2)
+        blocks = [Block(tetrads, "i2t", v)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = block_losses(params, dataset, blocks, cfg)
+            value = smooth_part(params, blocks, losses)
+            order = heaviest_first(blocks, losses)
+            assert not np.isfinite(value)
+            for bound in (1e10, 1e300):  # above the ridge, which alone rejects exactly
+                assert not prefix_rejects(params, dataset, blocks, cfg, False, order, bound)
+
+    def test_zero_weights_leave_the_ridge_floor(self):
+        dataset, params, tetrads, _ = random_instance(75, n=64)
+        blocks = [Block(tetrads, "i2t", ImportanceVector(np.zeros(tetrads.total), tetrads.offsets))]
+        cfg = LossConfig(margin=0.1)
+        order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg))
+        assert order()[0].queries.tolist() == list(range(16))  # every key is 0: index order
+        ridge = ridge_value(params)
+        for bound in (np.nextafter(ridge, -np.inf), ridge, ridge * 1.5):
+            assert prefix_rejects(params, dataset, blocks, cfg, False, order, bound) == (ridge > bound)

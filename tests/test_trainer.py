@@ -106,8 +106,8 @@ class TestOptimizeW:
         values, accepted = [], []  # each search's current value, then its accepted value
         real_search = trainer.line_search
 
-        def recording_search(params, grad, value_fn, current_value, cfg):
-            step, new_params, new_value = real_search(params, grad, value_fn, current_value, cfg)
+        def recording_search(params, grad, value_fn, current_value, cfg, rejects=None):
+            step, new_params, new_value = real_search(params, grad, value_fn, current_value, cfg, rejects)
             values.append(current_value)
             if step > 0.0:
                 values.append(new_value)
@@ -217,11 +217,11 @@ class TestSharedForwardPass:
             scored.append(H.shape)
             return real_scores(H, G)
 
-        def counting_search(params, grad, value_fn, current_value, cfg):
+        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
             def counted(p):
                 evals.append(p)
                 return value_fn(p)
-            return real_search(params, grad, counted, current_value, cfg)
+            return real_search(params, grad, counted, current_value, cfg, rejects)
 
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(embed, "inner_scores", counting_scores)
@@ -245,11 +245,11 @@ class TestSharedForwardPass:
             passes.append(params)
             return real_embed(params, X)
 
-        def counting_search(params, grad, value_fn, current_value, cfg):
+        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
             def counted(p):
                 evals.append(p)
                 return value_fn(p)
-            out = real_search(params, grad, counted, current_value, cfg)
+            out = real_search(params, grad, counted, current_value, cfg, rejects)
             steps.append(out[0])
             return out
 
@@ -334,16 +334,17 @@ class TestRidgeFloor:
         )
         scored, within, trials = [], [], []
 
-        def counting_search(params, grad, value_fn, current_value, cfg):
+        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
             def counted(p):
                 scored.append(params_bytes(p))
                 return value_fn(p)
+            # the ridge floor alone: the prefix test (TestPrefixFloor) is not passed on
             return line_search(params, grad, counted, current_value, cfg)
 
         monkeypatch.setattr(trainer, "line_search", counting_search)
         params, history = train(ds, cfg)
 
-        def floor_free(params, grad, value_fn, current_value, cfg):
+        def floor_free(params, grad, value_fn, current_value, cfg, rejects=None):
             def counted(p):
                 trials.append(p)
                 return value_fn(p)
@@ -390,6 +391,53 @@ class TestRidgeFloor:
         assert scored == within
         if case != "infinite-gnorm2":
             assert scored  # trials on or below the bound are scored
+
+
+PREFIX_MODES = {
+    "full-raw-i2t": ({}, True),
+    "full-cosine-sym": (dict(symmetric_tetrads=True, normalized_similarity=True), True),
+    # 40 x 12 tetrads at n = 40 are a share of 0.3 of the score matrix: a dense pass
+    "sampled-raw-i2t": (dict(sample_negatives=12), True),
+    # a gathered pass costs about what the prefix would, so no prefix runs
+    "sampled-sym-cosine": (SHARED_PASS_MODES["sampled-sym-cosine"], False),
+}
+
+
+class TestPrefixFloor:
+    @pytest.mark.parametrize("mode", PREFIX_MODES)
+    def test_train_equals_floor_free_bitwise(self, monkeypatch, mode):
+        ds = tiny_corpus(seed=2, n=40)
+        options, dense = PREFIX_MODES[mode]
+        cfg = TrainConfig(
+            embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, sufficient_decrease=0.1, **options
+        )
+        by_prefix, tests = [], []
+
+        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
+            tests.append(rejects)
+
+            def counted_rejects(trial, bound):
+                out = rejects(trial, bound)
+                if out and not ridge_value(trial) > bound:
+                    by_prefix.append(trial)
+                    assert not value_fn(trial) <= bound  # the decision value_fn's result gives
+                return out
+            return line_search(params, grad, value_fn, current_value, cfg, rejects and counted_rejects)
+
+        monkeypatch.setattr(trainer, "line_search", counting_search)
+        params, history = train(ds, cfg)
+
+        def floor_free(params, grad, value_fn, current_value, cfg, rejects=None):
+            return floor_free_line_search(params, grad, value_fn, current_value, cfg)
+
+        monkeypatch.setattr(trainer, "line_search", floor_free)
+        ref_params, ref_history = train(ds, cfg)
+        assert len(history) == 3
+        assert params_bytes(params) == params_bytes(ref_params)
+        assert history_rows(history) == history_rows(ref_history)
+        assert all((t is not None) == dense for t in tests)
+        if dense:
+            assert by_prefix  # not vacuous: some trial within the ridge floor was rejected unscored
 
 
 class TestTrain:
