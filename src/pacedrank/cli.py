@@ -52,6 +52,8 @@ def _load_json(path) -> dict:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config {path} is not UTF-8 text: {exc}") from exc
 
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:

@@ -72,42 +72,55 @@ def load_features(path) -> np.ndarray:
     """Parse a whitespace-separated feature file into an n x dim matrix.
 
     Lines starting with '#' and blank lines are skipped. The first data row
-    fixes the width. Errors report 1-based line and column positions.
+    fixes the width. Errors report 1-based line and column positions, and a
+    file with several faults reports the first in file order: within a line,
+    a wrong token count before its tokens, then tokens left to right.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
-    rows = []
+    values: list[float] = []
+    linenos: list[int] = []  # the line of each data row
     width = None
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
-            raise RaggedRows(
-                f"line {lineno}: expected {width} values, got {len(tokens)}"
-            )
-        row = np.empty(len(tokens))
-        for col, tok in enumerate(tokens, start=1):
-            try:
-                value = float(tok)
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {lineno}, column {col}: cannot parse {tok!r} as a real"
-                ) from exc
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"line {lineno}, column {col}: non-finite value {tok!r}")
-            row[col - 1] = value
-        rows.append(row)
-    if not rows:
+            _check_finite(np.array(values), width, linenos, lines)
+            raise RaggedRows(f"line {lineno}: expected {width} values, got {len(tokens)}")
+        linenos.append(lineno)
+        try:
+            values.extend(map(float, tokens))
+        except ValueError:
+            del values[(len(linenos) - 1) * width :]
+            for col, tok in enumerate(tokens, start=1):
+                try:
+                    values.append(float(tok))
+                except ValueError as exc:
+                    _check_finite(np.array(values), width, linenos, lines)
+                    raise ParseError(f"line {lineno}, column {col}: cannot parse {tok!r} as a real") from exc
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return np.vstack(rows)
+    matrix = np.array(values).reshape(len(linenos), width)
+    _check_finite(matrix.ravel(), width, linenos, lines)
+    return matrix
+
+
+def _check_finite(values: np.ndarray, width: int, linenos: list[int], lines: list[str]) -> None:
+    """Raise NonFiniteValue at the first non-finite of the flat row-major values, if any."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row, col = divmod(int(bad[0]), width)
+        tok = lines[linenos[row] - 1].split()[col]
+        raise NonFiniteValue(f"line {linenos[row]}, column {col + 1}: non-finite value {tok!r}")
 
 
 def save_features(path, matrix) -> None:

@@ -116,6 +116,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"output_dir": "r\xe9sum\xe9"}')
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not UTF-8 text")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         config = json.loads(path.read_text())
@@ -290,6 +298,18 @@ class TestEvalCommand:
         printed = capsys.readouterr().out.strip()
         lib = mean_ap(params, validate_dataset(images, texts), "i2t", 3, "by_r").mean
         assert printed == f"{lib:.4f}"
+
+    def test_non_utf8_feature_file_exits_one(self, tmp_path, capsys):
+        ckpt, imgs, txts = perfect_fixture(tmp_path)
+        imgs.write_bytes(imgs.read_bytes() + b"\xff 1 0 0\n")
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--images", str(imgs), "--texts", str(txts),
+             "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {imgs} is not UTF-8 text")
+        assert len(err.splitlines()) == 1
 
     def test_non_integer_cutoff_exits_one(self, tmp_path, capsys):
         ckpt, imgs, txts = perfect_fixture(tmp_path)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pacedrank import core
 from pacedrank.core import (
     EmbeddingParams,
     GroupedVector,
@@ -111,24 +114,105 @@ class TestBuildTetrads:
     @pytest.mark.parametrize(
         "n, m, seed",
         [(2, None, None), (7, None, None), (40, None, None)]
-        + [(n, m, seed) for n, m in ((2, 1), (7, 1), (7, 3), (7, 6), (40, 16), (40, 39)) for seed in (0, 1, 7)],
+        + [
+            (n, m, seed)
+            for n, m in ((2, 1), (7, 1), (7, 3), (7, 5), (7, 6), (40, 16), (40, 30), (40, 39))
+            for seed in (0, 1, 7)
+        ],
     )
     def test_matches_per_query_construction_bitwise(self, n, m, seed):
-        # the construction the flat layout replaced: one pool of the other
-        # items per query, drawn from with rng.choice and then sorted
-        rng = np.random.default_rng(seed)
-        groups = []
-        for k in range(n):
-            pool = np.concatenate([np.arange(k, dtype=np.int64), np.arange(k + 1, n, dtype=np.int64)])
-            if m is not None:
-                pool = rng.choice(pool, size=m, replace=False)
-                pool.sort()
-            groups.append(pool)
+        # a full set is one pool of the other items per query; a sampled one is
+        # each query's scalar Floyd draw from that pool
+        if m is None:
+            groups = [
+                np.concatenate([np.arange(k, dtype=np.int64), np.arange(k + 1, n, dtype=np.int64)])
+                for k in range(n)
+            ]
+        else:
+            groups = floyd_reference(n, m, seed, core.SAMPLE_CHUNK_BYTES)
         ds = validate_dataset(np.zeros((n, 1)), np.zeros((n, 1)))
         ts = build_tetrads(ds, m, seed)
         assert np.array_equal(ts.offsets, np.cumsum([0] + [len(g) for g in groups]))
         assert np.array_equal(ts.negatives, np.concatenate(groups))
         assert ts.negatives.dtype == np.int64
+
+    @pytest.mark.parametrize("m", [3, 16, 30, 39])
+    def test_matches_scalar_floyd_across_chunks(self, monkeypatch, m):
+        # 40 items: 5 bytes of map per row, so 2 rows a chunk and 20 chunks
+        monkeypatch.setattr(core, "SAMPLE_CHUNK_BYTES", 10)
+        ds = validate_dataset(np.zeros((40, 1)), np.zeros((40, 1)))
+        ts = build_tetrads(ds, m, 5)
+        assert np.array_equal(ts.negatives, np.concatenate(floyd_reference(40, m, 5, 10)))
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_sampled_negatives_are_uniform_and_ordered(self, m):
+        # each off-diagonal (query, item) pair is sampled with probability m / (n - 1)
+        n, seeds = 7, 2000
+        ds = validate_dataset(np.zeros((n, 1)), np.zeros((n, 1)))
+        counts = np.zeros((n, n))
+        for seed in range(seeds):
+            rows = build_tetrads(ds, m, seed).negatives.reshape(n, m)
+            assert (np.diff(rows, axis=1) > 0).all()
+            assert rows.min() >= 0 and rows.max() < n
+            assert not (rows == np.arange(n)[:, None]).any()
+            np.add.at(counts, (np.repeat(np.arange(n), m), rows.ravel()), 1)
+        p = m / (n - 1)
+        freq = counts[~np.eye(n, dtype=bool)] / seeds
+        assert (np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / seeds)).all()
+
+    def test_sampled_negatives_pinned(self):
+        # literal draws of numpy's Generator.integers stream: a numpy release that
+        # draws differently changes every sampled set, and fails here
+        ds = validate_dataset(np.zeros((600, 1)), np.zeros((600, 1)))
+        ts = build_tetrads(ds, 16, 0)
+        assert ts.negatives[:48].tolist() == [
+            19, 20, 107, 128, 129, 137, 277, 306, 343, 365, 385, 469, 496, 497, 528, 559,
+            4, 19, 29, 37, 40, 75, 98, 135, 181, 237, 333, 372, 389, 489, 525, 553,
+            3, 56, 146, 215, 236, 257, 290, 299, 319, 324, 337, 373, 382, 484, 496, 558,
+        ]
+        assert np.array_equal(ts.negatives, build_tetrads(ds, 16, 0).negatives)
+
+    def test_sampling_memory_is_bounded(self):
+        n, m = 10_000, 400
+        ds = validate_dataset(np.zeros((n, 1)), np.zeros((n, 1)))
+        tracemalloc.start()
+        try:
+            positions = core._sample_positions(n, m, np.random.default_rng(0))
+            _, sample_peak = tracemalloc.get_traced_memory()
+            del positions
+            tracemalloc.reset_peak()
+            build_tetrads(ds, m, 0)
+            _, build_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample_peak < 3 * n * m * 8
+        # the per-query rng.choice loop this sampler replaced peaked at 122.9 MiB,
+        # most of it TetradSet's checks
+        assert build_peak <= 123 * 2**20
+
+
+def floyd_reference(n, m, seed, chunk_bytes):
+    """Each query's sorted negatives from Floyd's algorithm run on a Python set.
+
+    It reads the same rng.integers(0, t + 1, size=rows) arrays as
+    build_tetrads, step by step and chunk by chunk, and keeps the unchosen
+    positions when it draws the smaller side, n - 1 - m < m.
+    """
+    rng = np.random.default_rng(seed)
+    N = n - 1
+    s = min(m, N - m)
+    span = max(1, chunk_bytes // ((N + 7) // 8))
+    groups = []
+    for lo in range(0, n, span):
+        queries = range(lo, min(n, lo + span))
+        chosen = [set() for _ in queries]
+        for t in range(N - s, N):
+            for row, pick in zip(chosen, rng.integers(0, t + 1, size=len(queries)).tolist()):
+                row.add(t if pick in row else pick)
+        for k, row in zip(queries, chosen):
+            positions = sorted(row) if s == m else [p for p in range(N) if p not in row]
+            groups.append(np.array([p + (p >= k) for p in positions], dtype=np.int64))
+    return groups
 
 
 class TestTetrad:

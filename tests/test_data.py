@@ -47,6 +47,29 @@ class TestLoadFeatures:
         with pytest.raises(ParseError, match="line 2, column 2"):
             load_features(path)
 
+    @pytest.mark.parametrize(
+        "text, error, where",
+        [
+            ("1 nan\n1 2 3\n", NonFiniteValue, "line 1, column 2"),  # an earlier line first
+            ("1 inf\nx 2\n", NonFiniteValue, "line 1, column 2"),
+            ("1 2\nx 3\n4 -inf\n", ParseError, "line 2, column 1"),
+            ("1 2 3\nx 5\n", RaggedRows, "line 2"),  # a line's token count before its tokens
+            ("1 2 3\n4 1e999 x\n", NonFiniteValue, "line 2, column 2: non-finite value '1e999'"),
+            ("1 2 3\n4 x nan\n", ParseError, "line 2, column 2"),  # then tokens left to right
+        ],
+    )
+    def test_first_of_two_faults_reported(self, tmp_path, text, error, where):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(error, match=where):
+            load_features(path)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        with pytest.raises(ParseError, match="f.txt is not UTF-8 text"):
+            load_features(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_features(tmp_path / "nope.txt")
