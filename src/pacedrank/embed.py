@@ -12,13 +12,16 @@ so the inputs are made C-contiguous first. A batch entry is then
 bit-identical to the same einsum on one row (or one pair), whatever the
 thread settings.
 
-The forward pass has two forms. The dense one scores every pair into the
-n x n matrix S. The gathered one scores only the pairs asked for, each as
-the einsum of two gathered rows (pair_scores), divided for cosine scores by
-row norms computed once per pass, so its entries equal S's bit for bit.
+forward embeds a dataset once: H, G and, for cosine scores, their row
+norms. Only two functions turn an Embedding into scores and divide by the
+norms, with the same bits: query_rows gives rows of the n x n matrix S in a
+direction's view, and pair_scores gathers single pairs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -82,35 +85,59 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(E * E, axis=1))
 
 
+@dataclass(frozen=True)
+class Embedding:
+    """Image rows H and text rows G, with their row norms (image, text) for cosine scores, else None."""
+
+    H: np.ndarray
+    G: np.ndarray
+    norms: Optional[tuple]
+
+    @classmethod
+    def of(cls, H: np.ndarray, G: np.ndarray, normalized: bool) -> "Embedding":
+        return cls(H, G, (_row_norms(H), _row_norms(G)) if normalized else None)
+
+
 def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     """All-pairs inner products: entry (k, j) is bit-identical to np.einsum("l,l->", H[k], G[j])."""
     return np.einsum("kl,jl->kj", np.ascontiguousarray(H), np.ascontiguousarray(G))
 
 
-def pair_scores(H: np.ndarray, G: np.ndarray, rows, cols) -> np.ndarray:
-    """Inner products of image rows[t] with text cols[t], without the score matrix.
+def query_rows(emb: Embedding, direction: str, queries=None) -> np.ndarray:
+    """Rows queries (an index array or slice; None for all) of query_scores(S, direction).
 
-    Entry t equals inner_scores(H, G)[rows[t], cols[t]] bit for bit: np.take
-    gathers C-contiguous rows, and the einsum sums their products in the
-    same order. Rows are gathered in chunks of _GATHER_ENTRIES values, so the
+    Query rows are scored against every item (image rows against G for
+    i2t, text rows against H for t2i), which gives S's rows or columns bit
+    for bit, and a cosine score is divided by the same product of norms.
+    """
+    check_direction(direction)
+    Q, E = (emb.H, emb.G) if direction == "i2t" else (emb.G, emb.H)
+    R = inner_scores(Q if queries is None else Q[queries], E)
+    if emb.norms is not None:
+        nq, ne = emb.norms if direction == "i2t" else emb.norms[::-1]
+        R /= np.outer(nq if queries is None else nq[queries], ne)
+    return R
+
+
+def pair_scores(emb: Embedding, rows, cols) -> np.ndarray:
+    """Scores of image rows[t] with text cols[t], without the score matrix.
+
+    Entry t equals query_rows(emb, "i2t")[rows[t], cols[t]] bit for bit:
+    np.take gathers C-contiguous rows, the einsum sums their products in
+    the same order, and a cosine score is divided by the same product of
+    norms. Rows are gathered in chunks of _GATHER_ENTRIES values, so the
     temporaries stay small however many pairs there are.
     """
+    H, G = emb.H, emb.G
     s = np.empty(len(rows))
     step = max(1, _GATHER_ENTRIES // H.shape[1])
     for lo in range(0, len(rows), step):
         part = slice(lo, lo + step)
         np.einsum("tl,tl->t", np.take(H, rows[part], axis=0), np.take(G, cols[part], axis=0), out=s[part])
+    if emb.norms is not None:
+        nh, ng = emb.norms
+        s /= nh[rows] * ng[cols]
     return s
-
-
-def normalized_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Cosine variant of inner_scores: each entry divided by the norm product.
-
-    The division is in place, so a score matrix is allocated once.
-    """
-    S = inner_scores(H, G)
-    S /= np.outer(_row_norms(H), _row_norms(G))
-    return S
 
 
 def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float:
@@ -127,29 +154,13 @@ def similarity(params: EmbeddingParams, x, z, normalized: bool = False) -> float
     return s
 
 
-def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False, pairs=None):
-    """The one forward pass: embeddings H (images), G (texts) and scores S.
-
-    S has image queries as rows; query_scores gives a direction its view.
-    Given pairs, a list of (rows, cols) index arrays (query_pairs), the pass
-    is gathered: S is not formed, and the third item is instead the list of
-    each pair set's pair_scores, divided by the row norms when normalized.
-    """
-    H = embed_images(params, dataset.images)
-    G = embed_texts(params, dataset.texts)
-    if pairs is not None:
-        scores = [pair_scores(H, G, rows, cols) for rows, cols in pairs]
-        if normalized:
-            nh, ng = _row_norms(H), _row_norms(G)
-            for s, (rows, cols) in zip(scores, pairs):
-                s /= nh[rows] * ng[cols]
-        return H, G, scores
-    S = normalized_scores(H, G) if normalized else inner_scores(H, G)
-    return H, G, S
+def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> Embedding:
+    """The one forward pass: the dataset's embedding, with row norms for cosine scores."""
+    return Embedding.of(embed_images(params, dataset.images), embed_texts(params, dataset.texts), normalized)
 
 
 def query_scores(S: np.ndarray, direction: str) -> np.ndarray:
-    """forward's S with direction's queries as rows: S for i2t, S.T for t2i.
+    """S with direction's queries as rows: S for i2t, S.T for t2i.
 
     S.T is bit-identical to scoring text queries directly: each entry sums
     the same products in the same order.
@@ -169,4 +180,4 @@ def query_pairs(queries, items, direction: str):
 
 def score_matrix(params: EmbeddingParams, dataset: Dataset, normalized: bool = False) -> np.ndarray:
     """All-pairs scores for a dataset: entry (k, j) scores image k against text j."""
-    return forward(params, dataset, normalized)[2]
+    return query_rows(forward(params, dataset, normalized), "i2t")

@@ -23,6 +23,7 @@ from .core import (
     build_tetrads,
     validate_dataset,
 )
+from .embed import forward
 from .loss import Block, _hinge_args, block_losses, forward_pass, grad_params, smooth_part
 
 KINK_BAND = 1e-6
@@ -71,7 +72,7 @@ def make_instance(
         Block(tetrads, direction, ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets))
         for direction in directions
     )
-    fwd = forward_pass(params, dataset, blocks, normalized)
+    fwd = forward_pass(forward(params, dataset, normalized), blocks)
     margin = 0.05
     for _ in range(100):
         if _min_kink_distance(fwd, blocks, margin) > KINK_BAND:

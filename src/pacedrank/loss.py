@@ -11,15 +11,14 @@ weighted loss sum, minus each block's selection regularizers
 lam * |v|_1 (easiness) and gamma * sum_k sqrt(sum_j v_kj) (diversity
 across query groups).
 
-Every loss and gradient reads one forward pass (forward_pass) per
-parameter point: all_losses, block_losses, grad_loss_term and grad_params
-take an optional Pass computed at their params for their blocks, and build
-one themselves only when it is not given. Blocks at the same point share
-one pass and one backward pass (grad_loss_term). A pass holds the aligned
-scores S_kk and each block's tetrad scores S_kj, whether forward_pass read
-them from the dense n x n matrix or, when the blocks hold few tetrads
-against it, gathered them: the values are the same bit for bit, so losses
-and gradients do not depend on the form.
+Every loss and gradient reads one Pass per parameter point: the
+embedding (embed.forward), the aligned scores S_kk and each block's tetrad
+scores S_kj. forward_pass reads them from the dense n x n matrix
+(embed.query_rows) or, when the blocks hold few tetrads against it,
+gathers them (embed.pair_scores): the same bits either way. all_losses,
+block_losses, grad_loss_term and grad_params take an optional Pass and
+build one only when it is not given, so blocks at one point share one
+forward and one backward pass.
 
 Only selected active tetrads (weight and hinge both strictly positive)
 carry gradient. When the selected tetrads are few against n x n
@@ -31,9 +30,9 @@ set with its zero-weight tetrads removed, give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any queries bound the smooth part from below.
-prefix_rejects scores the queries heaviest at the current point
-(heaviest_queries) in nested prefixes of rows of the dense score matrix,
-and rejects once that bound, less a slack for rounding, exceeds the bound.
+prefix_rejects scores, from the trial's embedding, the queries heaviest at
+the current point (heaviest_queries) in nested prefixes of query rows, and
+rejects once that bound, less a slack for rounding, exceeds the bound.
 
 All reductions are whole-array numpy reductions or np.bincount sums in a
 fixed order, and the gradient's matrix products are einsum loops, never
@@ -60,7 +59,7 @@ from .core import (
     PacingState,
     TetradSet,
 )
-from .embed import _row_norms, embed_images, embed_texts, forward, inner_scores, query_pairs, query_scores
+from .embed import Embedding, forward, pair_scores, query_pairs, query_rows, query_scores
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
@@ -104,14 +103,13 @@ class Block:
 class Pass:
     """One forward pass at a parameter point, for a list of blocks.
 
-    H and G are the embeddings, aligned[k] = S_kk, and per block (tetrads,
+    emb is the embedding, aligned[k] = S_kk, and per block (tetrads,
     direction) its tetrads' S_kj in flat tetrad order, queries as rows.
     Whether the pass scored the dense matrix or gathered these entries is
     known only to forward_pass: the values are the same bit for bit.
     """
 
-    H: np.ndarray
-    G: np.ndarray
+    emb: Embedding
     aligned: np.ndarray
     scores: tuple  # ((tetrads, direction, S_kj per tetrad), ...)
 
@@ -133,24 +131,22 @@ def dense_pass(n: int, blocks: Sequence[Block]) -> bool:
     return sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n
 
 
-def forward_pass(
-    params: EmbeddingParams, dataset: Dataset, blocks: Sequence[Block], normalized: bool = False
-) -> Pass:
-    """The one forward pass at params for these blocks: dense, or gathered when they hold few tetrads.
+def forward_pass(emb: Embedding, blocks: Sequence[Block]) -> Pass:
+    """The pass at emb's point for these blocks: dense, or gathered when they hold few tetrads.
 
-    Both forms embed the dataset once. The dense form reads the aligned
-    scores and each block's entries from the n x n matrix, then drops it.
+    The dense form reads the aligned scores and each block's entries from
+    the n x n matrix, then drops it.
     """
-    n = dataset.n
+    n = len(emb.H)
     if dense_pass(n, blocks):
-        H, G, S = forward(params, dataset, normalized)
+        S = query_rows(emb, "i2t")
         aligned = np.diagonal(S).copy()
         scores = [_entries(query_scores(S, b.direction), b.tetrads) for b in blocks]
     else:
         every = np.arange(n)
-        pairs = [(every, every)] + [_tetrad_pairs(b.tetrads, b.direction) for b in blocks]
-        H, G, (aligned, *scores) = forward(params, dataset, normalized, pairs)
-    return Pass(H, G, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
+        aligned = pair_scores(emb, every, every)
+        scores = [pair_scores(emb, *_tetrad_pairs(b.tetrads, b.direction)) for b in blocks]
+    return Pass(emb, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
@@ -251,8 +247,8 @@ def tetrad_loss(
     if k == j:
         raise ConfigInvalid("negative index must differ from the query index")
     pair = Dataset(dataset.images[[k, j]], dataset.texts[[k, j]])
-    S = query_scores(forward(params, pair, normalized)[2], direction)
-    return max(0.0, float(S[0, 1] - S[0, 0]) + cfg.margin)
+    R = query_rows(forward(params, pair, normalized), direction)
+    return max(0.0, float(R[0, 1] - R[0, 0]) + cfg.margin)
 
 
 def all_losses(
@@ -272,7 +268,7 @@ def all_losses(
     which the trainer checks.
     """
     _check_tetrads(tetrads, dataset.n)
-    fwd = fwd or forward_pass(params, dataset, [Block(tetrads, direction, None)], normalized)
+    fwd = fwd or forward_pass(forward(params, dataset, normalized), [Block(tetrads, direction, None)])
     hinges = _hinge_args(fwd, tetrads, direction, cfg.margin)
     np.maximum(0.0, hinges, out=hinges)
     hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
@@ -311,7 +307,7 @@ def block_losses(
     fwd=None,
 ) -> list[GroupedVector]:
     """all_losses for each block, in block order, all from one forward pass."""
-    fwd = fwd or forward_pass(params, dataset, blocks, normalized)
+    fwd = fwd or forward_pass(forward(params, dataset, normalized), blocks)
     return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd) for b in blocks]
 
 
@@ -362,21 +358,6 @@ def heaviest_queries(block: Block, losses: GroupedVector) -> QueryPrefix:
     return QueryPrefix(queries, counts, ends, block.tetrads.negatives[pos], block.v.values[pos])
 
 
-def _query_rows(H: np.ndarray, G: np.ndarray, norms, direction: str, queries: np.ndarray) -> np.ndarray:
-    """query_scores(S, direction)[queries] bit for bit, from forward's embeddings and, for cosine scores, their norms.
-
-    Each row is scored by the same einsum loop as in S (image rows against
-    G for i2t, text rows against H for t2i), and a cosine score is divided
-    by the same product of two norms.
-    """
-    Q, E = (H, G) if direction == "i2t" else (G, H)
-    R = inner_scores(Q[queries], E)
-    if norms is not None:
-        nq, ne = norms if direction == "i2t" else norms[::-1]
-        R /= np.outer(nq[queries], ne)
-    return R
-
-
 def _prefix_terms(R: np.ndarray, prefix: QueryPrefix, lo: int, hi: int, margin: float) -> float:
     """The sum of v * loss over the selected tetrads of prefix.queries[lo:hi], whose score rows R holds.
 
@@ -391,26 +372,25 @@ def _prefix_terms(R: np.ndarray, prefix: QueryPrefix, lo: int, hi: int, margin: 
 
 
 def prefix_rejects(
-    params: EmbeddingParams,
-    dataset: Dataset,
+    emb: Embedding,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    normalized: bool,
     prefixes: Callable[[], Sequence[QueryPrefix]],
+    ridge: float,
     bound: float,
 ) -> bool:
-    """Whether smooth_part at params surely exceeds bound, shown by a prefix of its nonnegative terms.
+    """Whether smooth_part at emb's point, whose ridge is ridge, surely exceeds bound, shown by a prefix of its terms.
 
-    The ridge alone is the first, 0-row prefix: smooth_part adds
-    nonnegative terms to it, so a ridge above bound rejects exactly. Only
-    if it does not are prefixes() (one QueryPrefix per block) read and the
-    dataset embedded. Then for each share in PREFIX_SHARES, every block
-    scores its next queries from their rows of the dense score matrix, and
-    their weighted hinges join the lower bound. Blocks add their terms.
+    Only a dense pass is checked: a gathered one costs about what the
+    prefix does, and a trial that falls through pays both. Then
+    prefixes() (one QueryPrefix per block) is read, and for each share in
+    PREFIX_SHARES every block scores its next queries' rows from emb
+    (embed.query_rows) and adds their weighted hinges to the lower bound,
+    which starts at ridge. Blocks add their terms.
     """
-    lb = ridge_value(params)
-    if lb > bound:
-        return True
+    n = len(emb.H)
+    if not dense_pass(n, blocks):
+        return False
     # Rounding. smooth_part is a floating-point sum, in some order, of T nonnegative
     # terms: the ridge and each block's v * loss products. lb sums, in another
     # order, a subset of the same terms, equal bit for bit (its rows are S's, and
@@ -424,15 +404,14 @@ def prefix_rejects(
     terms = 1 + sum(len(b.v.positive_index) for b in blocks)
     scale = 1.0 - 4.0 * terms * np.finfo(np.float64).eps
     plans = prefixes()
-    H, G = embed_images(params, dataset.images), embed_texts(params, dataset.texts)
-    norms = (_row_norms(H), _row_norms(G)) if normalized else None
+    lb = ridge
     done = 0
     for share in PREFIX_SHARES:
-        rows = int(share * dataset.n)
+        rows = int(share * n)
         if rows <= done:
             continue
         for b, plan in zip(blocks, plans):
-            R = _query_rows(H, G, norms, b.direction, plan.queries[done:rows])
+            R = query_rows(emb, b.direction, plan.queries[done:rows])
             lb += _prefix_terms(R, plan, done, rows, cfg.margin)
         done = rows
         if np.isfinite(lb) and lb * scale > bound:
@@ -545,7 +524,8 @@ def grad_loss_term(
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
     fwd is the forward pass at params for these blocks; it is computed when
-    not given. A tetrad contributes iff its weight and its hinge argument
+    not given, and when given its embedding, raw or cosine, overrides
+    normalized. A tetrad contributes iff its weight and its hinge argument
     are strictly positive: it is selected and active. With C the image-row
     matrix of those tetrads' weights (a t2i tetrad (query k, negative j)
     sits at row j, column k) and s its per-query sums, sum C_kj S_kj -
@@ -567,12 +547,13 @@ def grad_loss_term(
         _check_tetrads(b.tetrads, dataset.n)
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
-    fwd = fwd or forward_pass(params, dataset, blocks, normalized)
-    H, G = fwd.H, fwd.G
+    fwd = fwd or forward_pass(forward(params, dataset, normalized), blocks)
+    normalized = fwd.emb.norms is not None  # the scores the pass holds
+    H, G = fwd.emb.H, fwd.emb.G
     n = dataset.n
 
     if normalized:
-        nh, ng = _row_norms(H), _row_norms(G)
+        nh, ng = fwd.emb.norms
         A, B = H / nh[:, None], G / ng[:, None]
     else:
         A, B = H, G

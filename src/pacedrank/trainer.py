@@ -7,19 +7,16 @@ per query group, then grows the pacing thresholds. Both alternation steps
 are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
-Every point the W-step scores is embedded and scored once
-(loss.forward_pass: the aligned and tetrad scores, read from the n x n
-matrix or, for sampled sets small against n^2, gathered without it): one
-pass serves all blocks, the accepted line-search trial's pass serves the
-next gradient, and its losses are the losses the weight solve reads. The
-pass at a W-step's final params serves the next W-step's entry gradient,
-so no point is scored twice. A line-search trial whose ridge term alone
-fails the Armijo test is rejected unscored. When the passes are dense, a
-trial the ridge passes is next bounded below by the ridge plus the weighted
-hinges of its heaviest queries, scored in nested prefixes of n/64, n/16
-and n/4 rows, and rejected once that bound exceeds the Armijo bound beyond
-the rounding of both sums. A trial no prefix rejects gets the full pass, so
-every decision, and so every trajectory, is the one full passes give.
+Every point the W-step scores is embedded once and gets one pass
+(loss.forward_pass), which serves all blocks: the accepted line-search
+trial's pass serves the next gradient, and its losses are the ones the
+weight solve reads; the pass at a W-step's final params serves the next
+W-step's entry gradient. The line search asks one value_fn(trial, bound)
+per trial. A trial whose ridge alone exceeds the Armijo bound is rejected
+unembedded; otherwise it is embedded, and on a dense pass first bounded
+below from its heaviest queries (loss.prefix_rejects). A trial that falls
+through gets the full pass on the same embedding, so every decision, and
+so every trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -52,9 +49,11 @@ from .core import (
     check_real,
     check_seed,
 )
+from .embed import forward
 from .errors import (
     ConfigInvalid,
     CorruptCheckpoint,
+    DimensionMismatch,
     IoFailure,
     NonFiniteObjective,
     NonFiniteValue,
@@ -66,7 +65,6 @@ from .loss import (
     Block,
     Pass,
     block_losses,
-    dense_pass,
     forward_pass,
     grad_params,
     heaviest_queries,
@@ -199,17 +197,12 @@ def init_params(rng: np.random.Generator, d: int, p: int, q: int) -> EmbeddingPa
     return EmbeddingParams.from_arrays(W1, np.zeros(d), W2, np.zeros(d))
 
 
-def _ridge_floor(trial: EmbeddingParams, bound: float) -> bool:
-    return ridge_value(trial) > bound
-
-
 def line_search(
     params: EmbeddingParams,
     grad: EmbeddingParams,
-    value_fn: Callable[[EmbeddingParams], float],
+    value_fn: Callable[[EmbeddingParams, float], float],
     current_value: float,
     cfg: TrainConfig,
-    rejects: Optional[Callable[[EmbeddingParams, float], bool]] = None,
 ) -> tuple[float, EmbeddingParams, float]:
     """Backtracking Armijo search along the negative gradient.
 
@@ -217,19 +210,11 @@ def line_search(
     f(new) <= f(old) - c * step * |grad|^2. Returns (0, params, value) when
     no trial of MAX_BACKTRACKS does; callers treat step 0 as converged.
 
-    value_fn is the smooth subproblem: ridge_value plus nonnegative terms,
-    added to the ridge in floating point. Any part of such a sum bounds it
-    from below. rejects(trial, bound) tests such a lower bound and returns
-    True only when value_fn(trial) would exceed the Armijo bound; a
-    rejected trial is never scored, and its decision is the one value_fn's
-    result would give. The default is the ridge floor: the ridge alone,
-    which the sum is never below. loss.prefix_rejects also adds the
-    weighted hinges of the heaviest queries, and rejects only beyond a
-    slack that covers the rounding of both sums; a bound within the slack,
-    or a NaN, falls through to value_fn. value_fn is called only for the
-    other trials, and the accepted trial is the last one it scores.
+    value_fn(trial, bound) returns f(trial), or a value above bound when a
+    lower bound already shows f(trial) > bound; either way the decision is
+    the one f's value gives. With bound = +inf it returns f itself. The
+    accepted trial is the last one value_fn is asked about.
     """
-    rejects = rejects or _ridge_floor
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
         return 0.0, params, current_value
@@ -237,10 +222,9 @@ def line_search(
     for _ in range(MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
         bound = current_value - cfg.sufficient_decrease * step * gnorm2
-        if not rejects(trial, bound):
-            value = value_fn(trial)
-            if np.isfinite(value) and value <= bound:
-                return step, trial, value
+        value = value_fn(trial, bound)
+        if np.isfinite(value) and value <= bound:
+            return step, trial, value
         step *= cfg.shrink_factor
     return 0.0, params, current_value
 
@@ -266,15 +250,15 @@ def optimize_W(
     pass at params for these blocks (it does not depend on v either) and
     serves the entry gradient, which otherwise computes its own. Each
     scored line-search trial's pass serves every block, and the accepted
-    trial's pass (line_search accepts its last scored trial) serves the
-    next gradient. Returns the final params, the inner steps taken and the
-    pass at the final params, or None when the last line search failed and
-    that pass was dropped before it.
+    trial's pass (line_search accepts its last trial) serves the next
+    gradient. Returns the final params, the inner steps taken and the pass
+    at the final params, or None when the last line search failed and that
+    pass was dropped before it.
 
-    When the passes are dense and the losses at params are in hand, a trial
-    the ridge floor passes is first bounded from below by its heaviest
-    queries (loss.prefix_rejects): each block's queries ordered by their
-    weighted loss at params, built once per inner step, at its first check.
+    value_fn applies the ridge floor, embeds the trial once, tries
+    loss.prefix_rejects on that embedding when the losses at params are in
+    hand (each block's heaviest queries are found once per inner step), and
+    gives a trial that falls through the full pass on the same embedding.
     """
     cfg.validate()
     lcfg = cfg.loss_config()
@@ -288,15 +272,15 @@ def optimize_W(
             plans.extend(heaviest_queries(b, l) for b, l in zip(blocks, in_hand))
         return plans
 
-    def prefix(trial, bound):
-        return prefix_rejects(trial, dataset, blocks, lcfg, normalized, prefixes, bound)
-
-    # a gathered pass costs about what the prefix does, and a trial that falls through pays both
-    dense = dense_pass(dataset.n, blocks)
-
-    def value_fn(p):
+    def value_fn(p, bound):
         last.clear()  # keep at most one pass alive while a trial is scored
-        trial_fwd = forward_pass(p, dataset, blocks, normalized)
+        ridge = ridge_value(p)
+        if ridge > bound:
+            return ridge
+        emb = forward(p, dataset, normalized)
+        if in_hand is not None and prefix_rejects(emb, blocks, lcfg, prefixes, ridge, bound):
+            return np.inf
+        trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
         return smooth_part(p, blocks, trial_losses)
@@ -310,8 +294,7 @@ def optimize_W(
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
-        rejects = prefix if dense and in_hand is not None else None
-        step, new_params, new_value = line_search(params, grad, value_fn, value, cfg, rejects)
+        step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
         fwd, in_hand = last["fwd"], last["losses"]
@@ -357,6 +340,9 @@ def train(
     consecutive outer iterations, or at max_outer_iters.
     """
     cfg.validate()
+    if val_dataset is not None and (val_dataset.p, val_dataset.q) != (dataset.p, dataset.q):
+        raise DimensionMismatch(f"validation set has p, q = {val_dataset.p}, {val_dataset.q}, "
+                                f"training set {dataset.p}, {dataset.q}")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(rng, cfg.embedding_dim, dataset.p, dataset.q)
     history = TrainHistory()
@@ -373,7 +359,7 @@ def train(
     # The pass at the current params, for the next W-step's entry gradient.
     # It is popped as it is handed over, so no reference here keeps it alive
     # while optimize_W's line search scores its trials.
-    held = {"fwd": forward_pass(params, dataset, blocks, cfg.normalized_similarity)}
+    held = {"fwd": forward_pass(forward(params, dataset, cfg.normalized_similarity), blocks)}
     losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity, held["fwd"])
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)

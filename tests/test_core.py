@@ -186,9 +186,10 @@ class TestBuildTetrads:
         finally:
             tracemalloc.stop()
         assert sample_peak < 3 * n * m * 8
-        # the per-query rng.choice loop this sampler replaced peaked at 122.9 MiB,
-        # most of it TetradSet's checks
-        assert build_peak <= 123 * 2**20
+        # TetradSet keeps the sampler's locked array and checks it in chunks: the
+        # sampler's own peak sets the bound. Copying the array and checking it
+        # against one n·m group-index array peaked at 122.9 MiB.
+        assert build_peak <= 64 * 2**20
 
 
 def floyd_reference(n, m, seed, chunk_bytes):
@@ -243,6 +244,19 @@ class TestTetrad:
         # negatives may fall across a group boundary, and groups may be empty
         assert TetradSet(4, [0, 0, 2, 2, 5], [2, 3, 0, 1, 2]).total == 5
         assert TetradSet(4, [0, 2, 2, 2, 2], [1, 3]).total == 2
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_checks_span_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(core, "_CHECK_CHUNK", chunk)
+        assert TetradSet(4, [0, 0, 2, 2, 5], [2, 3, 0, 1, 2]).total == 5
+        assert TetradSet(4, [0, 2, 2, 2, 2], [1, 3]).total == 2
+        full = build_tetrads(validate_dataset(np.zeros((5, 1)), np.zeros((5, 1))))
+        assert TetradSet(5, full.offsets, full.negatives).is_full
+        for negatives in ([1, 2, 3, 0, 2, 3, 0, 1, 3, 1, 1, 2], [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 2, 1]):
+            with pytest.raises(ConfigInvalid, match="strictly ascending"):
+                TetradSet(4, [0, 3, 6, 9, 12], negatives)
+        with pytest.raises(ConfigInvalid, match="differ from the query"):
+            TetradSet(4, [0, 3, 6, 9, 12], [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 3])  # query 3's last
 
 
 class TestGroupedVector:
@@ -313,6 +327,13 @@ class TestGroupedVector:
         assert gv.values is not view
         assert list(gv.values) == [9.0, 0.5, 1.0]
         assert not gv.values.flags.writeable
+
+    def test_view_of_locked_array_is_kept(self):
+        # nothing writes through a read-only view of a locked array that owns its data
+        values = np.array([[0.25, 0.5], [1.0, 0.0]])
+        values.flags.writeable = False
+        flat = values.ravel()
+        assert GroupedVector(flat, np.array([0, 3, 4])).values is flat
 
     def test_producers_share_locked_arrays(self):
         rng = np.random.default_rng(5)

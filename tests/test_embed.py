@@ -14,6 +14,7 @@ from pacedrank.embed import (
     inner_scores,
     map_image,
     map_text,
+    pair_scores,
     score_matrix,
     sigmoid,
     similarity,
@@ -184,8 +185,8 @@ class TestInnerScores:
 
 
 class TestPairScores:
-    # forward's gathered form: pair_scores per pair set, divided by the row
-    # norms when normalized; the 800 x 800 pairs span several gather chunks
+    # pair_scores divides by the embedding's row norms when normalized; the
+    # 800 x 800 pairs span several gather chunks
     @pytest.mark.parametrize("d", [1, 3, 10, 37, 64, 129])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
     def test_equals_score_matrix_entries_bitwise(self, d, normalized):
@@ -193,13 +194,14 @@ class TestPairScores:
         n = 800
         dataset = random_dataset(rng, n=n)
         params = random_params(rng, d=d)
-        S = forward(params, dataset, normalized)[2]
+        S = score_matrix(params, dataset, normalized)
+        emb = forward(params, dataset, normalized)
         rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         assert len(rows) * d > _GATHER_ENTRIES
         order = rng.permutation(len(rows))  # any pair order gives the same entries
         every = np.arange(n)
-        pairs = [(every, every), (rows, cols), (rows[order], cols[order])]
-        aligned, got, permuted = forward(params, dataset, normalized, pairs)[2]
+        aligned, got, permuted = (pair_scores(emb, r, c) for r, c in
+                                  ((every, every), (rows, cols), (rows[order], cols[order])))
         assert got.tobytes() == S.ravel().tobytes()
         assert permuted.tobytes() == got[order].tobytes()
         assert aligned.tobytes() == np.diagonal(S).tobytes()

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pacedrank import evaluation
 from pacedrank.core import EmbeddingParams, validate_dataset
-from pacedrank.embed import score_matrix
+from pacedrank.embed import query_scores, score_matrix
 from pacedrank.errors import InvalidCutoff
 from pacedrank.evaluation import (
     average_precision,
@@ -178,17 +180,42 @@ class TestMeanAp:
     @pytest.mark.parametrize("direction", ["i2t", "t2i"])
     def test_tied_integer_scores_rank_like_stable_argsort(self, monkeypatch, direction):
         # three score values: most queries tie their aligned item with others,
-        # above and below its index, so the tie mask decides their ranks
+        # above and below its index, so the tie count decides their ranks. Every
+        # chunk size, one query row up to all of them, gives the same bytes.
         rng = np.random.default_rng(54)
         n = 60
         S = rng.integers(0, 3, size=(n, n)).astype(np.float64)
-        monkeypatch.setattr(evaluation, "forward", lambda params, dataset, normalized: (None, None, S))
+        monkeypatch.setattr(evaluation, "query_rows", lambda emb, d, queries: query_scores(S, d)[queries].copy())
         ds = random_dataset(rng, n=n, p=3, q=3)
-        Q = S if direction == "i2t" else S.T
+        params = random_params(rng, d=2, p=3, q=3)
+        Q = query_scores(S, direction)
+        diag = np.diagonal(Q)[:, None]
+        idx = np.arange(n)
+        rank = 1 + np.sum(Q > diag, axis=1) + np.sum((Q == diag) & (idx[None, :] < idx[:, None]), axis=1)
+        assert len(np.unique(rank)) > 10 and (np.sum(Q == diag, axis=1) > 1).all()
         for r in ("all", 5):
             expected = np.array([average_precision(np.argsort(-Q[k], kind="stable") == k, r) for k in range(n)])
-            got = mean_ap(random_params(rng, d=2, p=3, q=3), ds, direction, r).per_query
-            assert got.tobytes() == expected.tobytes()
+            assert expected.tobytes() == np.where(rank <= (n if r == "all" else r), 1.0 / rank, 0.0).tobytes()
+            for rows in (1, 3, 7, n, 2 * n):
+                monkeypatch.setattr(evaluation, "_RANK_ENTRIES", rows * n)
+                got = mean_ap(params, ds, direction, r).per_query
+                assert got.tobytes() == expected.tobytes()
+
+    def test_memory_is_far_below_one_score_matrix(self):
+        # one n x n float64 matrix at n = 10,000 is 800 MB; ranking query rows
+        # chunk by chunk holds O(chunk n)
+        rng = np.random.default_rng(56)
+        n = 10_000
+        ds = random_dataset(rng, n=n, p=8, q=8)
+        params = random_params(rng, d=10, p=8, q=8)
+        tracemalloc.start()
+        try:
+            result = mean_ap(params, ds, "t2i", normalized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.per_query) == n
+        assert peak < 100e6
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_t2i_equals_i2t_of_swapped_problem_bitwise(self, normalized):

@@ -21,14 +21,13 @@ from pacedrank.core import (
     build_tetrads,
     validate_dataset,
 )
-from pacedrank.embed import _row_norms, forward, query_scores, score_matrix
+from pacedrank.embed import forward, query_rows, query_scores, score_matrix
 from pacedrank.errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error
 from pacedrank.loss import (
     Block,
     _entries,
     _prefix_terms,
-    _query_rows,
     _scatter,
     all_losses,
     block_losses,
@@ -62,7 +61,7 @@ def scored_pass(params, dataset, blocks, normalized=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(embed, "inner_scores", counting)
-        fwd = forward_pass(params, dataset, blocks, normalized)
+        fwd = forward_pass(forward(params, dataset, normalized), blocks)
     assert len(calls) <= 1
     return fwd, bool(calls)
 
@@ -219,6 +218,19 @@ class TestOneBackwardPass:
             want = a + b
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("sample", [None, 3])
+    def test_given_pass_decides_raw_or_cosine(self, sample):
+        # a pass's embedding holds norms iff its scores are cosine; the flag cannot contradict it
+        dataset, params, _, _ = random_instance(13, n=9, p=5, q=4)
+        tetrads = build_tetrads(dataset, sample, 4)
+        blocks = [Block(tetrads, "i2t", ImportanceVector(np.linspace(0.1, 1.0, tetrads.total), tetrads.offsets))]
+        cfg = LossConfig(margin=0.3)
+        for normalized in (False, True):
+            fwd = forward_pass(forward(params, dataset, normalized), blocks)
+            want = grad_loss_term(params, dataset, blocks, cfg, normalized)
+            got = grad_loss_term(params, dataset, blocks, cfg, not normalized, fwd)
+            assert all(np.array_equal(g, w) for g, w in zip(got.arrays, want.arrays))
+
     def test_no_blocks_leaves_the_ridge(self):
         dataset, params, _, _ = random_instance(3)
         g = grad_loss_term(params, dataset, [], LossConfig())
@@ -288,7 +300,7 @@ _GRADIENT_BYTES = """
 import hashlib
 import numpy as np
 from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
-from pacedrank.embed import forward
+from pacedrank.embed import forward, query_rows
 from pacedrank.evaluation import retrieve
 from pacedrank.loss import Block, grad_loss_term
 from pacedrank.trainer import init_params
@@ -308,7 +320,8 @@ for normalized in (False, True):
 print("gradient", digest.hexdigest())
 for normalized in (False, True):
     digest = hashlib.sha256()
-    for arr in forward(params, dataset, normalized):
+    emb = forward(params, dataset, normalized)
+    for arr in (emb.H, emb.G, query_rows(emb, "i2t")):
         digest.update(arr.tobytes())
     print("forward", normalized, digest.hexdigest())
 ranked = retrieve(params, dataset.images[0], dataset.texts)
@@ -436,7 +449,7 @@ class TestFullSetPath:
     def test_strided_hinge_args_equal_gather_bitwise(self, n, direction, normalized):
         dataset, params, tetrads, _ = random_instance(90 + n, n=n)
         assert tetrads.is_full
-        S = query_scores(forward(params, dataset, normalized)[2], direction)
+        S = query_rows(forward(params, dataset, normalized), direction)
         got = _entries(S, tetrads)
         want = gathered_entries(S, tetrads)
         assert got.shape == want.shape == (n * (n - 1),)
@@ -450,7 +463,7 @@ class TestFullSetPath:
         dataset, params, tetrads, v = random_instance(23, n=9)
         pruned, kept = without_first_negatives(tetrads)
         assert pruned.total == 9 * 7 and not pruned.is_full
-        S = forward(params, dataset)[2]
+        S = score_matrix(params, dataset)
         got = _entries(S, pruned)
         assert got.tobytes() == gathered_entries(S, pruned).tobytes()
         assert got.tobytes() == _entries(S, tetrads)[kept].tobytes()
@@ -498,7 +511,8 @@ class TestFullSetPath:
 
 def dense_reference(params, dataset, blocks, cfg, normalized):
     """Losses and loss-term gradient from the dense score matrix: each tetrad gathered, C * S over every entry."""
-    H, G, S = forward(params, dataset, normalized)
+    emb = forward(params, dataset, normalized)
+    H, G, S = emb.H, emb.G, query_rows(emb, "i2t")
     n = dataset.n
     losses, C, s = [], np.zeros((n, n)), np.zeros(n)
     for b in blocks:
@@ -567,7 +581,7 @@ class TestMixedBlocks:
         dataset, params, tetrads, v = random_instance(41, n=30)
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
-        fwd = forward_pass(params, dataset, blocks, normalized)
+        fwd = forward_pass(forward(params, dataset, normalized), blocks)
         block_losses(params, dataset, blocks, cfg, normalized, fwd)
         grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
         grad_params(params, dataset, blocks, cfg, normalized)
@@ -737,7 +751,7 @@ class TestScatteredGradient:
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, m, ("i2t", "t2i"), 0.95)
         cfg = LossConfig(margin=0.0)  # about half the hinges are active, raw or cosine
-        fwd = forward_pass(params, dataset, blocks, normalized)
+        fwd = forward_pass(forward(params, dataset, normalized), blocks)
         grad, path = gradient_and_path(params, dataset, blocks, cfg, normalized, fwd)
         assert path == "_scattered_terms"
 
@@ -758,7 +772,7 @@ class TestScatteredGradient:
             tetrads = TetradSet(b.tetrads.n, np.concatenate([[0], np.cumsum(counts)]), b.tetrads.negatives[kept])
             pruned.append(Block(tetrads, b.direction, ImportanceVector(b.v.values[kept], tetrads.offsets)))
         assert any(not np.array_equal(r.v.values, b.v.values) for r, b in zip(reweighted, blocks))
-        poisoned_fwd = loss.Pass(fwd.H, fwd.G, fwd.aligned, tuple(poisoned))
+        poisoned_fwd = loss.Pass(fwd.emb, fwd.aligned, tuple(poisoned))
         want = [a.tobytes() for a in grad.arrays]
         for args in (
             (params, dataset, blocks, cfg, normalized, poisoned_fwd),
@@ -795,7 +809,7 @@ class TestScatteredGradient:
         cfg = LossConfig(margin=0.1)
         tracemalloc.start()
         try:
-            fwd = forward_pass(params, dataset, blocks, normalized=True)
+            fwd = forward_pass(forward(params, dataset, True), blocks)
             smooth_part(params, blocks, block_losses(params, dataset, blocks, cfg, True, fwd))
             _, path = gradient_and_path(params, dataset, blocks, cfg, True, fwd)
             _, peak = tracemalloc.get_traced_memory()
@@ -809,12 +823,6 @@ def heaviest_first(blocks, losses):
     """Each block's heaviest queries, as the W-step builds them."""
     plans = [heaviest_queries(b, x) for b, x in zip(blocks, losses)]
     return lambda: plans
-
-
-def embedded(params, dataset, normalized):
-    """forward's embeddings H and G, and their norms for cosine scores."""
-    H, G = forward(params, dataset, normalized, [])[:2]
-    return H, G, (_row_norms(H), _row_norms(G)) if normalized else None
 
 
 def selected_positions(v, queries):
@@ -836,12 +844,15 @@ class TestPrefixBound:
     @pytest.mark.parametrize("direction", ["i2t", "t2i"])
     @pytest.mark.parametrize("n", [9, 300])
     def test_rows_equal_score_matrix_rows_bitwise(self, n, direction, normalized):
+        # query_rows gives score_matrix's rows (i2t) or columns (t2i) bit for bit
         dataset, params, _, _ = random_instance(70 + n, n=n, p=20, q=20, d=10)
-        S = query_scores(forward(params, dataset, normalized)[2], direction)
-        H, G, norms = embedded(params, dataset, normalized)
-        order = np.random.default_rng(n).permutation(n)
-        for queries in (order[:1], order[: n // 4], order):
-            R = _query_rows(H, G, norms, direction, queries)
+        S = query_scores(score_matrix(params, dataset, normalized), direction)
+        emb = forward(params, dataset, normalized)
+        rng = np.random.default_rng(n)
+        order = rng.permutation(n)
+        assert query_rows(emb, direction).tobytes() == np.ascontiguousarray(S).tobytes()
+        for queries in (order[:1], order[: n // 4], order, rng.integers(0, n, size=2 * n), slice(1, n // 2)):
+            R = query_rows(emb, direction, queries)
             assert R.tobytes() == np.ascontiguousarray(S[queries]).tobytes()
 
     @pytest.mark.parametrize("layout", ["full", "empty-groups"])
@@ -863,9 +874,9 @@ class TestPrefixBound:
         # the order per-query v * loss gives, ties in index order
         key = [float(np.sum(v.group(k) * losses.group(k))) for k in range(40)]
         assert plan.queries.tolist() == sorted(range(40), key=lambda k: -key[k])[:10]
-        H, G, norms = embedded(params, dataset, normalized)
+        emb = forward(params, dataset, normalized)
         for lo, hi in ((0, 2), (2, 10), (0, 10)):
-            R = _query_rows(H, G, norms, direction, plan.queries[lo:hi])
+            R = query_rows(emb, direction, plan.queries[lo:hi])
             pos = selected_positions(v, plan.queries[lo:hi])
             want = float(np.sum(v.values[pos] * losses.values[pos]))
             assert _prefix_terms(R, plan, lo, hi, cfg.margin) == want
@@ -885,10 +896,11 @@ class TestPrefixBound:
         value = smooth_part(params, blocks, losses)
         ridge = ridge_value(params)
         assert value > 2.0 * ridge
+        emb = forward(params, dataset, normalized)
         rejected = []
         for share in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.5):
             bound = ridge + share * (value - ridge)
-            rejected.append(prefix_rejects(params, dataset, blocks, cfg, normalized, order, bound))
+            rejected.append(prefix_rejects(emb, blocks, cfg, order, ridge, bound))
             assert not (rejected[-1] and value <= bound)
         assert rejected[0] and not rejected[-2]  # a bound at the ridge falls to the first prefix
 
@@ -905,10 +917,11 @@ class TestPrefixBound:
         value = smooth_part(params, blocks, losses)
         assert value > 1.01 * ridge_value(params)
         slack = 4.0 * (1 + 63) * np.finfo(np.float64).eps
+        emb, ridge = forward(params, dataset), ridge_value(params)
         for bound, rejects in ((np.nextafter(value, -np.inf), False), (value * (1.0 - slack / 2), False),
                                (value * (1.0 - 2 * slack), True)):
             assert value > bound
-            assert prefix_rejects(params, dataset, blocks, cfg, False, order, bound) == rejects
+            assert prefix_rejects(emb, blocks, cfg, order, ridge, bound) == rejects
 
     @pytest.mark.parametrize("case", ["nan-params", "infinite-hinge-sum"])
     def test_non_finite_lower_bound_falls_through(self, case):
@@ -922,8 +935,9 @@ class TestPrefixBound:
             value = smooth_part(params, blocks, losses)
             order = heaviest_first(blocks, losses)
             assert not np.isfinite(value)
+            emb = forward(params, dataset)
             for bound in (1e10, 1e300):  # above the ridge, which alone rejects exactly
-                assert not prefix_rejects(params, dataset, blocks, cfg, False, order, bound)
+                assert not prefix_rejects(emb, blocks, cfg, order, ridge_value(params), bound)
 
     def test_zero_weights_leave_the_ridge_floor(self):
         dataset, params, tetrads, _ = random_instance(75, n=64)
@@ -931,6 +945,8 @@ class TestPrefixBound:
         cfg = LossConfig(margin=0.1)
         order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg))
         assert order()[0].queries.tolist() == list(range(16))  # every key is 0: index order
-        ridge = ridge_value(params)
-        for bound in (np.nextafter(ridge, -np.inf), ridge, ridge * 1.5):
-            assert prefix_rejects(params, dataset, blocks, cfg, False, order, bound) == (ridge > bound)
+        # the prefixes add nothing: only the ridge less the rounding slack (T = 1 term) rejects
+        emb, ridge = forward(params, dataset), ridge_value(params)
+        scale = 1.0 - 4.0 * np.finfo(np.float64).eps
+        for bound in (ridge * 0.5, ridge * scale * (1.0 - 1e-15), np.nextafter(ridge, -np.inf), ridge, ridge * 1.5):
+            assert prefix_rejects(emb, blocks, cfg, order, ridge, bound) == (ridge * scale > bound)

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pacedrank import embed, trainer
-from pacedrank.core import EmbeddingParams, ImportanceVector, build_tetrads
+from pacedrank import embed, loss, trainer
+from pacedrank.core import EmbeddingParams, ImportanceVector, build_tetrads, validate_dataset
 from pacedrank.data import SplitSpec, SynthSpec, split, synth_generate
 from pacedrank.errors import (
     ConfigInvalid,
     CorruptCheckpoint,
+    DimensionMismatch,
     NonFiniteObjective,
     VersionMismatch,
 )
@@ -46,12 +47,17 @@ def scalar_params(w):
     return EmbeddingParams.from_arrays([[w]], [0.0], [[0.0]], [0.0])
 
 
+def unbounded(f):
+    """f(p) as a line-search value_fn, which is also handed the trial's Armijo bound."""
+    return lambda p, bound: f(p)
+
+
 class TestLineSearch:
     def test_quadratic_accepts_first_try(self):
         params = scalar_params(1.0)
         grad = EmbeddingParams(np.array([[1.0]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         step, new_params, value = line_search(
-            params, grad, ridge_value, 0.5, TrainConfig(initial_step=1.0)
+            params, grad, unbounded(ridge_value), 0.5, TrainConfig(initial_step=1.0)
         )
         assert step == 1.0
         assert value == 0.0
@@ -60,7 +66,7 @@ class TestLineSearch:
     def test_zero_gradient_returns_step_zero(self):
         params = scalar_params(1.0)
         zero = EmbeddingParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-        step, new_params, value = line_search(params, zero, ridge_value, 0.5, TrainConfig())
+        step, new_params, value = line_search(params, zero, unbounded(ridge_value), 0.5, TrainConfig())
         assert step == 0.0
         assert params_equal(new_params, params)
 
@@ -71,7 +77,7 @@ class TestLineSearch:
         f = lambda p: smooth_value(p, dataset, blocks, cfg)
         f0 = f(params)
         grad = grad_params(params, dataset, blocks, cfg.loss_config())
-        step, _, value = line_search(params, grad, f, f0, cfg)
+        step, _, value = line_search(params, grad, unbounded(f), f0, cfg)
         assert step > 0.0
         assert value <= f0 - cfg.sufficient_decrease * step * grad.norm_sq()
 
@@ -106,8 +112,8 @@ class TestOptimizeW:
         values, accepted = [], []  # each search's current value, then its accepted value
         real_search = trainer.line_search
 
-        def recording_search(params, grad, value_fn, current_value, cfg, rejects=None):
-            step, new_params, new_value = real_search(params, grad, value_fn, current_value, cfg, rejects)
+        def recording_search(params, grad, value_fn, current_value, cfg):
+            step, new_params, new_value = real_search(params, grad, value_fn, current_value, cfg)
             values.append(current_value)
             if step > 0.0:
                 values.append(new_value)
@@ -135,10 +141,10 @@ def tiny_corpus(seed=0, n=30):
 def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=None):
     """Reference W-step in which no forward pass is shared.
 
-    Every block embeds and scores each line-search trial itself, every
-    gradient runs its own pass (the given fwd is ignored), and the losses
-    at the final params come from one more pass per block. It hands back
-    no pass.
+    Every block embeds and scores each line-search trial itself, with no
+    floor, every gradient runs its own pass (the given fwd is ignored), and
+    the losses at the final params come from one more pass per block. It
+    hands back no pass.
     """
     lcfg = cfg.loss_config()
     norm = cfg.normalized_similarity
@@ -154,7 +160,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=No
     for _ in range(cfg.max_inner_steps):
         steps += 1
         step, new_params, new_value = line_search(
-            params, gradient(params), lambda p: smooth_part(p, blocks, losses_at(p)), value, cfg
+            params, gradient(params), unbounded(lambda p: smooth_part(p, blocks, losses_at(p))), value, cfg
         )
         if step == 0.0:
             break
@@ -206,10 +212,11 @@ class TestSharedForwardPass:
         value = smooth_value(params, ds, blocks, cfg)
         losses = block_losses(params, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
 
-        passes, scored, evals = [], [], []
+        passes, scored, within, full = [], [], [], []
         real_embed, real_scores, real_search = embed.embed_images, embed.inner_scores, trainer.line_search
+        real_pass = trainer.forward_pass
 
-        def counting_embed(params, X):  # both forms of the pass embed the images once
+        def counting_embed(params, X):  # the entry gradient's pass and each trial embed the images once
             passes.append(params)
             return real_embed(params, X)
 
@@ -217,20 +224,30 @@ class TestSharedForwardPass:
             scored.append(H.shape)
             return real_scores(H, G)
 
-        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
-            def counted(p):
-                evals.append(p)
-                return value_fn(p)
-            return real_search(params, grad, counted, current_value, cfg, rejects)
+        def counting_search(params, grad, value_fn, current_value, cfg):
+            def counted(p, bound):
+                if not ridge_value(p) > bound:
+                    within.append(p)
+                return value_fn(p, bound)
+            return real_search(params, grad, counted, current_value, cfg)
+
+        def counting_pass(emb, blocks):
+            full.append(emb)
+            return real_pass(emb, blocks)
 
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(embed, "inner_scores", counting_scores)
         monkeypatch.setattr(trainer, "line_search", counting_search)
+        for module in (trainer, loss):  # the trials' passes, and the entry gradient's
+            monkeypatch.setattr(module, "forward_pass", counting_pass)
         out, steps, _ = optimize_W(params, ds, blocks, cfg, value, losses=losses)
         assert steps >= 2
-        assert len(passes) == len(evals) + 1
-        # a full set's passes score the dense matrix; a sampled W-step's are all gathered
-        assert len(scored) == (0 if cfg.sample_negatives else len(passes))
+        assert len(passes) == len(within) + 1
+        # each full pass of a full set scores the dense matrix (the prefix floor
+        # scores fewer rows and rejects some trials: they get no full pass); a
+        # sampled W-step's passes are all gathered
+        assert sum(shape[0] == ds.n for shape in scored) == (0 if cfg.sample_negatives else len(full))
+        assert len(full) <= len(passes)
         want = block_losses(out, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
         assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
 
@@ -238,18 +255,19 @@ class TestSharedForwardPass:
     def test_train_scores_each_point_once(self, monkeypatch, mode):
         ds = tiny_corpus(seed=2, n=40)
         cfg = TrainConfig(embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
-        passes, evals, steps = [], [], []
+        passes, within, steps = [], [], []
         real_embed, real_search = embed.embed_images, trainer.line_search
 
         def counting_embed(params, X):
             passes.append(params)
             return real_embed(params, X)
 
-        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
-            def counted(p):
-                evals.append(p)
-                return value_fn(p)
-            out = real_search(params, grad, counted, current_value, cfg, rejects)
+        def counting_search(params, grad, value_fn, current_value, cfg):
+            def counted(p, bound):
+                if not ridge_value(p) > bound:
+                    within.append(p)
+                return value_fn(p, bound)
+            out = real_search(params, grad, counted, current_value, cfg)
             steps.append(out[0])
             return out
 
@@ -257,15 +275,16 @@ class TestSharedForwardPass:
         monkeypatch.setattr(trainer, "line_search", counting_search)
         _, history = train(ds, cfg)
         assert len(history) == 3 and all(s > 0.0 for s in steps)
-        # the initial params, then each scored trial; no W-step re-scores its entry point
-        assert len(passes) == len(evals) + 1
+        # the initial params, then each trial the ridge floor passes; no W-step
+        # re-embeds its entry point, and no trial is embedded twice
+        assert len(passes) == len(within) + 1
 
 
 def floor_free_line_search(params, grad, value_fn, current_value, cfg, within_floor=None):
-    """line_search without its ridge floor: every trial is scored.
+    """line_search with every trial scored in full: value_fn is asked with an infinite bound.
 
     within_floor, when given, collects each trial whose ridge does not
-    exceed its Armijo bound: the trials the floor passes on to value_fn.
+    exceed its Armijo bound: the trials the W-step's ridge floor passes.
     """
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
@@ -273,7 +292,7 @@ def floor_free_line_search(params, grad, value_fn, current_value, cfg, within_fl
     step = cfg.initial_step
     for _ in range(trainer.MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
-        value = value_fn(trial)
+        value = value_fn(trial, np.inf)
         bound = current_value - cfg.sufficient_decrease * step * gnorm2
         if within_floor is not None and not ridge_value(trial) > bound:
             within_floor.append(trial)
@@ -285,23 +304,6 @@ def floor_free_line_search(params, grad, value_fn, current_value, cfg, within_fl
 
 def params_bytes(p):
     return b"".join(a.tobytes() for a in p.arrays)
-
-
-def scored_and_expected(params, grad, value_fn, current_value, cfg):
-    """Run line_search and its floor-free copy on the same inputs.
-
-    Returns both results, the trials line_search scored and the trials the
-    floor-free copy found within the floor, each as parameter bytes.
-    """
-    scored, within = [], []
-
-    def counted(p):
-        scored.append(params_bytes(p))
-        return value_fn(p)
-
-    got = line_search(params, grad, counted, current_value, cfg)
-    want = floor_free_line_search(params, grad, value_fn, current_value, cfg, within)
-    return got, want, scored, [params_bytes(p) for p in within]
 
 
 def assert_same_search(got, want):
@@ -323,6 +325,11 @@ EDGE_SEARCHES = {
 VALUE_FNS = {"ridge": ridge_value, "nan": lambda p: np.nan, "inf": lambda p: np.inf}
 
 
+def no_prefix(*args):
+    """loss.prefix_rejects switched off: the ridge floor alone rules trials out."""
+    return False
+
+
 class TestRidgeFloor:
     @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
     def test_train_equals_floor_free_bitwise(self, monkeypatch, mode):
@@ -333,64 +340,149 @@ class TestRidgeFloor:
             **SHARED_PASS_MODES[mode],
         )
         scored, within, trials = [], [], []
+        real_pass = trainer.forward_pass
 
-        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
-            def counted(p):
-                scored.append(params_bytes(p))
-                return value_fn(p)
-            # the ridge floor alone: the prefix test (TestPrefixFloor) is not passed on
-            return line_search(params, grad, counted, current_value, cfg)
+        def counting_pass(emb, blocks):
+            scored.append(emb)
+            return real_pass(emb, blocks)
 
-        monkeypatch.setattr(trainer, "line_search", counting_search)
-        params, history = train(ds, cfg)
-
-        def floor_free(params, grad, value_fn, current_value, cfg, rejects=None):
-            def counted(p):
+        def recording_search(params, grad, value_fn, current_value, cfg):
+            def recorded(p, bound):
                 trials.append(p)
-                return value_fn(p)
-            return floor_free_line_search(params, grad, counted, current_value, cfg, within)
+                if not ridge_value(p) > bound:
+                    within.append(p)
+                return value_fn(p, bound)
+            return line_search(params, grad, recorded, current_value, cfg)
 
-        monkeypatch.setattr(trainer, "line_search", floor_free)
+        monkeypatch.setattr(trainer, "prefix_rejects", no_prefix)
+        monkeypatch.setattr(trainer, "forward_pass", counting_pass)
+        monkeypatch.setattr(trainer, "line_search", recording_search)
+        params, history = train(ds, cfg)
+        # the floor rules trials out, and exactly those whose ridge exceeds the bound:
+        # the others each get one full pass (the first pass is train's entry pass)
+        assert scored[1:] and len(scored) == 1 + len(within)
+        assert len(within) < len(trials)
+        monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
         ref_params, ref_history = train(ds, cfg)
         assert len(history) == 3
         assert params_bytes(params) == params_bytes(ref_params)
         assert history_rows(history) == history_rows(ref_history)
-        # the floor rules trials out, and exactly those whose ridge exceeds the bound
-        assert scored == [params_bytes(p) for p in within]
-        assert len(scored) < len(trials)
 
     @pytest.mark.parametrize("seed", [60, 61, 62])
-    def test_value_fn_skips_only_trials_above_the_floor(self, seed):
+    def test_value_fn_skips_only_trials_above_the_floor(self, monkeypatch, seed):
         # at n = 30 the leading trials' ridges exceed their bounds, some of them
-        # while still below the current value
+        # while still below the current value. The W-step's value_fn embeds each
+        # trial the ridge floor passes exactly once, prefix floor or full pass.
         dataset, params, tetrads, v = random_instance(seed, n=30)
-        cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5)
+        cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5, max_inner_steps=1)
         blocks = [Block(tetrads, "i2t", v)]
-        f = lambda p: smooth_value(p, dataset, blocks, cfg)
-        grad = grad_params(params, dataset, blocks, cfg.loss_config())
-        got, want, scored, within = scored_and_expected(params, grad, f, f(params), cfg)
+        losses = block_losses(params, dataset, blocks, cfg.loss_config())
+        value = smooth_part(params, blocks, losses)
+        embedded, trials, within, results = [], [], [], []
+        real_embed = embed.embed_images
+
+        def counting_embed(p, X):
+            embedded.append(params_bytes(p))
+            return real_embed(p, X)
+
+        def recording_search(params, grad, value_fn, current_value, cfg):
+            def recorded(p, bound):
+                trials.append(params_bytes(p))
+                if not ridge_value(p) > bound:
+                    within.append(params_bytes(p))
+                return value_fn(p, bound)
+            results.append(line_search(params, grad, recorded, current_value, cfg))
+            f = unbounded(lambda p: smooth_value(p, dataset, blocks, cfg))
+            monkeypatch.setattr(embed, "embed_images", real_embed)  # the reference's embeddings go uncounted
+            results.append(floor_free_line_search(params, grad, f, current_value, cfg))
+            monkeypatch.setattr(embed, "embed_images", counting_embed)
+            return results[0]
+
+        monkeypatch.setattr(embed, "embed_images", counting_embed)
+        monkeypatch.setattr(trainer, "line_search", recording_search)
+        optimize_W(params, dataset, blocks, cfg, value, losses=losses)
+        got, want = results
         assert got[0] > 0.0
         assert_same_search(got, want)
-        assert scored == within
-        # the accepted trial is the last one scored, after at least one ruled out
-        assert scored[-1] == params_bytes(got[1])
-        trials = round(np.log2(cfg.initial_step / got[0])) + 1
-        assert len(scored) < trials
+        n_trials = round(np.log2(cfg.initial_step / got[0])) + 1
+        assert len(trials) == n_trials and len(within) < n_trials
+        # the entry gradient's pass, then one embedding per trial within the floor
+        assert embedded == [params_bytes(params)] + within
+        assert within[-1] == params_bytes(got[1])
+
+    @pytest.mark.parametrize("case", EDGE_SEARCHES)
+    def test_w_step_value_fn_at_the_floor_edges(self, monkeypatch, case):
+        # optimize_W's own value_fn on a one-feature corpus. With W2 = 0 every text
+        # embeds alike, so each tetrad's hinge is the margin and f = ridge + a constant.
+        g, current_value, c = EDGE_SEARCHES[case]
+        x = np.arange(4.0)[:, None]
+        dataset = validate_dataset(x, x)
+        tetrads = build_tetrads(dataset)
+        blocks = [Block(tetrads, "i2t", ImportanceVector(np.ones(tetrads.total), tetrads.offsets))]
+        cfg = TrainConfig(sufficient_decrease=c, max_inner_steps=1)
+        f = lambda p: smooth_value(p, dataset, blocks, cfg)
+        params = scalar_params(1.0)
+        value, ridge = f(params), ridge_value(params)
+        grad = EmbeddingParams(np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        value_fns, within, embedded, passes = [], [], [], []
+        real_embed, real_pass = embed.embed_images, trainer.forward_pass
+
+        def capturing_search(params, grad, value_fn, current_value, cfg):
+            value_fns.append(value_fn)
+            return 0.0, params, current_value
+
+        def counting_embed(p, X):
+            embedded.append(params_bytes(p))
+            return real_embed(p, X)
+
+        def counting_pass(emb, blocks):
+            passes.append(emb)
+            return real_pass(emb, blocks)
+
+        monkeypatch.setattr(trainer, "line_search", capturing_search)
+        optimize_W(params, dataset, blocks, cfg, value)
+        (value_fn,) = value_fns
+        with np.errstate(over="ignore"):  # gnorm2, the large steps' ridges and sigmoids overflow
+            want = floor_free_line_search(params, grad, unbounded(f), current_value, cfg, within)
+            monkeypatch.setattr(embed, "embed_images", counting_embed)
+            monkeypatch.setattr(trainer, "forward_pass", counting_pass)
+            got = line_search(params, grad, value_fn, current_value, cfg)
+        assert_same_search(got, want)
+        # exactly the trials whose ridge does not exceed the bound are embedded and scored
+        assert embedded == [params_bytes(p) for p in within]
+        assert len(passes) == len(within)
+        if case != "infinite-gnorm2":
+            assert within  # the floor's edge is reached, not only trials far from it
+
+        # a ridge exactly on the bound is scored in full; just below it, the ridge is returned
+        embedded.clear()
+        passes.clear()
+        assert value_fn(params, ridge) == value > ridge
+        assert embedded == [params_bytes(params)] and len(passes) == 1
+        below = np.nextafter(ridge, -np.inf)
+        assert value_fn(params, below) == ridge
+        assert len(embedded) == 1 and len(passes) == 1
 
     @pytest.mark.parametrize("value", VALUE_FNS)
     @pytest.mark.parametrize("case", EDGE_SEARCHES)
     def test_edge_values_equal_floor_free(self, case, value):
+        # each trial's value_fn is handed the trial's Armijo bound, even where it overflows
         g, current_value, c = EDGE_SEARCHES[case]
         grad = EmbeddingParams(np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         cfg = TrainConfig(sufficient_decrease=c)
+        bounds = []
+
+        def recorded(p, bound):
+            bounds.append(bound)
+            return VALUE_FNS[value](p)
+
         with np.errstate(over="ignore"):  # gnorm2 and the large steps' ridges overflow to inf
-            got, want, scored, within = scored_and_expected(
-                scalar_params(1.0), grad, VALUE_FNS[value], current_value, cfg
-            )
+            got = line_search(scalar_params(1.0), grad, recorded, current_value, cfg)
+            want = floor_free_line_search(scalar_params(1.0), grad, unbounded(VALUE_FNS[value]), current_value, cfg)
+            gnorm2 = grad.norm_sq()
+            steps = cfg.initial_step * cfg.shrink_factor ** np.arange(len(bounds))
+            assert bounds == [current_value - c * step * gnorm2 for step in steps]
         assert_same_search(got, want)
-        assert scored == within
-        if case != "infinite-gnorm2":
-            assert scored  # trials on or below the bound are scored
 
 
 PREFIX_MODES = {
@@ -411,33 +503,42 @@ class TestPrefixFloor:
         cfg = TrainConfig(
             embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, sufficient_decrease=0.1, **options
         )
-        by_prefix, tests = [], []
+        lcfg, normalized = cfg.loss_config(), cfg.normalized_similarity
+        current, checks, plans = {}, [], []
+        real_prefix, real_plan = trainer.prefix_rejects, trainer.heaviest_queries
 
-        def counting_search(params, grad, value_fn, current_value, cfg, rejects=None):
-            tests.append(rejects)
+        def tracking_search(params, grad, value_fn, current_value, cfg):
+            def tracked(p, bound):
+                current["trial"] = p
+                return value_fn(p, bound)
+            return line_search(params, grad, tracked, current_value, cfg)
 
-            def counted_rejects(trial, bound):
-                out = rejects(trial, bound)
-                if out and not ridge_value(trial) > bound:
-                    by_prefix.append(trial)
-                    assert not value_fn(trial) <= bound  # the decision value_fn's result gives
-                return out
-            return line_search(params, grad, value_fn, current_value, cfg, rejects and counted_rejects)
+        def checked_prefix(emb, blocks, cfg, prefixes, ridge, bound):
+            out = real_prefix(emb, blocks, cfg, prefixes, ridge, bound)
+            checks.append(out)
+            if out:  # the decision value_fn's full result gives
+                p = current["trial"]
+                assert not ridge > bound
+                assert not smooth_part(p, blocks, block_losses(p, ds, blocks, lcfg, normalized)) <= bound
+            return out
 
-        monkeypatch.setattr(trainer, "line_search", counting_search)
+        def counted_plan(*args):
+            plans.append(args)
+            return real_plan(*args)
+
+        monkeypatch.setattr(trainer, "line_search", tracking_search)
+        monkeypatch.setattr(trainer, "prefix_rejects", checked_prefix)
+        monkeypatch.setattr(trainer, "heaviest_queries", counted_plan)
         params, history = train(ds, cfg)
-
-        def floor_free(params, grad, value_fn, current_value, cfg, rejects=None):
-            return floor_free_line_search(params, grad, value_fn, current_value, cfg)
-
-        monkeypatch.setattr(trainer, "line_search", floor_free)
+        monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
         ref_params, ref_history = train(ds, cfg)
         assert len(history) == 3
         assert params_bytes(params) == params_bytes(ref_params)
         assert history_rows(history) == history_rows(ref_history)
-        assert all((t is not None) == dense for t in tests)
-        if dense:
-            assert by_prefix  # not vacuous: some trial within the ridge floor was rejected unscored
+        assert checks
+        # not vacuous on dense passes: some trial within the ridge floor was rejected
+        # unscored; a gathered pass never orders its queries
+        assert any(checks) == dense and bool(plans) == dense
 
 
 class TestTrain:
@@ -527,6 +628,18 @@ class TestTrain:
         cfg = TrainConfig(embedding_dim=3, max_outer_iters=3, seed=8, normalized_similarity=True)
         params, history = train(ds, cfg)
         assert np.isfinite(history.records[-1].objective)
+
+    @pytest.mark.parametrize("p, q", [(9, 8), (8, 7)])
+    def test_validation_dimensions_are_checked_before_any_work(self, monkeypatch, p, q):
+        ds = tiny_corpus()
+        val = synth_generate(SynthSpec(n=10, latent=3, p=p, q=q, noise=0.1, seed=1))
+
+        def no_w_step(*args, **kwargs):
+            raise AssertionError("a W-step ran before the validation set was checked")
+
+        monkeypatch.setattr(trainer, "optimize_W", no_w_step)
+        with pytest.raises(DimensionMismatch):
+            train(ds, TrainConfig(embedding_dim=4, max_outer_iters=2, seed=5), val_dataset=val)
 
     def test_val_history_and_early_stopping(self):
         ds = tiny_corpus(seed=9, n=40)
