@@ -136,7 +136,6 @@ def _parse_run_config(config: dict):
     _check_keys(train_sec, known, "train")
     with _section("train"):
         train_cfg = TrainConfig(**train_sec)
-        train_cfg.validate()
 
     eval_sec = config.get("eval", {})
     _check_keys(eval_sec, _EVAL_KEYS, "eval")

@@ -21,9 +21,11 @@ from .core import (
     ImportanceVector,
     LossConfig,
     build_tetrads,
+    check_seed,
     validate_dataset,
 )
 from .embed import forward
+from .errors import ConfigInvalid
 from .loss import Block, _hinge_args, block_losses, forward_pass, grad_params, smooth_part
 
 KINK_BAND = 1e-6
@@ -38,8 +40,12 @@ class GradCheckInstance:
     normalized: bool
 
 
+def _pass(params, inst: GradCheckInstance):
+    return forward_pass(forward(params, inst.dataset, inst.normalized), inst.blocks)
+
+
 def _smooth(params, inst: GradCheckInstance) -> float:
-    losses = block_losses(params, inst.dataset, inst.blocks, inst.cfg, inst.normalized)
+    losses = block_losses(params, inst.dataset, inst.blocks, inst.cfg, _pass(params, inst))
     return smooth_part(params, inst.blocks, losses)
 
 
@@ -114,7 +120,7 @@ def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float 
     The corrupt offset exists as a negative control: it shifts the analytic
     gradient so the check must fail.
     """
-    analytic = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, inst.normalized)
+    analytic = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, _pass(inst.params, inst))
     numeric = numeric_gradient(inst, h)
     worst = 0.0
     for a, ncomp in zip(analytic.arrays, numeric):
@@ -137,7 +143,11 @@ def run_gradient_check(
     normalized-similarity mode. Every third instance is a sampled set, one
     negative per query at 12 <= n <= 16, whose gradient is scatter-added as
     it is for train's sampled sets; the others are full sets at n <= 8.
+    Fewer than one instance (which checks nothing) or a negative base_seed raises ConfigInvalid.
     """
+    if n_instances < 1:
+        raise ConfigInvalid(f"a gradient check needs at least one instance, got {n_instances}")
+    check_seed(base_seed)
     worst = 0.0
     for i in range(n_instances):
         seed = base_seed + i

@@ -15,10 +15,10 @@ Every loss and gradient reads one Pass per parameter point: the
 embedding (embed.forward), the aligned scores S_kk and each block's tetrad
 scores S_kj. forward_pass reads them from the dense n x n matrix
 (embed.query_rows) or, when the blocks hold few tetrads against it,
-gathers them (embed.pair_scores): the same bits either way. all_losses,
-block_losses, grad_loss_term and grad_params take an optional Pass and
-build one only when it is not given, so blocks at one point share one
-forward and one backward pass.
+gathers them (embed.pair_scores): the same bits either way. block_losses,
+grad_loss_term and grad_params read a given Pass, whose embedding says raw
+or cosine, so blocks at one point share one forward and one backward pass;
+all_losses and objective embed params themselves.
 
 Only selected active tetrads (weight and hinge both strictly positive)
 carry gradient. When the selected tetrads are few against n x n
@@ -135,13 +135,15 @@ def forward_pass(emb: Embedding, blocks: Sequence[Block]) -> Pass:
     """The pass at emb's point for these blocks: dense, or gathered when they hold few tetrads.
 
     The dense form reads the aligned scores and each block's entries from
-    the n x n matrix, then drops it.
+    the n x n matrix, then drops it. The matrix has the last block's queries
+    as rows, and a block of the other direction reads its transpose.
     """
     n = len(emb.H)
     if dense_pass(n, blocks):
-        S = query_rows(emb, "i2t")
+        last = blocks[-1].direction
+        S = query_rows(emb, last)
         aligned = np.diagonal(S).copy()
-        scores = [_entries(query_scores(S, b.direction), b.tetrads) for b in blocks]
+        scores = [_entries(S if b.direction == last else S.T, b.tetrads) for b in blocks]
     else:
         every = np.arange(n)
         aligned = pair_scores(emb, every, every)
@@ -262,10 +264,10 @@ def all_losses(
 ) -> GroupedVector:
     """Hinge losses for every tetrad, from one forward pass.
 
-    fwd is the forward pass at params for this set and direction; it is
-    computed when not given. The values are nonnegative by construction and
-    are not re-checked; a non-finite loss shows up in the objective value,
-    which the trainer checks.
+    fwd is the forward pass at params for this set and direction; without
+    one, params are embedded here, with cosine scores when normalized. The
+    values are nonnegative by construction and are not re-checked; a
+    non-finite loss shows up in the objective value, which the trainer checks.
     """
     _check_tetrads(tetrads, dataset.n)
     fwd = fwd or forward_pass(forward(params, dataset, normalized), [Block(tetrads, direction, None)])
@@ -303,12 +305,10 @@ def block_losses(
     dataset: Dataset,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    normalized: bool = False,
-    fwd=None,
+    fwd: Pass,
 ) -> list[GroupedVector]:
-    """all_losses for each block, in block order, all from one forward pass."""
-    fwd = fwd or forward_pass(forward(params, dataset, normalized), blocks)
-    return [all_losses(params, dataset, b.tetrads, cfg, b.direction, normalized, fwd) for b in blocks]
+    """all_losses for each block, in block order, all from fwd, the forward pass at params."""
+    return [all_losses(params, dataset, b.tetrads, cfg, b.direction, fwd=fwd) for b in blocks]
 
 
 def smooth_part(params: EmbeddingParams, blocks: Sequence[Block], losses: list[GroupedVector]) -> float:
@@ -432,7 +432,7 @@ def objective(
     Terms are added one at a time: the ridge, then each block's weighted
     loss sum, then each block's selection penalty.
     """
-    losses = block_losses(params, dataset, blocks, cfg, normalized)
+    losses = block_losses(params, dataset, blocks, cfg, forward_pass(forward(params, dataset, normalized), blocks))
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
@@ -518,20 +518,19 @@ def grad_loss_term(
     dataset: Dataset,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    normalized: bool = False,
-    fwd=None,
+    fwd: Pass,
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
-    fwd is the forward pass at params for these blocks; it is computed when
-    not given, and when given its embedding, raw or cosine, overrides
-    normalized. A tetrad contributes iff its weight and its hinge argument
-    are strictly positive: it is selected and active. With C the image-row
-    matrix of those tetrads' weights (a t2i tetrad (query k, negative j)
-    sits at row j, column k) and s its per-query sums, sum C_kj S_kj -
-    sum s_k S_kk is backpropagated once, through the sigmoid
-    (sigma' = sigma * (1 - sigma)) into W1/b1 and W2/b2. A and B are the
-    image and text embeddings, divided by their norms for cosine scores.
+    fwd is the forward pass at params for these blocks; its embedding says
+    whether the scores are raw or cosine. A tetrad contributes iff its
+    weight and its hinge argument are strictly positive: it is selected and
+    active. With C the image-row matrix of those tetrads' weights (a t2i
+    tetrad (query k, negative j) sits at row j, column k) and s its
+    per-query sums, sum C_kj S_kj - sum s_k S_kk is backpropagated once,
+    through the sigmoid (sigma' = sigma * (1 - sigma)) into W1/b1 and
+    W2/b2. A and B are the image and text embeddings, divided by their
+    norms for cosine scores.
 
     When the selected tetrads (v > 0) are fewer than SCATTER_MAX_SHARE of
     n^2, C B, C^T A, s and the cosine term's sums of C * S are added over
@@ -547,7 +546,6 @@ def grad_loss_term(
         _check_tetrads(b.tetrads, dataset.n)
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
-    fwd = fwd or forward_pass(forward(params, dataset, normalized), blocks)
     normalized = fwd.emb.norms is not None  # the scores the pass holds
     H, G = fwd.emb.H, fwd.emb.G
     n = dataset.n
@@ -580,13 +578,12 @@ def grad_params(
     dataset: Dataset,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    normalized: bool = False,
-    fwd=None,
+    fwd: Pass,
 ) -> EmbeddingParams:
-    """Gradient of ridge + every block's weighted hinge term, from one forward pass.
+    """Gradient of ridge + every block's weighted hinge term, from fwd, the forward pass at params.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
     penalized); the blocks' term is added to it.
     """
     ridge = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, cfg, normalized, fwd))
+    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, cfg, fwd))

@@ -111,7 +111,7 @@ class TrainConfig:
     normalized_similarity: bool = False
     early_stop_patience: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # a JSON "false", true, 2.5 or NaN would otherwise pass the range checks below
         for name in ("symmetric_tetrads", "normalized_similarity"):
             value = getattr(self, name)
@@ -234,21 +234,19 @@ def optimize_W(
     dataset: Dataset,
     blocks: list[Block],
     cfg: TrainConfig,
-    value: float,
-    losses: Optional[list[GroupedVector]] = None,
+    losses: list[GroupedVector],
     fwd: Optional[Pass] = None,
 ) -> tuple[EmbeddingParams, int, Optional[Pass]]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
 
-    value is the smooth value at params, which the caller already holds.
-    losses, when given, holds each block's losses at params; each accepted
-    step replaces them in place by the accepted trial's, so on return they
-    are the losses at the returned params (they do not depend on v). Only
-    one set of losses is alive at a time.
+    losses holds each block's losses at params, which give the smooth value
+    there; each accepted step replaces them in place by the accepted
+    trial's, so on return they are the losses at the returned params (they
+    do not depend on v). Only one set of losses is alive at a time.
 
     Each parameter point gets one forward pass. fwd, when given, is the
     pass at params for these blocks (it does not depend on v either) and
-    serves the entry gradient, which otherwise computes its own. Each
+    serves the entry gradient; without it params are embedded again. Each
     scored line-search trial's pass serves every block, and the accepted
     trial's pass (line_search accepts its last trial) serves the next
     gradient. Returns the final params, the inner steps taken and the pass
@@ -256,20 +254,18 @@ def optimize_W(
     pass was dropped before it.
 
     value_fn applies the ridge floor, embeds the trial once, tries
-    loss.prefix_rejects on that embedding when the losses at params are in
-    hand (each block's heaviest queries are found once per inner step), and
-    gives a trial that falls through the full pass on the same embedding.
+    loss.prefix_rejects on that embedding (each block's heaviest queries at
+    params are found once per inner step), and gives a trial that falls
+    through the full pass on the same embedding.
     """
-    cfg.validate()
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
     last: dict = {}  # the latest trial's forward pass and per-block losses
-    in_hand = losses  # each block's losses at params, once known
     plans: list = []  # each block's heaviest queries at params
 
     def prefixes():
         if not plans:
-            plans.extend(heaviest_queries(b, l) for b, l in zip(blocks, in_hand))
+            plans.extend(heaviest_queries(b, l) for b, l in zip(blocks, losses))
         return plans
 
     def value_fn(p, bound):
@@ -278,28 +274,30 @@ def optimize_W(
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if in_hand is not None and prefix_rejects(emb, blocks, lcfg, prefixes, ridge, bound):
+        if prefix_rejects(emb, blocks, lcfg, prefixes, ridge, bound):
             return np.inf
         trial_fwd = forward_pass(emb, blocks)
-        trial_losses = block_losses(p, dataset, blocks, lcfg, normalized, trial_fwd)
+        trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
         return smooth_part(p, blocks, trial_losses)
 
+    value = smooth_part(params, blocks, losses)
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
     steps = 0
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        grad = grad_params(params, dataset, blocks, lcfg, normalized, fwd)
+        if fwd is None:  # not handed over: the previous W-step's last line search failed
+            fwd = forward_pass(forward(params, dataset, normalized), blocks)
+        grad = grad_params(params, dataset, blocks, lcfg, fwd)
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
-        fwd, in_hand = last["fwd"], last["losses"]
-        if losses is not None:
-            losses[:] = in_hand
+        fwd = last["fwd"]
+        losses[:] = last["losses"]
         last.clear()
         plans.clear()
         rel = (value - new_value) / max(1.0, abs(value))
@@ -339,7 +337,6 @@ def train(
     the total selected mass are relatively stable (below rel_tol) for two
     consecutive outer iterations, or at max_outer_iters.
     """
-    cfg.validate()
     if val_dataset is not None and (val_dataset.p, val_dataset.q) != (dataset.p, dataset.q):
         raise DimensionMismatch(f"validation set has p, q = {val_dataset.p}, {val_dataset.q}, "
                                 f"training set {dataset.p}, {dataset.q}")
@@ -355,12 +352,11 @@ def train(
         blocks.append(Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
-    lcfg = cfg.loss_config()
     # The pass at the current params, for the next W-step's entry gradient.
     # It is popped as it is handed over, so no reference here keeps it alive
     # while optimize_W's line search scores its trials.
     held = {"fwd": forward_pass(forward(params, dataset, cfg.normalized_similarity), blocks)}
-    losses = block_losses(params, dataset, blocks, lcfg, cfg.normalized_similarity, held["fwd"])
+    losses = block_losses(params, dataset, blocks, cfg.loss_config(), held["fwd"])
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
     _update_weights(blocks, losses, pacing)
@@ -377,9 +373,7 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        params, inner_steps, held["fwd"] = optimize_W(
-            params, dataset, blocks, cfg, smooth, losses=losses, fwd=held.pop("fwd")
-        )
+        params, inner_steps, held["fwd"] = optimize_W(params, dataset, blocks, cfg, losses, fwd=held.pop("fwd"))
         obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
         _update_weights(blocks, losses, pacing)
@@ -451,7 +445,6 @@ def _config_from_json(payload: dict) -> TrainConfig:
         raise CorruptCheckpoint(f"unknown config keys in checkpoint: {sorted(unknown)}")
     try:
         cfg = TrainConfig(**payload)
-        cfg.validate()
     except (TypeError, ConfigInvalid) as exc:
         raise CorruptCheckpoint(f"invalid config in checkpoint: {exc}") from exc
     return cfg

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pacedrank.core import EmbeddingParams, ImportanceVector, build_tetrads, validate_dataset
+from pacedrank.embed import forward
+from pacedrank.loss import forward_pass
 
 
 @pytest.fixture
@@ -30,3 +32,8 @@ def random_instance(seed, n=6, p=5, q=4, d=3):
     tetrads = build_tetrads(dataset)
     v = ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
     return dataset, params, tetrads, v
+
+
+def point(params, dataset, blocks, normalized=False):
+    """The forward pass at params for these blocks, which block_losses and the gradient read."""
+    return forward_pass(forward(params, dataset, normalized), blocks)

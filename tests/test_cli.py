@@ -394,3 +394,22 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out.strip()
         assert code == 3
         assert float(out) >= 1e-5
+
+    @pytest.mark.parametrize("corrupt", [[], ["--corrupt"]], ids=["plain", "corrupt"])
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_no_instances_exits_one(self, capsys, instances, corrupt):
+        # no instance checks nothing, so it must not print a passing error of 0
+        code = main(["gradcheck", "--instances", instances] + corrupt)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: a gradient check needs at least one instance")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_negative_seed_exits_one(self, capsys):
+        code = main(["gradcheck", "--seed", "-1", "--instances", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be a nonnegative integer")
+        assert len(captured.err.splitlines()) == 1

@@ -23,7 +23,7 @@ from pacedrank.core import (
 )
 from pacedrank.embed import forward, query_rows, query_scores, score_matrix
 from pacedrank.errors import AlignmentError, ConfigInvalid, IndexOutOfRange
-from pacedrank.gradcheck import make_instance, max_relative_error
+from pacedrank.gradcheck import make_instance, max_relative_error, numeric_gradient
 from pacedrank.loss import (
     Block,
     _entries,
@@ -43,7 +43,7 @@ from pacedrank.loss import (
     weighted_sum_from,
 )
 
-from conftest import random_dataset, random_instance, random_params
+from conftest import point, random_dataset, random_instance, random_params
 
 
 # (directions, normalized) of the sampled finite-difference cases
@@ -160,8 +160,12 @@ class TestTextQueryDirection:
         assert np.array_equal(losses.values, swapped.values)
         assert (losses.values > 0.0).any()
 
-        g = grad_loss_term(params, dataset, [Block(tetrads, "t2i", v)], cfg, normalized)
-        s = grad_loss_term(swapped_params, swapped_data, [Block(tetrads, "i2t", v)], cfg, normalized)
+        blocks, swapped_blocks = [Block(tetrads, "t2i", v)], [Block(tetrads, "i2t", v)]
+        g = grad_loss_term(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
+        s = grad_loss_term(
+            swapped_params, swapped_data, swapped_blocks, cfg,
+            point(swapped_params, swapped_data, swapped_blocks, normalized),
+        )
         for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
             assert np.array_equal(got, want)
 
@@ -174,13 +178,12 @@ class TestTextQueryDirection:
         tetrads = build_tetrads(dataset, sample, 1)
         v = ImportanceVector(np.random.default_rng(9).uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
         cfg = LossConfig(margin=0.3)
-        g = grad_loss_term(params, dataset, [Block(tetrads, "t2i", v)], cfg, normalized=True)
+        blocks = [Block(tetrads, "t2i", v)]
+        g = grad_loss_term(params, dataset, blocks, cfg, point(params, dataset, blocks, True))
+        swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
+        swapped_data, swapped_blocks = Dataset(dataset.texts, dataset.images), [Block(tetrads, "i2t", v)]
         s = grad_loss_term(
-            EmbeddingParams(params.W2, params.b2, params.W1, params.b1),
-            Dataset(dataset.texts, dataset.images),
-            [Block(tetrads, "i2t", v)],
-            cfg,
-            normalized=True,
+            swapped_params, swapped_data, swapped_blocks, cfg, point(swapped_params, swapped_data, swapped_blocks, True)
         )
         for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
             assert got.tobytes() == want.tobytes()
@@ -205,14 +208,15 @@ class TestOneBackwardPass:
         assert i2t_block.tetrads.is_full == (sample is None)
         cfg = LossConfig(margin=0.3)
 
-        got = grad_loss_term(params, dataset, [i2t_block, t2i_block], cfg, normalized)
-        i2t = grad_loss_term(params, dataset, [i2t_block], cfg, normalized)
+        both, one = [i2t_block, t2i_block], [i2t_block]
+        got = grad_loss_term(params, dataset, both, cfg, point(params, dataset, both, normalized))
+        i2t = grad_loss_term(params, dataset, one, cfg, point(params, dataset, one, normalized))
+        swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
+        swapped_data = Dataset(dataset.texts, dataset.images)
+        swapped_blocks = [Block(t2i_block.tetrads, "i2t", t2i_block.v)]
         swapped = grad_loss_term(
-            EmbeddingParams(params.W2, params.b2, params.W1, params.b1),
-            Dataset(dataset.texts, dataset.images),
-            [Block(t2i_block.tetrads, "i2t", t2i_block.v)],
-            cfg,
-            normalized,
+            swapped_params, swapped_data, swapped_blocks, cfg,
+            point(swapped_params, swapped_data, swapped_blocks, normalized),
         )
         for g, a, b in zip(got.arrays, i2t.arrays, (swapped.W2, swapped.b2, swapped.W1, swapped.b1)):
             want = a + b
@@ -220,22 +224,24 @@ class TestOneBackwardPass:
 
     @pytest.mark.parametrize("sample", [None, 3])
     def test_given_pass_decides_raw_or_cosine(self, sample):
-        # a pass's embedding holds norms iff its scores are cosine; the flag cannot contradict it
-        dataset, params, _, _ = random_instance(13, n=9, p=5, q=4)
-        tetrads = build_tetrads(dataset, sample, 4)
-        blocks = [Block(tetrads, "i2t", ImportanceVector(np.linspace(0.1, 1.0, tetrads.total), tetrads.offsets))]
-        cfg = LossConfig(margin=0.3)
+        # a pass's embedding holds norms iff its scores are cosine, and the gradient
+        # follows it: each equals the finite differences of its own kind of scores
+        grads = []
         for normalized in (False, True):
-            fwd = forward_pass(forward(params, dataset, normalized), blocks)
-            want = grad_loss_term(params, dataset, blocks, cfg, normalized)
-            got = grad_loss_term(params, dataset, blocks, cfg, not normalized, fwd)
-            assert all(np.array_equal(g, w) for g, w in zip(got.arrays, want.arrays))
+            inst = make_instance(13, n=9, normalized=normalized, m=sample)
+            fwd = forward_pass(forward(inst.params, inst.dataset, normalized), inst.blocks)
+            assert (fwd.emb.norms is not None) == normalized
+            got = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, fwd)
+            for g, numeric in zip(got.arrays, numeric_gradient(inst)):
+                assert np.max(np.abs(g - numeric) / np.maximum(1.0, np.abs(numeric))) < 1e-5
+            grads.append(got)
+        assert not np.array_equal(grads[0].W1, grads[1].W1)
 
     def test_no_blocks_leaves_the_ridge(self):
         dataset, params, _, _ = random_instance(3)
-        g = grad_loss_term(params, dataset, [], LossConfig())
+        g = grad_loss_term(params, dataset, [], LossConfig(), point(params, dataset, []))
         assert all(not a.any() and a.shape == b.shape for a, b in zip(g.arrays, params.arrays))
-        ridge = grad_params(params, dataset, [], LossConfig())
+        ridge = grad_params(params, dataset, [], LossConfig(), point(params, dataset, []))
         for got, want in zip(ridge.arrays, (params.W1, np.zeros(params.d), params.W2, np.zeros(params.d))):
             assert np.array_equal(got, want)
 
@@ -302,7 +308,7 @@ import numpy as np
 from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
 from pacedrank.embed import forward, query_rows
 from pacedrank.evaluation import retrieve
-from pacedrank.loss import Block, grad_loss_term
+from pacedrank.loss import Block, forward_pass, grad_loss_term
 from pacedrank.trainer import init_params
 
 rng = np.random.default_rng(7)
@@ -314,7 +320,8 @@ digest = hashlib.sha256()
 for normalized in (False, True):
     for directions in (("i2t",), ("t2i",), ("i2t", "t2i")):
         blocks = [Block(tetrads, d, v) for d in directions]
-        g = grad_loss_term(params, dataset, blocks, LossConfig(margin=0.1), normalized)
+        fwd = forward_pass(forward(params, dataset, normalized), blocks)
+        g = grad_loss_term(params, dataset, blocks, LossConfig(margin=0.1), fwd)
         for arr in g.arrays:
             digest.update(arr.tobytes())
 print("gradient", digest.hexdigest())
@@ -334,7 +341,8 @@ class TestGradient:
     def test_zero_weights_gradient_is_ridge(self):
         dataset, params, tetrads, _ = random_instance(8)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
-        g = grad_params(params, dataset, [Block(tetrads, "i2t", v)], LossConfig())
+        blocks = [Block(tetrads, "i2t", v)]
+        g = grad_params(params, dataset, blocks, LossConfig(), point(params, dataset, blocks))
         assert np.array_equal(g.W1, params.W1)
         assert np.array_equal(g.W2, params.W2)
         assert np.array_equal(g.b1, np.zeros(params.d))
@@ -352,11 +360,13 @@ class TestGradient:
         v = ImportanceVector(np.ones(2), tetrads.offsets)
         losses = all_losses(params, ds, tetrads, LossConfig(margin=0.1))
         assert losses.values[0] == 0.0  # query 0 satisfied
-        g = grad_params(params, ds, [Block(tetrads, "i2t", v)], LossConfig(margin=0.1))
+        blocks = [Block(tetrads, "i2t", v)]
+        g = grad_params(params, ds, blocks, LossConfig(margin=0.1), point(params, ds, blocks))
         # query 1's hinge is active, so only assert the satisfied side's share:
         # with both hinges inactive the gradient reduces to the ridge exactly
         v0 = ImportanceVector(np.array([1.0, 0.0]), tetrads.offsets)
-        g0 = grad_params(params, ds, [Block(tetrads, "i2t", v0)], LossConfig(margin=0.1))
+        blocks0 = [Block(tetrads, "i2t", v0)]
+        g0 = grad_params(params, ds, blocks0, LossConfig(margin=0.1), point(params, ds, blocks0))
         assert np.array_equal(g0.W1, params.W1)
         assert np.array_equal(g0.b2, np.zeros(1))
 
@@ -410,8 +420,9 @@ class TestGradient:
         pruned_obj = objective(params, dataset, [Block(pruned, "i2t", v_pruned)], pacing, cfg)
         assert full_obj == pruned_obj
 
-        g_full = grad_params(params, dataset, [Block(tetrads, "i2t", v)], cfg)
-        g_pruned = grad_params(params, dataset, [Block(pruned, "i2t", v_pruned)], cfg)
+        full, kept_only = [Block(tetrads, "i2t", v)], [Block(pruned, "i2t", v_pruned)]
+        g_full = grad_params(params, dataset, full, cfg, point(params, dataset, full))
+        g_pruned = grad_params(params, dataset, kept_only, cfg, point(params, dataset, kept_only))
         assert np.array_equal(g_full.W1, g_pruned.W1)
         assert np.array_equal(g_full.b1, g_pruned.b1)
         assert np.array_equal(g_full.W2, g_pruned.W2)
@@ -477,8 +488,9 @@ class TestFullSetPath:
         v_full = ImportanceVector(values, v.offsets)
         v_pruned = ImportanceVector(v.values[kept], pruned.offsets)
         for direction in ("i2t", "t2i"):
-            g = grad_params(params, dataset, [Block(tetrads, direction, v_full)], LossConfig())
-            g_pruned = grad_params(params, dataset, [Block(pruned, direction, v_pruned)], LossConfig())
+            full, kept_only = [Block(tetrads, direction, v_full)], [Block(pruned, direction, v_pruned)]
+            g = grad_params(params, dataset, full, LossConfig(), point(params, dataset, full))
+            g_pruned = grad_params(params, dataset, kept_only, LossConfig(), point(params, dataset, kept_only))
             for a, b in zip(g.arrays, g_pruned.arrays):
                 assert a.tobytes() == b.tobytes()
 
@@ -491,6 +503,27 @@ class TestFullSetPath:
         with pytest.raises(ConfigInvalid):
             TetradSet(3, [0, 3, 4, 6], [1, 2, 1, 0, 0, 1])
         assert not without_first_negatives(build_tetrads(dataset))[0].is_full
+
+    def test_pass_copies_no_transposed_score_matrix(self):
+        # the dense pass scores S with its last block's queries as rows and reads the
+        # other direction through S.T, so no order of directions copies S.T whole
+        rng = np.random.default_rng(16)
+        n = 1000
+        dataset = random_dataset(rng, n=n, p=8, q=8)
+        emb = forward(random_params(rng, d=10, p=8, q=8), dataset, True)
+        tetrads = build_tetrads(dataset)
+        peaks = {}
+        for directions in (("i2t",), ("t2i",), ("i2t", "t2i"), ("t2i", "i2t")):
+            blocks = [Block(tetrads, d, None) for d in directions]
+            tracemalloc.start()
+            try:
+                forward_pass(emb, blocks)
+                peaks[directions] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        mib = 1 << 20
+        assert abs(peaks[("t2i",)] - peaks[("i2t",)]) < mib
+        assert abs(peaks[("i2t", "t2i")] - peaks[("t2i", "i2t")]) < mib
 
     @pytest.mark.parametrize("weights", ["random", "zeros", "ones"])
     def test_weighted_sum_index_equals_mask_bitwise(self, weights):
@@ -568,10 +601,11 @@ class TestMixedBlocks:
             blocks.append(Block(tetrads, direction, ImportanceVector(values, tetrads.offsets)))
         cfg = LossConfig(margin=0.1)
         want_losses, want_grad = dense_reference(params, dataset, blocks, cfg, normalized)
-        losses = block_losses(params, dataset, blocks, cfg, normalized)
+        fwd = point(params, dataset, blocks, normalized)
+        losses = block_losses(params, dataset, blocks, cfg, fwd)
         assert any((x.values > 0.0).any() for x in losses)
         assert [x.values.tobytes() for x in losses] == [x.tobytes() for x in want_losses]
-        grad = grad_loss_term(params, dataset, blocks, cfg, normalized)
+        grad = grad_loss_term(params, dataset, blocks, cfg, fwd)
         assert [a.tobytes() for a in grad.arrays] == [a.tobytes() for a in want_grad]
 
     @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
@@ -582,9 +616,9 @@ class TestMixedBlocks:
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
         fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        block_losses(params, dataset, blocks, cfg, normalized, fwd)
-        grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
-        grad_params(params, dataset, blocks, cfg, normalized)
+        block_losses(params, dataset, blocks, cfg, fwd)
+        grad_loss_term(params, dataset, blocks, cfg, fwd)
+        grad_params(params, dataset, blocks, cfg, fwd)
         assert "flat_queries" not in tetrads.__dict__
 
 
@@ -629,8 +663,8 @@ class TestGatheredPass:
             fwd, scored_dense = scored_pass(params, dataset, blocks, normalized)
             assert scored_dense == dense
             scores = [fwd.aligned.tobytes()] + [fwd.tetrad_scores(b.tetrads, b.direction).tobytes() for b in blocks]
-            losses = block_losses(params, dataset, blocks, cfg, normalized, fwd)
-            grad = grad_loss_term(params, dataset, blocks, cfg, normalized, fwd)
+            losses = block_losses(params, dataset, blocks, cfg, fwd)
+            grad = grad_loss_term(params, dataset, blocks, cfg, fwd)
             results.append(scores + [x.values.tobytes() for x in losses] + [a.tobytes() for a in grad.arrays])
         assert results[0] == results[1]
 
@@ -674,7 +708,7 @@ class TestGatheredPass:
         assert sum(b.tetrads.total for b in blocks) < loss.GATHER_MAX_SHARE * n * n  # no 800 MB dense pass
         tracemalloc.start()
         try:
-            losses = block_losses(params, dataset, blocks, LossConfig(), normalized=True)
+            losses = block_losses(params, dataset, blocks, LossConfig(), point(params, dataset, blocks, True))
             smooth_part(params, blocks, losses)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -698,7 +732,7 @@ def gradient_and_path(*args):
 
 
 def selected_active_count(params, dataset, blocks, cfg, normalized=False):
-    losses = block_losses(params, dataset, blocks, cfg, normalized)
+    losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
     return sum(int(np.count_nonzero((x.values > 0.0) & (b.v.values > 0.0))) for x, b in zip(losses, blocks))
 
 
@@ -717,7 +751,7 @@ class TestScatteredGradient:
         params = random_params(rng, d=4, p=6, q=5)
         blocks = sampled_blocks(rng, dataset, m, directions, zero_share)
         cfg = LossConfig(margin=0.1)
-        grad, path = gradient_and_path(params, dataset, blocks, cfg, normalized)
+        grad, path = gradient_and_path(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
         assert path == "_scattered_terms"
         assert selected_active_count(params, dataset, blocks, cfg, normalized) > 0
         _, want_grad = dense_reference(params, dataset, blocks, cfg, normalized)
@@ -741,7 +775,7 @@ class TestScatteredGradient:
                 values[i // len(blocks)] = rng.uniform(0.5, 1.0)
                 b.v = ImportanceVector(values, b.v.offsets)
             assert sum(len(b.v.positive_index) for b in blocks) == count
-            assert gradient_and_path(params, dataset, blocks, cfg)[1] == want
+            assert gradient_and_path(params, dataset, blocks, cfg, point(params, dataset, blocks))[1] == want
 
     @pytest.mark.parametrize("m", [None, 6])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
@@ -752,7 +786,7 @@ class TestScatteredGradient:
         blocks = sampled_blocks(rng, dataset, m, ("i2t", "t2i"), 0.95)
         cfg = LossConfig(margin=0.0)  # about half the hinges are active, raw or cosine
         fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        grad, path = gradient_and_path(params, dataset, blocks, cfg, normalized, fwd)
+        grad, path = gradient_and_path(params, dataset, blocks, cfg, fwd)
         assert path == "_scattered_terms"
 
         # infinite scores at the zero-weight tetrads (read, they would be
@@ -775,9 +809,10 @@ class TestScatteredGradient:
         poisoned_fwd = loss.Pass(fwd.emb, fwd.aligned, tuple(poisoned))
         want = [a.tobytes() for a in grad.arrays]
         for args in (
-            (params, dataset, blocks, cfg, normalized, poisoned_fwd),
-            (params, dataset, reweighted, cfg, normalized),
-            (params, dataset, pruned, cfg, normalized),  # only the selected active tetrads
+            (params, dataset, blocks, cfg, poisoned_fwd),
+            (params, dataset, reweighted, cfg, point(params, dataset, reweighted, normalized)),
+            # only the selected active tetrads
+            (params, dataset, pruned, cfg, point(params, dataset, pruned, normalized)),
         ):
             got, path = gradient_and_path(*args)
             assert path == "_scattered_terms"
@@ -791,7 +826,8 @@ class TestScatteredGradient:
         dataset = random_dataset(rng, n=30, p=5, q=4)
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, None, ("i2t", "t2i"), zero_share)
-        assert gradient_and_path(params, dataset, blocks, LossConfig(margin=0.3), normalized)[1] == path
+        fwd = point(params, dataset, blocks, normalized)
+        assert gradient_and_path(params, dataset, blocks, LossConfig(margin=0.3), fwd)[1] == path
         for b in blocks:
             assert "group_ids" not in b.v.__dict__
             assert "flat_queries" not in b.tetrads.__dict__
@@ -810,8 +846,8 @@ class TestScatteredGradient:
         tracemalloc.start()
         try:
             fwd = forward_pass(forward(params, dataset, True), blocks)
-            smooth_part(params, blocks, block_losses(params, dataset, blocks, cfg, True, fwd))
-            _, path = gradient_and_path(params, dataset, blocks, cfg, True, fwd)
+            smooth_part(params, blocks, block_losses(params, dataset, blocks, cfg, fwd))
+            _, path = gradient_and_path(params, dataset, blocks, cfg, fwd)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -891,7 +927,7 @@ class TestPrefixBound:
             tetrads, v = with_empty_groups(rng, tetrads, v)
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
-        losses = block_losses(params, dataset, blocks, cfg, normalized)
+        losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
         order = heaviest_first(blocks, losses)
         value = smooth_part(params, blocks, losses)
         ridge = ridge_value(params)
@@ -911,7 +947,7 @@ class TestPrefixBound:
         values[tetrads.offsets[5]:tetrads.offsets[6]] = 0.5
         blocks = [Block(tetrads, "i2t", ImportanceVector(values, tetrads.offsets))]
         cfg = LossConfig(margin=0.1)
-        losses = block_losses(params, dataset, blocks, cfg)
+        losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
         order = heaviest_first(blocks, losses)
         assert order()[0].queries[0] == 5  # the first prefix, 64 / 64 rows
         value = smooth_part(params, blocks, losses)
@@ -931,7 +967,7 @@ class TestPrefixBound:
             params = EmbeddingParams(params.W1 * np.nan, params.b1, params.W2, params.b2)
         blocks = [Block(tetrads, "i2t", v)]
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = block_losses(params, dataset, blocks, cfg)
+            losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
             value = smooth_part(params, blocks, losses)
             order = heaviest_first(blocks, losses)
             assert not np.isfinite(value)
@@ -943,7 +979,7 @@ class TestPrefixBound:
         dataset, params, tetrads, _ = random_instance(75, n=64)
         blocks = [Block(tetrads, "i2t", ImportanceVector(np.zeros(tetrads.total), tetrads.offsets))]
         cfg = LossConfig(margin=0.1)
-        order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg))
+        order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
         assert order()[0].queries.tolist() == list(range(16))  # every key is 0: index order
         # the prefixes add nothing: only the ridge less the rounding slack (T = 1 term) rejects
         emb, ridge = forward(params, dataset), ridge_value(params)

@@ -26,7 +26,7 @@ from pacedrank.trainer import (
     train,
 )
 
-from conftest import random_instance
+from conftest import point, random_instance
 
 
 def params_equal(a: EmbeddingParams, b: EmbeddingParams) -> bool:
@@ -38,9 +38,14 @@ def params_equal(a: EmbeddingParams, b: EmbeddingParams) -> bool:
     )
 
 
+def losses_at(params, dataset, blocks, cfg):
+    """Each block's losses at params, from one pass."""
+    fwd = point(params, dataset, blocks, cfg.normalized_similarity)
+    return block_losses(params, dataset, blocks, cfg.loss_config(), fwd)
+
+
 def smooth_value(params, dataset, blocks, cfg):
-    losses = block_losses(params, dataset, blocks, cfg.loss_config(), cfg.normalized_similarity)
-    return smooth_part(params, blocks, losses)
+    return smooth_part(params, blocks, losses_at(params, dataset, blocks, cfg))
 
 
 def scalar_params(w):
@@ -76,7 +81,7 @@ class TestLineSearch:
         blocks = [Block(tetrads, "i2t", v)]
         f = lambda p: smooth_value(p, dataset, blocks, cfg)
         f0 = f(params)
-        grad = grad_params(params, dataset, blocks, cfg.loss_config())
+        grad = grad_params(params, dataset, blocks, cfg.loss_config(), point(params, dataset, blocks))
         step, _, value = line_search(params, grad, unbounded(f), f0, cfg)
         assert step > 0.0
         assert value <= f0 - cfg.sufficient_decrease * step * grad.norm_sq()
@@ -88,7 +93,7 @@ class TestOptimizeW:
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         cfg = TrainConfig(max_inner_steps=200, rel_tol=1e-12)
         blocks = [Block(tetrads, "i2t", v)]
-        out, steps, _ = optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
+        out, steps, _ = optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
         norm = np.sqrt(np.sum(out.W1**2) + np.sum(out.W2**2))
         assert norm < 1e-3
         assert steps <= 200
@@ -101,7 +106,7 @@ class TestOptimizeW:
         )
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
-        out, steps, _ = optimize_W(zero, dataset, blocks, cfg, smooth_value(zero, dataset, blocks, cfg))
+        out, steps, _ = optimize_W(zero, dataset, blocks, cfg, losses_at(zero, dataset, blocks, cfg))
         assert steps == 1
         assert params_equal(out, zero)
 
@@ -121,7 +126,7 @@ class TestOptimizeW:
             return step, new_params, new_value
 
         monkeypatch.setattr(trainer, "line_search", recording_search)
-        optimize_W(params, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
+        optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
         assert accepted
         assert (np.diff(values) <= 0.0).all()
 
@@ -130,15 +135,24 @@ class TestOptimizeW:
         bad = EmbeddingParams(params.W1 * np.nan, params.b1, params.W2, params.b2)
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
-        with pytest.raises(NonFiniteObjective):
-            optimize_W(bad, dataset, blocks, cfg, smooth_value(params, dataset, blocks, cfg))
+        with pytest.raises(NonFiniteObjective, match="value"):
+            optimize_W(bad, dataset, blocks, cfg, losses_at(bad, dataset, blocks, cfg))
+
+    def test_nan_gradient_raises(self, monkeypatch):
+        dataset, params, tetrads, v = random_instance(64)
+        blocks = [Block(tetrads, "i2t", v)]
+        cfg = TrainConfig()
+        nan = EmbeddingParams(*(np.full_like(a, np.nan) for a in params.arrays))
+        monkeypatch.setattr(trainer, "grad_params", lambda *args: nan)
+        with pytest.raises(NonFiniteObjective, match="gradient"):
+            optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
 
 
 def tiny_corpus(seed=0, n=30):
     return synth_generate(SynthSpec(n=n, latent=3, p=8, q=8, noise=0.1, seed=seed))
 
 
-def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=None):
+def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
     """Reference W-step in which no forward pass is shared.
 
     Every block embeds and scores each line-search trial itself, with no
@@ -146,6 +160,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=No
     the losses at the final params come from one more pass per block. It
     hands back no pass.
     """
+    value = smooth_part(params, blocks, losses)
     lcfg = cfg.loss_config()
     norm = cfg.normalized_similarity
 
@@ -154,7 +169,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, value, losses=None, fwd=No
 
     def gradient(p):
         g = EmbeddingParams(p.W1, np.zeros_like(p.b1), p.W2, np.zeros_like(p.b2))
-        return g.axpy(1.0, grad_loss_term(p, dataset, blocks, lcfg, norm))
+        return g.axpy(1.0, grad_loss_term(p, dataset, blocks, lcfg, point(p, dataset, blocks, norm)))
 
     steps = 0
     for _ in range(cfg.max_inner_steps):
@@ -209,8 +224,7 @@ class TestSharedForwardPass:
         for direction in ("i2t", "t2i") if cfg.symmetric_tetrads else ("i2t",):
             tetrads = build_tetrads(ds, cfg.sample_negatives, cfg.seed)
             blocks.append(Block(tetrads, direction, ImportanceVector(rng.uniform(size=tetrads.total), tetrads.offsets)))
-        value = smooth_value(params, ds, blocks, cfg)
-        losses = block_losses(params, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
+        losses = losses_at(params, ds, blocks, cfg)
 
         passes, scored, within, full = [], [], [], []
         real_embed, real_scores, real_search = embed.embed_images, embed.inner_scores, trainer.line_search
@@ -240,7 +254,7 @@ class TestSharedForwardPass:
         monkeypatch.setattr(trainer, "line_search", counting_search)
         for module in (trainer, loss):  # the trials' passes, and the entry gradient's
             monkeypatch.setattr(module, "forward_pass", counting_pass)
-        out, steps, _ = optimize_W(params, ds, blocks, cfg, value, losses=losses)
+        out, steps, _ = optimize_W(params, ds, blocks, cfg, losses)
         assert steps >= 2
         assert len(passes) == len(within) + 1
         # each full pass of a full set scores the dense matrix (the prefix floor
@@ -248,7 +262,7 @@ class TestSharedForwardPass:
         # sampled W-step's passes are all gathered
         assert sum(shape[0] == ds.n for shape in scored) == (0 if cfg.sample_negatives else len(full))
         assert len(full) <= len(passes)
-        want = block_losses(out, ds, blocks, cfg.loss_config(), cfg.normalized_similarity)
+        want = losses_at(out, ds, blocks, cfg)
         assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
 
     @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
@@ -376,8 +390,7 @@ class TestRidgeFloor:
         dataset, params, tetrads, v = random_instance(seed, n=30)
         cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5, max_inner_steps=1)
         blocks = [Block(tetrads, "i2t", v)]
-        losses = block_losses(params, dataset, blocks, cfg.loss_config())
-        value = smooth_part(params, blocks, losses)
+        losses = losses_at(params, dataset, blocks, cfg)
         embedded, trials, within, results = [], [], [], []
         real_embed = embed.embed_images
 
@@ -400,7 +413,7 @@ class TestRidgeFloor:
 
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(trainer, "line_search", recording_search)
-        optimize_W(params, dataset, blocks, cfg, value, losses=losses)
+        optimize_W(params, dataset, blocks, cfg, losses)
         got, want = results
         assert got[0] > 0.0
         assert_same_search(got, want)
@@ -440,7 +453,9 @@ class TestRidgeFloor:
             return real_pass(emb, blocks)
 
         monkeypatch.setattr(trainer, "line_search", capturing_search)
-        optimize_W(params, dataset, blocks, cfg, value)
+        # the prefix floor would reject some trials the ridge floor passes: this is the ridge floor's test
+        monkeypatch.setattr(trainer, "prefix_rejects", no_prefix)
+        optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
         (value_fn,) = value_fns
         with np.errstate(over="ignore"):  # gnorm2, the large steps' ridges and sigmoids overflow
             want = floor_free_line_search(params, grad, unbounded(f), current_value, cfg, within)
@@ -519,7 +534,8 @@ class TestPrefixFloor:
             if out:  # the decision value_fn's full result gives
                 p = current["trial"]
                 assert not ridge > bound
-                assert not smooth_part(p, blocks, block_losses(p, ds, blocks, lcfg, normalized)) <= bound
+                full = block_losses(p, ds, blocks, lcfg, point(p, ds, blocks, normalized))
+                assert not smooth_part(p, blocks, full) <= bound
             return out
 
         def counted_plan(*args):
@@ -682,7 +698,7 @@ class TestTrain:
             with pytest.raises(ConfigInvalid):
                 train(ds, TrainConfig(**bad))
         with pytest.raises(ConfigInvalid, match="margin"):  # too large for a float
-            TrainConfig(margin=10**400).validate()
+            TrainConfig(margin=10**400)
 
 
 class TestCheckpoint:
