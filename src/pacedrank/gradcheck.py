@@ -120,7 +120,9 @@ def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float 
     The corrupt offset exists as a negative control: it shifts the analytic
     gradient so the check must fail.
     """
-    analytic = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, _pass(inst.params, inst))
+    fwd = _pass(inst.params, inst)
+    losses = block_losses(inst.params, inst.dataset, inst.blocks, inst.cfg, fwd)
+    analytic = grad_params(inst.params, inst.dataset, inst.blocks, losses, fwd)
     numeric = numeric_gradient(inst, h)
     worst = 0.0
     for a, ncomp in zip(analytic.arrays, numeric):

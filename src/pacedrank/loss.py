@@ -20,7 +20,7 @@ grad_loss_term and grad_params read a given Pass, whose embedding says raw
 or cosine, so blocks at one point share one forward and one backward pass;
 all_losses and objective embed params themselves.
 
-Only selected active tetrads (weight and hinge both strictly positive)
+Only selected active tetrads (weight and loss both strictly positive)
 carry gradient. When the selected tetrads are few against n x n
 (SCATTER_MAX_SHARE), the gradient adds the active ones among them one by
 one with np.bincount, in flat tetrad order, and allocates no n x n array;
@@ -46,7 +46,7 @@ either value even at the bit level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 # d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
 # is always dense.
 GATHER_MAX_SHARE = 0.25
-# The gradient scatter-adds its selected active tetrads (v > 0, positive hinge)
+# The gradient scatter-adds its selected active tetrads (v > 0, positive loss)
 # when the selected ones are fewer than this share of the n x n entries, and
 # otherwise builds the dense coefficient matrix C. Dense costs the same at any
 # share and scattering grows with the active count. Measured at d = 10 on a
@@ -193,22 +193,19 @@ def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) ->
     return _hinge(fwd.aligned, np.diff(tetrads.offsets), fwd.tetrad_scores(tetrads, direction), margin)
 
 
-def _selected_active(fwd: Pass, block: Block, margin: float):
-    """The block's tetrads with v > 0 and a positive hinge, in flat tetrad order.
+def _selected_active(fwd: Pass, block: Block, losses: GroupedVector):
+    """The block's tetrads with v > 0 and a positive loss, in flat tetrad order.
 
     Returns (queries, negatives, v, S_kj), queries as rows. Only
-    v.positive_index is read, and the hinge is _hinge_args' at those
-    tetrads, so a set with its zero-weight tetrads removed gives the same
-    arrays. Each list's queries are repeated over per-group counts found
-    by np.searchsorted, so no index over the whole set is built.
+    v.positive_index is read, so a set with its zero-weight tetrads removed
+    gives the same arrays. The queries are repeated over per-group counts
+    found by np.searchsorted, so no index over the whole set is built.
     """
-    offsets = block.tetrads.offsets
     sel = block.v.positive_index
-    scores = fwd.tetrad_scores(block.tetrads, block.direction)[sel]
-    kept = np.flatnonzero(_hinge(fwd.aligned, np.diff(np.searchsorted(sel, offsets)), scores, margin) > 0.0)
-    pos = sel[kept]
-    queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, offsets)))
-    return queries, block.tetrads.negatives[pos], block.v.values[pos], scores[kept]
+    pos = sel[losses.values[sel] > 0.0]
+    queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
+    scores = fwd.tetrad_scores(block.tetrads, block.direction)[pos]
+    return queries, block.tetrads.negatives[pos], block.v.values[pos], scores
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -259,18 +256,22 @@ def all_losses(
     tetrads: TetradSet,
     cfg: LossConfig,
     direction: str = "i2t",
-    normalized: bool = False,
+    normalized: Optional[bool] = None,
     fwd=None,
 ) -> GroupedVector:
     """Hinge losses for every tetrad, from one forward pass.
 
-    fwd is the forward pass at params for this set and direction; without
-    one, params are embedded here, with cosine scores when normalized. The
-    values are nonnegative by construction and are not re-checked; a
-    non-finite loss shows up in the objective value, which the trainer checks.
+    fwd is the forward pass at params for this set and direction, whose
+    embedding says raw or cosine (a normalized flag that disagrees raises
+    ConfigInvalid); without one, params are embedded here, with cosine
+    scores iff normalized. The values are nonnegative by construction and
+    are not re-checked; a non-finite loss shows up in the objective value.
     """
     _check_tetrads(tetrads, dataset.n)
-    fwd = fwd or forward_pass(forward(params, dataset, normalized), [Block(tetrads, direction, None)])
+    if fwd is None:
+        fwd = forward_pass(forward(params, dataset, bool(normalized)), [Block(tetrads, direction, None)])
+    elif normalized is not None and normalized != (fwd.emb.norms is not None):
+        raise ConfigInvalid(f"normalized={normalized} contradicts the scores of the given pass")
     hinges = _hinge_args(fwd, tetrads, direction, cfg.margin)
     np.maximum(0.0, hinges, out=hinges)
     hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
@@ -375,22 +376,19 @@ def prefix_rejects(
     emb: Embedding,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    prefixes: Callable[[], Sequence[QueryPrefix]],
+    plans: Sequence[QueryPrefix],
     ridge: float,
     bound: float,
 ) -> bool:
     """Whether smooth_part at emb's point, whose ridge is ridge, surely exceeds bound, shown by a prefix of its terms.
 
-    Only a dense pass is checked: a gathered one costs about what the
-    prefix does, and a trial that falls through pays both. Then
-    prefixes() (one QueryPrefix per block) is read, and for each share in
-    PREFIX_SHARES every block scores its next queries' rows from emb
-    (embed.query_rows) and adds their weighted hinges to the lower bound,
-    which starts at ridge. Blocks add their terms.
+    plans holds each block's QueryPrefix at the current point. For each
+    share in PREFIX_SHARES every block scores its next queries' rows from
+    emb (embed.query_rows) and adds their weighted hinges to the lower
+    bound, which starts at ridge. Blocks add their terms. Whether a pass
+    is dense enough to try this is the caller's test (trainer.optimize_W).
     """
     n = len(emb.H)
-    if not dense_pass(n, blocks):
-        return False
     # Rounding. smooth_part is a floating-point sum, in some order, of T nonnegative
     # terms: the ridge and each block's v * loss products. lb sums, in another
     # order, a subset of the same terms, equal bit for bit (its rows are S's, and
@@ -403,7 +401,6 @@ def prefix_rejects(
     # or one within the slack, decides nothing.
     terms = 1 + sum(len(b.v.positive_index) for b in blocks)
     scale = 1.0 - 4.0 * terms * np.finfo(np.float64).eps
-    plans = prefixes()
     lb = ridge
     done = 0
     for share in PREFIX_SHARES:
@@ -436,20 +433,19 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def _dense_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.ndarray, B: np.ndarray, normalized: bool):
+def _dense_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
     """(s, C B, C^T A, row sums of C * S, column sums of C * S) through the dense n x n matrix C.
 
-    Each block's coefficients, its weights where the hinge is active and
+    Each block's coefficients, its weights where the loss is positive and
     +0.0 elsewhere, with its queries as rows, add their row sums into s and
     themselves (a t2i block's transposed) into one image-row C. The cosine
     term's C * S multiplies C's off-diagonal view by a full block's scores
     in place, or, with no full block, forms the product at each tetrad's
-    entry. The sums of C * S are None for raw scores.
+    entry. The sums of C * S are None for fwd's raw scores.
     """
     C = s = None
-    for b in blocks:
-        active = _hinge_args(fwd, b.tetrads, b.direction, margin) > 0.0
-        Cb = _scatter(np.where(active, b.v.values, 0.0), b.tetrads)
+    for b, block_loss in zip(blocks, losses):
+        Cb = _scatter(np.where(block_loss.values > 0.0, b.v.values, 0.0), b.tetrads)
         if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
             s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
         else:
@@ -461,7 +457,7 @@ def _dense_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.ndarra
     # thread count, which would change the gradient's bits
     CB = np.einsum("kj,jl->kl", C, B)
     CtA = np.einsum("kj,kl->jl", C, A)
-    if not normalized:
+    if fwd.emb.norms is None:
         return s, CB, CtA, None, None
     # C * S is the dense product bit for bit: off the tetrads C is +0.0
     # and S > 0. Both sums of it run along contiguous rows, so a t2i
@@ -489,8 +485,7 @@ def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: n
     return out
 
 
-def _scattered_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.ndarray, B: np.ndarray,
-                     normalized: bool):
+def _scattered_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
     """_dense_terms' values without an n x n array, added over the selected active tetrads alone.
 
     Every block's tetrads are listed (_selected_active) in block order,
@@ -500,14 +495,14 @@ def _scattered_terms(fwd: Pass, blocks: Sequence[Block], margin: float, A: np.nd
     """
     n = A.shape[0]
     lists = []
-    for b in blocks:
-        q, j, w, sc = _selected_active(fwd, b, margin)
+    for b, block_loss in zip(blocks, losses):
+        q, j, w, sc = _selected_active(fwd, b, block_loss)
         lists.append((q, *query_pairs(q, j, b.direction), w, sc))
     queries, rows, cols, w, scores = (np.concatenate(parts) for parts in zip(*lists))
     s = np.bincount(queries, weights=w, minlength=n)
     CB = _scattered_product(rows, cols, w, B)
     CtA = _scattered_product(cols, rows, w, A)
-    if not normalized:
+    if fwd.emb.norms is None:
         return s, CB, CtA, None, None
     ws = w * scores
     return s, CB, CtA, np.bincount(rows, weights=ws, minlength=n), np.bincount(cols, weights=ws, minlength=n)
@@ -517,20 +512,21 @@ def grad_loss_term(
     params: EmbeddingParams,
     dataset: Dataset,
     blocks: Sequence[Block],
-    cfg: LossConfig,
+    losses: Sequence[GroupedVector],
     fwd: Pass,
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
     fwd is the forward pass at params for these blocks; its embedding says
-    whether the scores are raw or cosine. A tetrad contributes iff its
-    weight and its hinge argument are strictly positive: it is selected and
-    active. With C the image-row matrix of those tetrads' weights (a t2i
-    tetrad (query k, negative j) sits at row j, column k) and s its
-    per-query sums, sum C_kj S_kj - sum s_k S_kk is backpropagated once,
-    through the sigmoid (sigma' = sigma * (1 - sigma)) into W1/b1 and
-    W2/b2. A and B are the image and text embeddings, divided by their
-    norms for cosine scores.
+    whether the scores are raw or cosine. losses are the blocks' losses at
+    that point, one per block in block order and lined up with its tetrads
+    (else AlignmentError). A tetrad contributes iff its weight and its loss
+    are strictly positive: it is selected and active. With C the image-row
+    matrix of those tetrads' weights (a t2i tetrad (query k, negative j)
+    sits at row j, column k) and s its per-query sums, sum C_kj S_kj -
+    sum s_k S_kk is backpropagated once, through the sigmoid (sigma' =
+    sigma * (1 - sigma)) into W1/b1 and W2/b2. A and B are the image and
+    text embeddings, divided by their norms for cosine scores.
 
     When the selected tetrads (v > 0) are fewer than SCATTER_MAX_SHARE of
     n^2, C B, C^T A, s and the cosine term's sums of C * S are added over
@@ -541,8 +537,11 @@ def grad_loss_term(
     gathered pass forms, and a set with its zero-weight tetrads removed,
     take the same path and give the same bits.
     """
-    for b in blocks:
+    if len(losses) != len(blocks):
+        raise AlignmentError(f"{len(losses)} loss vectors for {len(blocks)} blocks")
+    for b, block_loss in zip(blocks, losses):
         _check_aligned(b.tetrads, b.v)
+        _check_aligned(b.tetrads, block_loss)
         _check_tetrads(b.tetrads, dataset.n)
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
@@ -555,10 +554,10 @@ def grad_loss_term(
         A, B = H / nh[:, None], G / ng[:, None]
     else:
         A, B = H, G
-    # the selected count, not the active one: it is known before any hinge is read
+    # the selected count, not the active one: it is known before any loss is read
     scattered = sum(len(b.v.positive_index) for b in blocks) < SCATTER_MAX_SHARE * n * n
     terms = _scattered_terms if scattered else _dense_terms
-    s, CB, CtA, cs_rows, cs_cols = terms(fwd, blocks, cfg.margin, A, B, normalized)
+    s, CB, CtA, cs_rows, cs_cols = terms(fwd, blocks, losses, A, B)
     dH_pre = CB - s[:, None] * B
     dG_pre = CtA - s[:, None] * A
     if normalized:
@@ -577,13 +576,13 @@ def grad_params(
     params: EmbeddingParams,
     dataset: Dataset,
     blocks: Sequence[Block],
-    cfg: LossConfig,
+    losses: Sequence[GroupedVector],
     fwd: Pass,
 ) -> EmbeddingParams:
-    """Gradient of ridge + every block's weighted hinge term, from fwd, the forward pass at params.
+    """Gradient of ridge + every block's weighted hinge term, from fwd, the forward pass at params, and its losses.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
     penalized); the blocks' term is added to it.
     """
     ridge = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, cfg, fwd))
+    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, losses, fwd))

@@ -9,14 +9,14 @@ recorded history makes auditable.
 
 Every point the W-step scores is embedded once and gets one pass
 (loss.forward_pass), which serves all blocks: the accepted line-search
-trial's pass serves the next gradient, and its losses are the ones the
-weight solve reads; the pass at a W-step's final params serves the next
-W-step's entry gradient. The line search asks one value_fn(trial, bound)
-per trial. A trial whose ridge alone exceeds the Armijo bound is rejected
-unembedded; otherwise it is embedded, and on a dense pass first bounded
-below from its heaviest queries (loss.prefix_rejects). A trial that falls
-through gets the full pass on the same embedding, so every decision, and
-so every trajectory, is the one full passes give.
+trial's pass and losses serve the next gradient, its losses the weight
+solve; the pass at a W-step's final params serves the next W-step's entry
+gradient. The line search asks one value_fn(trial, bound) per trial. A
+trial whose ridge alone exceeds the Armijo bound is rejected unembedded;
+otherwise it is embedded, and on a dense pass first bounded below from its
+heaviest queries (loss.prefix_rejects). A trial that falls through gets
+the full pass on the same embedding, so every decision, and so every
+trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -65,6 +65,7 @@ from .loss import (
     Block,
     Pass,
     block_losses,
+    dense_pass,
     forward_pass,
     grad_params,
     heaviest_queries,
@@ -236,7 +237,7 @@ def optimize_W(
     cfg: TrainConfig,
     losses: list[GroupedVector],
     fwd: Optional[Pass] = None,
-) -> tuple[EmbeddingParams, int, Optional[Pass]]:
+) -> tuple[EmbeddingParams, float, int, Optional[Pass]]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
 
     losses holds each block's losses at params, which give the smooth value
@@ -248,25 +249,21 @@ def optimize_W(
     pass at params for these blocks (it does not depend on v either) and
     serves the entry gradient; without it params are embedded again. Each
     scored line-search trial's pass serves every block, and the accepted
-    trial's pass (line_search accepts its last trial) serves the next
-    gradient. Returns the final params, the inner steps taken and the pass
-    at the final params, or None when the last line search failed and that
-    pass was dropped before it.
+    trial's pass and losses (line_search accepts its last trial) serve the
+    next gradient. Returns the final params, the smooth value their losses
+    give, the inner steps taken and the pass at the final params, or None
+    when the last line search failed and that pass was dropped before it.
 
     value_fn applies the ridge floor, embeds the trial once, tries
-    loss.prefix_rejects on that embedding (each block's heaviest queries at
-    params are found once per inner step), and gives a trial that falls
-    through the full pass on the same embedding.
+    loss.prefix_rejects on that embedding if the pass is dense (a gathered
+    one costs about what the prefix does, and a trial that falls through
+    pays both), and gives a trial that falls through the full pass on the
+    same embedding. Each block's heaviest queries are found after each gradient.
     """
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
+    dense = dense_pass(dataset.n, blocks)
     last: dict = {}  # the latest trial's forward pass and per-block losses
-    plans: list = []  # each block's heaviest queries at params
-
-    def prefixes():
-        if not plans:
-            plans.extend(heaviest_queries(b, l) for b, l in zip(blocks, losses))
-        return plans
 
     def value_fn(p, bound):
         last.clear()  # keep at most one pass alive while a trial is scored
@@ -274,7 +271,7 @@ def optimize_W(
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if prefix_rejects(emb, blocks, lcfg, prefixes, ridge, bound):
+        if dense and prefix_rejects(emb, blocks, lcfg, plans, ridge, bound):
             return np.inf
         trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
@@ -289,22 +286,23 @@ def optimize_W(
         steps += 1
         if fwd is None:  # not handed over: the previous W-step's last line search failed
             fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        grad = grad_params(params, dataset, blocks, lcfg, fwd)
+        grad = grad_params(params, dataset, blocks, losses, fwd)
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
+        if dense:  # each block's heaviest queries at params, which value_fn reads
+            plans = [heaviest_queries(b, l) for b, l in zip(blocks, losses)]
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
         fwd = last["fwd"]
         losses[:] = last["losses"]
         last.clear()
-        plans.clear()
         rel = (value - new_value) / max(1.0, abs(value))
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
             break
-    return params, steps, fwd
+    return params, value, steps, fwd
 
 
 def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
@@ -373,8 +371,8 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        params, inner_steps, held["fwd"] = optimize_W(params, dataset, blocks, cfg, losses, fwd=held.pop("fwd"))
-        obj_after_w = with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
+        params, smooth, inner_steps, held["fwd"] = optimize_W(params, dataset, blocks, cfg, losses, held.pop("fwd"))
+        obj_after_w = with_penalties(smooth, blocks, pacing)
 
         _update_weights(blocks, losses, pacing)
         smooth = smooth_part(params, blocks, losses)

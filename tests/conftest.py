@@ -3,7 +3,7 @@ import pytest
 
 from pacedrank.core import EmbeddingParams, ImportanceVector, build_tetrads, validate_dataset
 from pacedrank.embed import forward
-from pacedrank.loss import forward_pass
+from pacedrank.loss import block_losses, forward_pass
 
 
 @pytest.fixture
@@ -37,3 +37,9 @@ def random_instance(seed, n=6, p=5, q=4, d=3):
 def point(params, dataset, blocks, normalized=False):
     """The forward pass at params for these blocks, which block_losses and the gradient read."""
     return forward_pass(forward(params, dataset, normalized), blocks)
+
+
+def at_point(params, dataset, blocks, cfg, normalized=False):
+    """(losses, pass) at params for these blocks: the point grad_loss_term and grad_params read."""
+    fwd = point(params, dataset, blocks, normalized)
+    return block_losses(params, dataset, blocks, cfg, fwd), fwd

@@ -14,6 +14,7 @@ from pacedrank import embed, loss, trainer
 from pacedrank.core import (
     Dataset,
     EmbeddingParams,
+    GroupedVector,
     ImportanceVector,
     LossConfig,
     PacingState,
@@ -43,7 +44,7 @@ from pacedrank.loss import (
     weighted_sum_from,
 )
 
-from conftest import point, random_dataset, random_instance, random_params
+from conftest import at_point, point, random_dataset, random_instance, random_params
 
 
 # (directions, normalized) of the sampled finite-difference cases
@@ -133,6 +134,22 @@ class TestAllLosses:
         flat = [max(0.0, S[j, k] - S[k, k] + 0.1) for k, j in zip(tetrads.flat_queries, tetrads.negatives)]
         np.testing.assert_allclose(losses.values, flat, rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_flag_contradicting_the_pass_raises(self, m):
+        dataset, params, _, _ = random_instance(22, n=6)
+        tetrads = build_tetrads(dataset, m, 0)
+        cfg = LossConfig(margin=0.1)
+        for normalized in (False, True):
+            fwd = point(params, dataset, [Block(tetrads, "i2t", None)], normalized)
+            with pytest.raises(ConfigInvalid, match="contradicts"):
+                all_losses(params, dataset, tetrads, cfg, "i2t", not normalized, fwd=fwd)
+            # a flag that agrees, or none, reads the pass; without a pass None means raw scores
+            want = all_losses(params, dataset, tetrads, cfg, "i2t", normalized).values.tobytes()
+            assert all_losses(params, dataset, tetrads, cfg, "i2t", normalized, fwd).values.tobytes() == want
+            assert all_losses(params, dataset, tetrads, cfg, "i2t", fwd=fwd).values.tobytes() == want
+        raw = all_losses(params, dataset, tetrads, cfg, "i2t", False).values.tobytes()
+        assert all_losses(params, dataset, tetrads, cfg, "i2t").values.tobytes() == raw
+
     def test_nonnegative_and_zero_iff_margin_met(self):
         dataset, params, tetrads, _ = random_instance(99, n=7)
         cfg = LossConfig(margin=0.05)
@@ -161,10 +178,10 @@ class TestTextQueryDirection:
         assert (losses.values > 0.0).any()
 
         blocks, swapped_blocks = [Block(tetrads, "t2i", v)], [Block(tetrads, "i2t", v)]
-        g = grad_loss_term(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
+        g = grad_loss_term(params, dataset, blocks, *at_point(params, dataset, blocks, cfg, normalized))
         s = grad_loss_term(
-            swapped_params, swapped_data, swapped_blocks, cfg,
-            point(swapped_params, swapped_data, swapped_blocks, normalized),
+            swapped_params, swapped_data, swapped_blocks,
+            *at_point(swapped_params, swapped_data, swapped_blocks, cfg, normalized),
         )
         for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
             assert np.array_equal(got, want)
@@ -179,11 +196,12 @@ class TestTextQueryDirection:
         v = ImportanceVector(np.random.default_rng(9).uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
         cfg = LossConfig(margin=0.3)
         blocks = [Block(tetrads, "t2i", v)]
-        g = grad_loss_term(params, dataset, blocks, cfg, point(params, dataset, blocks, True))
+        g = grad_loss_term(params, dataset, blocks, *at_point(params, dataset, blocks, cfg, True))
         swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
         swapped_data, swapped_blocks = Dataset(dataset.texts, dataset.images), [Block(tetrads, "i2t", v)]
         s = grad_loss_term(
-            swapped_params, swapped_data, swapped_blocks, cfg, point(swapped_params, swapped_data, swapped_blocks, True)
+            swapped_params, swapped_data, swapped_blocks,
+            *at_point(swapped_params, swapped_data, swapped_blocks, cfg, True),
         )
         for got, want in zip(g.arrays, (s.W2, s.b2, s.W1, s.b1)):
             assert got.tobytes() == want.tobytes()
@@ -209,14 +227,14 @@ class TestOneBackwardPass:
         cfg = LossConfig(margin=0.3)
 
         both, one = [i2t_block, t2i_block], [i2t_block]
-        got = grad_loss_term(params, dataset, both, cfg, point(params, dataset, both, normalized))
-        i2t = grad_loss_term(params, dataset, one, cfg, point(params, dataset, one, normalized))
+        got = grad_loss_term(params, dataset, both, *at_point(params, dataset, both, cfg, normalized))
+        i2t = grad_loss_term(params, dataset, one, *at_point(params, dataset, one, cfg, normalized))
         swapped_params = EmbeddingParams(params.W2, params.b2, params.W1, params.b1)
         swapped_data = Dataset(dataset.texts, dataset.images)
         swapped_blocks = [Block(t2i_block.tetrads, "i2t", t2i_block.v)]
         swapped = grad_loss_term(
-            swapped_params, swapped_data, swapped_blocks, cfg,
-            point(swapped_params, swapped_data, swapped_blocks, normalized),
+            swapped_params, swapped_data, swapped_blocks,
+            *at_point(swapped_params, swapped_data, swapped_blocks, cfg, normalized),
         )
         for g, a, b in zip(got.arrays, i2t.arrays, (swapped.W2, swapped.b2, swapped.W1, swapped.b1)):
             want = a + b
@@ -231,17 +249,30 @@ class TestOneBackwardPass:
             inst = make_instance(13, n=9, normalized=normalized, m=sample)
             fwd = forward_pass(forward(inst.params, inst.dataset, normalized), inst.blocks)
             assert (fwd.emb.norms is not None) == normalized
-            got = grad_params(inst.params, inst.dataset, inst.blocks, inst.cfg, fwd)
+            losses = block_losses(inst.params, inst.dataset, inst.blocks, inst.cfg, fwd)
+            got = grad_params(inst.params, inst.dataset, inst.blocks, losses, fwd)
             for g, numeric in zip(got.arrays, numeric_gradient(inst)):
                 assert np.max(np.abs(g - numeric) / np.maximum(1.0, np.abs(numeric))) < 1e-5
             grads.append(got)
         assert not np.array_equal(grads[0].W1, grads[1].W1)
 
+    @pytest.mark.parametrize("gradient", [grad_loss_term, grad_params])
+    def test_losses_that_do_not_match_the_blocks_raise(self, gradient):
+        dataset, params, tetrads, v = random_instance(14, n=8)
+        sampled = build_tetrads(dataset, 3, 0)
+        blocks = [Block(tetrads, "i2t", v), Block(tetrads, "t2i", v)]
+        cfg = LossConfig(margin=0.1)
+        losses, fwd = at_point(params, dataset, blocks, cfg)
+        other = all_losses(params, dataset, sampled, cfg)  # another set's losses
+        for given in ([], losses[:1], losses + losses[:1], [losses[0], other], [other, losses[1]]):
+            with pytest.raises(AlignmentError):
+                gradient(params, dataset, blocks, given, fwd)
+
     def test_no_blocks_leaves_the_ridge(self):
         dataset, params, _, _ = random_instance(3)
-        g = grad_loss_term(params, dataset, [], LossConfig(), point(params, dataset, []))
+        g = grad_loss_term(params, dataset, [], [], point(params, dataset, []))
         assert all(not a.any() and a.shape == b.shape for a, b in zip(g.arrays, params.arrays))
-        ridge = grad_params(params, dataset, [], LossConfig(), point(params, dataset, []))
+        ridge = grad_params(params, dataset, [], [], point(params, dataset, []))
         for got, want in zip(ridge.arrays, (params.W1, np.zeros(params.d), params.W2, np.zeros(params.d))):
             assert np.array_equal(got, want)
 
@@ -308,7 +339,7 @@ import numpy as np
 from pacedrank.core import ImportanceVector, LossConfig, build_tetrads, validate_dataset
 from pacedrank.embed import forward, query_rows
 from pacedrank.evaluation import retrieve
-from pacedrank.loss import Block, forward_pass, grad_loss_term
+from pacedrank.loss import Block, block_losses, forward_pass, grad_loss_term
 from pacedrank.trainer import init_params
 
 rng = np.random.default_rng(7)
@@ -321,7 +352,8 @@ for normalized in (False, True):
     for directions in (("i2t",), ("t2i",), ("i2t", "t2i")):
         blocks = [Block(tetrads, d, v) for d in directions]
         fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        g = grad_loss_term(params, dataset, blocks, LossConfig(margin=0.1), fwd)
+        losses = block_losses(params, dataset, blocks, LossConfig(margin=0.1), fwd)
+        g = grad_loss_term(params, dataset, blocks, losses, fwd)
         for arr in g.arrays:
             digest.update(arr.tobytes())
 print("gradient", digest.hexdigest())
@@ -342,7 +374,7 @@ class TestGradient:
         dataset, params, tetrads, _ = random_instance(8)
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         blocks = [Block(tetrads, "i2t", v)]
-        g = grad_params(params, dataset, blocks, LossConfig(), point(params, dataset, blocks))
+        g = grad_params(params, dataset, blocks, *at_point(params, dataset, blocks, LossConfig()))
         assert np.array_equal(g.W1, params.W1)
         assert np.array_equal(g.W2, params.W2)
         assert np.array_equal(g.b1, np.zeros(params.d))
@@ -361,12 +393,12 @@ class TestGradient:
         losses = all_losses(params, ds, tetrads, LossConfig(margin=0.1))
         assert losses.values[0] == 0.0  # query 0 satisfied
         blocks = [Block(tetrads, "i2t", v)]
-        g = grad_params(params, ds, blocks, LossConfig(margin=0.1), point(params, ds, blocks))
+        g = grad_params(params, ds, blocks, *at_point(params, ds, blocks, LossConfig(margin=0.1)))
         # query 1's hinge is active, so only assert the satisfied side's share:
         # with both hinges inactive the gradient reduces to the ridge exactly
         v0 = ImportanceVector(np.array([1.0, 0.0]), tetrads.offsets)
         blocks0 = [Block(tetrads, "i2t", v0)]
-        g0 = grad_params(params, ds, blocks0, LossConfig(margin=0.1), point(params, ds, blocks0))
+        g0 = grad_params(params, ds, blocks0, *at_point(params, ds, blocks0, LossConfig(margin=0.1)))
         assert np.array_equal(g0.W1, params.W1)
         assert np.array_equal(g0.b2, np.zeros(1))
 
@@ -421,8 +453,8 @@ class TestGradient:
         assert full_obj == pruned_obj
 
         full, kept_only = [Block(tetrads, "i2t", v)], [Block(pruned, "i2t", v_pruned)]
-        g_full = grad_params(params, dataset, full, cfg, point(params, dataset, full))
-        g_pruned = grad_params(params, dataset, kept_only, cfg, point(params, dataset, kept_only))
+        g_full = grad_params(params, dataset, full, *at_point(params, dataset, full, cfg))
+        g_pruned = grad_params(params, dataset, kept_only, *at_point(params, dataset, kept_only, cfg))
         assert np.array_equal(g_full.W1, g_pruned.W1)
         assert np.array_equal(g_full.b1, g_pruned.b1)
         assert np.array_equal(g_full.W2, g_pruned.W2)
@@ -489,8 +521,8 @@ class TestFullSetPath:
         v_pruned = ImportanceVector(v.values[kept], pruned.offsets)
         for direction in ("i2t", "t2i"):
             full, kept_only = [Block(tetrads, direction, v_full)], [Block(pruned, direction, v_pruned)]
-            g = grad_params(params, dataset, full, LossConfig(), point(params, dataset, full))
-            g_pruned = grad_params(params, dataset, kept_only, LossConfig(), point(params, dataset, kept_only))
+            g = grad_params(params, dataset, full, *at_point(params, dataset, full, LossConfig()))
+            g_pruned = grad_params(params, dataset, kept_only, *at_point(params, dataset, kept_only, LossConfig()))
             for a, b in zip(g.arrays, g_pruned.arrays):
                 assert a.tobytes() == b.tobytes()
 
@@ -605,8 +637,14 @@ class TestMixedBlocks:
         losses = block_losses(params, dataset, blocks, cfg, fwd)
         assert any((x.values > 0.0).any() for x in losses)
         assert [x.values.tobytes() for x in losses] == [x.tobytes() for x in want_losses]
-        grad = grad_loss_term(params, dataset, blocks, cfg, fwd)
-        assert [a.tobytes() for a in grad.arrays] == [a.tobytes() for a in want_grad]
+        # the reference's active set is the recomputed hinge's; infinite losses
+        # at zero-weight tetrads are never read
+        poisoned = [GroupedVector(np.where(b.v.values == 0.0, np.inf, x.values), x.offsets)
+                    for b, x in zip(blocks, losses)]
+        for given in (losses, poisoned):
+            grad, path = gradient_and_path(params, dataset, blocks, given, fwd)
+            assert path == "_dense_terms"
+            assert [a.tobytes() for a in grad.arrays] == [a.tobytes() for a in want_grad]
 
     @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
@@ -616,9 +654,9 @@ class TestMixedBlocks:
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
         fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        block_losses(params, dataset, blocks, cfg, fwd)
-        grad_loss_term(params, dataset, blocks, cfg, fwd)
-        grad_params(params, dataset, blocks, cfg, fwd)
+        losses = block_losses(params, dataset, blocks, cfg, fwd)
+        grad_loss_term(params, dataset, blocks, losses, fwd)
+        grad_params(params, dataset, blocks, losses, fwd)
         assert "flat_queries" not in tetrads.__dict__
 
 
@@ -664,7 +702,7 @@ class TestGatheredPass:
             assert scored_dense == dense
             scores = [fwd.aligned.tobytes()] + [fwd.tetrad_scores(b.tetrads, b.direction).tobytes() for b in blocks]
             losses = block_losses(params, dataset, blocks, cfg, fwd)
-            grad = grad_loss_term(params, dataset, blocks, cfg, fwd)
+            grad = grad_loss_term(params, dataset, blocks, losses, fwd)
             results.append(scores + [x.values.tobytes() for x in losses] + [a.tobytes() for a in grad.arrays])
         assert results[0] == results[1]
 
@@ -731,6 +769,20 @@ def gradient_and_path(*args):
     return grad, taken[0]
 
 
+def hinge_rule_gradient(params, dataset, blocks, cfg, fwd):
+    """grad_loss_term with each tetrad active iff its hinge, recomputed from fwd's scores, is positive.
+
+    The losses it is handed are 1.0 where that hinge is positive and 0.0
+    elsewhere, none of them all_losses'.
+    """
+    active = []
+    for b in blocks:
+        hinge = fwd.tetrad_scores(b.tetrads, b.direction) - np.repeat(fwd.aligned, np.diff(b.tetrads.offsets))
+        hinge += cfg.margin
+        active.append(GroupedVector(np.where(hinge > 0.0, 1.0, 0.0), b.tetrads.offsets))
+    return grad_loss_term(params, dataset, blocks, active, fwd)
+
+
 def selected_active_count(params, dataset, blocks, cfg, normalized=False):
     losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
     return sum(int(np.count_nonzero((x.values > 0.0) & (b.v.values > 0.0))) for x, b in zip(losses, blocks))
@@ -751,12 +803,17 @@ class TestScatteredGradient:
         params = random_params(rng, d=4, p=6, q=5)
         blocks = sampled_blocks(rng, dataset, m, directions, zero_share)
         cfg = LossConfig(margin=0.1)
-        grad, path = gradient_and_path(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
+        losses, fwd = at_point(params, dataset, blocks, cfg, normalized)
+        grad, path = gradient_and_path(params, dataset, blocks, losses, fwd)
         assert path == "_scattered_terms"
         assert selected_active_count(params, dataset, blocks, cfg, normalized) > 0
         _, want_grad = dense_reference(params, dataset, blocks, cfg, normalized)
         for got, want in zip(grad.arrays, want_grad):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the same bits as an active set taken from the recomputed hinge
+        assert [a.tobytes() for a in grad.arrays] == [
+            a.tobytes() for a in hinge_rule_gradient(params, dataset, blocks, cfg, fwd).arrays
+        ]
 
     @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
     def test_path_choice_on_each_side_of_the_constant(self, directions):
@@ -775,7 +832,7 @@ class TestScatteredGradient:
                 values[i // len(blocks)] = rng.uniform(0.5, 1.0)
                 b.v = ImportanceVector(values, b.v.offsets)
             assert sum(len(b.v.positive_index) for b in blocks) == count
-            assert gradient_and_path(params, dataset, blocks, cfg, point(params, dataset, blocks))[1] == want
+            assert gradient_and_path(params, dataset, blocks, *at_point(params, dataset, blocks, cfg))[1] == want
 
     @pytest.mark.parametrize("m", [None, 6])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
@@ -785,13 +842,14 @@ class TestScatteredGradient:
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, m, ("i2t", "t2i"), 0.95)
         cfg = LossConfig(margin=0.0)  # about half the hinges are active, raw or cosine
-        fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        grad, path = gradient_and_path(params, dataset, blocks, cfg, fwd)
+        losses, fwd = at_point(params, dataset, blocks, cfg, normalized)
+        grad, path = gradient_and_path(params, dataset, blocks, losses, fwd)
         assert path == "_scattered_terms"
 
-        # infinite scores at the zero-weight tetrads (read, they would be
-        # active, and 0 * inf is NaN in the cosine sums), and new positive
-        # weights at the selected inactive ones, leave the gradient's bits alone
+        # infinite scores at the zero-weight tetrads, and so infinite losses
+        # (read, they would be active, and 0 * inf is NaN in the cosine sums),
+        # and new positive weights at the selected inactive ones, leave the
+        # gradient's bits alone
         poisoned, reweighted, pruned = [], [], []
         for b in blocks:
             scores = fwd.tetrad_scores(b.tetrads, b.direction).copy()
@@ -807,16 +865,19 @@ class TestScatteredGradient:
             pruned.append(Block(tetrads, b.direction, ImportanceVector(b.v.values[kept], tetrads.offsets)))
         assert any(not np.array_equal(r.v.values, b.v.values) for r, b in zip(reweighted, blocks))
         poisoned_fwd = loss.Pass(fwd.emb, fwd.aligned, tuple(poisoned))
+        poisoned_losses = block_losses(params, dataset, blocks, cfg, poisoned_fwd)
+        assert all(np.isinf(x.values[b.v.values == 0.0]).all() for b, x in zip(blocks, poisoned_losses))
         want = [a.tobytes() for a in grad.arrays]
         for args in (
-            (params, dataset, blocks, cfg, poisoned_fwd),
-            (params, dataset, reweighted, cfg, point(params, dataset, reweighted, normalized)),
+            (params, dataset, blocks, poisoned_losses, poisoned_fwd),
+            (params, dataset, reweighted, *at_point(params, dataset, reweighted, cfg, normalized)),
             # only the selected active tetrads
-            (params, dataset, pruned, cfg, point(params, dataset, pruned, normalized)),
+            (params, dataset, pruned, *at_point(params, dataset, pruned, cfg, normalized)),
         ):
             got, path = gradient_and_path(*args)
             assert path == "_scattered_terms"
             assert [a.tobytes() for a in got.arrays] == want
+        assert [a.tobytes() for a in hinge_rule_gradient(params, dataset, blocks, cfg, poisoned_fwd).arrays] == want
 
     @pytest.mark.parametrize("zero_share, path", [(0.95, "_scattered_terms"), (0.0, "_dense_terms")])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
@@ -826,8 +887,8 @@ class TestScatteredGradient:
         dataset = random_dataset(rng, n=30, p=5, q=4)
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, None, ("i2t", "t2i"), zero_share)
-        fwd = point(params, dataset, blocks, normalized)
-        assert gradient_and_path(params, dataset, blocks, LossConfig(margin=0.3), fwd)[1] == path
+        assert gradient_and_path(params, dataset, blocks, *at_point(params, dataset, blocks, LossConfig(margin=0.3),
+                                                                    normalized))[1] == path
         for b in blocks:
             assert "group_ids" not in b.v.__dict__
             assert "flat_queries" not in b.tetrads.__dict__
@@ -846,8 +907,9 @@ class TestScatteredGradient:
         tracemalloc.start()
         try:
             fwd = forward_pass(forward(params, dataset, True), blocks)
-            smooth_part(params, blocks, block_losses(params, dataset, blocks, cfg, fwd))
-            _, path = gradient_and_path(params, dataset, blocks, cfg, fwd)
+            losses = block_losses(params, dataset, blocks, cfg, fwd)
+            smooth_part(params, blocks, losses)
+            _, path = gradient_and_path(params, dataset, blocks, losses, fwd)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -857,8 +919,7 @@ class TestScatteredGradient:
 
 def heaviest_first(blocks, losses):
     """Each block's heaviest queries, as the W-step builds them."""
-    plans = [heaviest_queries(b, x) for b, x in zip(blocks, losses)]
-    return lambda: plans
+    return [heaviest_queries(b, x) for b, x in zip(blocks, losses)]
 
 
 def selected_positions(v, queries):
@@ -949,7 +1010,7 @@ class TestPrefixBound:
         cfg = LossConfig(margin=0.1)
         losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
         order = heaviest_first(blocks, losses)
-        assert order()[0].queries[0] == 5  # the first prefix, 64 / 64 rows
+        assert order[0].queries[0] == 5  # the first prefix, 64 / 64 rows
         value = smooth_part(params, blocks, losses)
         assert value > 1.01 * ridge_value(params)
         slack = 4.0 * (1 + 63) * np.finfo(np.float64).eps
@@ -980,7 +1041,7 @@ class TestPrefixBound:
         blocks = [Block(tetrads, "i2t", ImportanceVector(np.zeros(tetrads.total), tetrads.offsets))]
         cfg = LossConfig(margin=0.1)
         order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
-        assert order()[0].queries.tolist() == list(range(16))  # every key is 0: index order
+        assert order[0].queries.tolist() == list(range(16))  # every key is 0: index order
         # the prefixes add nothing: only the ridge less the rounding slack (T = 1 term) rejects
         emb, ridge = forward(params, dataset), ridge_value(params)
         scale = 1.0 - 4.0 * np.finfo(np.float64).eps

@@ -26,7 +26,7 @@ from pacedrank.trainer import (
     train,
 )
 
-from conftest import point, random_instance
+from conftest import at_point, point, random_instance
 
 
 def params_equal(a: EmbeddingParams, b: EmbeddingParams) -> bool:
@@ -81,7 +81,7 @@ class TestLineSearch:
         blocks = [Block(tetrads, "i2t", v)]
         f = lambda p: smooth_value(p, dataset, blocks, cfg)
         f0 = f(params)
-        grad = grad_params(params, dataset, blocks, cfg.loss_config(), point(params, dataset, blocks))
+        grad = grad_params(params, dataset, blocks, *at_point(params, dataset, blocks, cfg.loss_config()))
         step, _, value = line_search(params, grad, unbounded(f), f0, cfg)
         assert step > 0.0
         assert value <= f0 - cfg.sufficient_decrease * step * grad.norm_sq()
@@ -93,7 +93,7 @@ class TestOptimizeW:
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         cfg = TrainConfig(max_inner_steps=200, rel_tol=1e-12)
         blocks = [Block(tetrads, "i2t", v)]
-        out, steps, _ = optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
+        out, _, steps, _ = optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
         norm = np.sqrt(np.sum(out.W1**2) + np.sum(out.W2**2))
         assert norm < 1e-3
         assert steps <= 200
@@ -106,7 +106,7 @@ class TestOptimizeW:
         )
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
-        out, steps, _ = optimize_W(zero, dataset, blocks, cfg, losses_at(zero, dataset, blocks, cfg))
+        out, _, steps, _ = optimize_W(zero, dataset, blocks, cfg, losses_at(zero, dataset, blocks, cfg))
         assert steps == 1
         assert params_equal(out, zero)
 
@@ -157,8 +157,8 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
 
     Every block embeds and scores each line-search trial itself, with no
     floor, every gradient runs its own pass (the given fwd is ignored), and
-    the losses at the final params come from one more pass per block. It
-    hands back no pass.
+    the losses at the final params come from one more pass per block. Its
+    value is summed again from those losses, and it hands back no pass.
     """
     value = smooth_part(params, blocks, losses)
     lcfg = cfg.loss_config()
@@ -169,7 +169,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
 
     def gradient(p):
         g = EmbeddingParams(p.W1, np.zeros_like(p.b1), p.W2, np.zeros_like(p.b2))
-        return g.axpy(1.0, grad_loss_term(p, dataset, blocks, lcfg, point(p, dataset, blocks, norm)))
+        return g.axpy(1.0, grad_loss_term(p, dataset, blocks, losses_at(p), point(p, dataset, blocks, norm)))
 
     steps = 0
     for _ in range(cfg.max_inner_steps):
@@ -184,7 +184,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
         if rel < cfg.rel_tol:
             break
     losses[:] = losses_at(params)
-    return params, steps, None
+    return params, smooth_part(params, blocks, losses), steps, None
 
 
 SHARED_PASS_MODES = {
@@ -206,10 +206,21 @@ class TestSharedForwardPass:
     def test_train_equals_unshared_reference_bitwise(self, monkeypatch, mode):
         ds = tiny_corpus(seed=2, n=40)
         cfg = TrainConfig(embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
+        gradients = []
+        real_grad = trainer.grad_params
+
+        def checked_gradient(params, dataset, blocks, losses, fwd):
+            # the losses handed over are the ones a fresh pass at the same params gives
+            fresh = losses_at(params, dataset, blocks, cfg)
+            assert [x.values.tobytes() for x in losses] == [x.values.tobytes() for x in fresh]
+            gradients.append(params)
+            return real_grad(params, dataset, blocks, losses, fwd)
+
+        monkeypatch.setattr(trainer, "grad_params", checked_gradient)
         params, history = train(ds, cfg)
         monkeypatch.setattr(trainer, "optimize_W", unshared_optimize_W)
         ref_params, ref_history = train(ds, cfg)
-        assert len(history) == 3 and sum(r.inner_steps for r in history.records) > 3
+        assert len(history) == 3 and len(gradients) == sum(r.inner_steps for r in history.records) > 3
         for a, b in zip(params.arrays, ref_params.arrays):
             assert a.tobytes() == b.tobytes()
         assert history_rows(history) == history_rows(ref_history)
@@ -254,7 +265,7 @@ class TestSharedForwardPass:
         monkeypatch.setattr(trainer, "line_search", counting_search)
         for module in (trainer, loss):  # the trials' passes, and the entry gradient's
             monkeypatch.setattr(module, "forward_pass", counting_pass)
-        out, steps, _ = optimize_W(params, ds, blocks, cfg, losses)
+        out, value, steps, _ = optimize_W(params, ds, blocks, cfg, losses)
         assert steps >= 2
         assert len(passes) == len(within) + 1
         # each full pass of a full set scores the dense matrix (the prefix floor
@@ -264,6 +275,7 @@ class TestSharedForwardPass:
         assert len(full) <= len(passes)
         want = losses_at(out, ds, blocks, cfg)
         assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
+        assert value.hex() == smooth_part(out, blocks, want).hex()
 
     @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
     def test_train_scores_each_point_once(self, monkeypatch, mode):
@@ -505,7 +517,7 @@ PREFIX_MODES = {
     "full-cosine-sym": (dict(symmetric_tetrads=True, normalized_similarity=True), True),
     # 40 x 12 tetrads at n = 40 are a share of 0.3 of the score matrix: a dense pass
     "sampled-raw-i2t": (dict(sample_negatives=12), True),
-    # a gathered pass costs about what the prefix would, so no prefix runs
+    # a gathered pass costs about what the prefix would, so the floor is never tried
     "sampled-sym-cosine": (SHARED_PASS_MODES["sampled-sym-cosine"], False),
 }
 
@@ -528,8 +540,8 @@ class TestPrefixFloor:
                 return value_fn(p, bound)
             return line_search(params, grad, tracked, current_value, cfg)
 
-        def checked_prefix(emb, blocks, cfg, prefixes, ridge, bound):
-            out = real_prefix(emb, blocks, cfg, prefixes, ridge, bound)
+        def checked_prefix(emb, blocks, cfg, plans, ridge, bound):
+            out = real_prefix(emb, blocks, cfg, plans, ridge, bound)
             checks.append(out)
             if out:  # the decision value_fn's full result gives
                 p = current["trial"]
@@ -551,10 +563,12 @@ class TestPrefixFloor:
         assert len(history) == 3
         assert params_bytes(params) == params_bytes(ref_params)
         assert history_rows(history) == history_rows(ref_history)
-        assert checks
         # not vacuous on dense passes: some trial within the ridge floor was rejected
-        # unscored; a gathered pass never orders its queries
-        assert any(checks) == dense and bool(plans) == dense
+        # unscored; a gathered pass neither tries the floor nor orders its queries
+        if dense:
+            assert any(checks) and plans
+        else:
+            assert not checks and not plans
 
 
 class TestTrain:
