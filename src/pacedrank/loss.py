@@ -11,22 +11,27 @@ weighted loss sum, minus each block's selection regularizers
 lam * |v|_1 (easiness) and gamma * sum_k sqrt(sum_j v_kj) (diversity
 across query groups).
 
-Every loss and gradient reads one Pass per parameter point: the
-embedding (embed.forward), the aligned scores S_kk and each block's tetrad
-scores S_kj. forward_pass reads them from the dense n x n matrix
+Every loss reads one Pass per parameter point: the embedding
+(embed.forward), the aligned scores S_kk and each block's tetrad scores
+S_kj. forward_pass reads them from the dense n x n matrix
 (embed.query_rows) or, when the blocks hold few tetrads against it,
 gathers them (embed.pair_scores): the same bits either way. block_losses,
 grad_loss_term and grad_params read a given Pass, whose embedding says raw
 or cosine, so blocks at one point share one forward and one backward pass;
 all_losses and objective embed params themselves.
 
-Only selected active tetrads (weight and loss both strictly positive)
-carry gradient. When the selected tetrads are few against n x n
-(SCATTER_MAX_SHARE), the gradient adds the active ones among them one by
-one with np.bincount, in flat tetrad order, and allocates no n x n array;
-otherwise it multiplies a dense n x n coefficient matrix by the
-embeddings. The selected count picks the path, so both pass forms, and a
-set with its zero-weight tetrads removed, give the same gradient bits.
+The gradient reads the pass's embedding and the losses, no score. Only
+selected active tetrads (weight and loss both strictly positive) carry
+gradient. Scores are inner products of the rows of A and B: H and G for
+raw scores, their rows divided by their norms for cosine ones. One
+backward pass gives the gradient with respect to A and B, and cosine
+scores add one projection per row through the normalization. When the
+selected tetrads are few against n x n (SCATTER_MAX_SHARE), the backward
+pass adds the active ones among them one by one with np.bincount, in flat
+tetrad order, and allocates no n x n array; otherwise it multiplies a
+dense n x n coefficient matrix by A and B. The selected count picks the
+path, so both pass forms, and a set with its zero-weight tetrads removed,
+give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any queries bound the smooth part from below.
@@ -121,11 +126,6 @@ class Pass:
         raise AlignmentError("the forward pass was not computed for this tetrad set and direction")
 
 
-def _tetrad_pairs(tetrads: TetradSet, direction: str):
-    """(image rows, text cols) of every tetrad's (query, negative) pair."""
-    return query_pairs(tetrads.flat_queries, tetrads.negatives, direction)
-
-
 def dense_pass(n: int, blocks: Sequence[Block]) -> bool:
     """Whether forward_pass scores these blocks through the n x n matrix: they hold GATHER_MAX_SHARE of it."""
     return sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n
@@ -147,7 +147,8 @@ def forward_pass(emb: Embedding, blocks: Sequence[Block]) -> Pass:
     else:
         every = np.arange(n)
         aligned = pair_scores(emb, every, every)
-        scores = [pair_scores(emb, *_tetrad_pairs(b.tetrads, b.direction)) for b in blocks]
+        scores = [pair_scores(emb, *query_pairs(b.tetrads.flat_queries, b.tetrads.negatives, b.direction))
+                  for b in blocks]
     return Pass(emb, aligned, tuple((b.tetrads, b.direction, sc) for b, sc in zip(blocks, scores)))
 
 
@@ -193,19 +194,18 @@ def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) ->
     return _hinge(fwd.aligned, np.diff(tetrads.offsets), fwd.tetrad_scores(tetrads, direction), margin)
 
 
-def _selected_active(fwd: Pass, block: Block, losses: GroupedVector):
+def _selected_active(block: Block, losses: GroupedVector):
     """The block's tetrads with v > 0 and a positive loss, in flat tetrad order.
 
-    Returns (queries, negatives, v, S_kj), queries as rows. Only
-    v.positive_index is read, so a set with its zero-weight tetrads removed
-    gives the same arrays. The queries are repeated over per-group counts
-    found by np.searchsorted, so no index over the whole set is built.
+    Returns (queries, negatives, v), queries as rows. Only v.positive_index
+    is read, so a set with its zero-weight tetrads removed gives the same
+    arrays. The queries are repeated over per-group counts found by
+    np.searchsorted, so no index over the whole set is built.
     """
     sel = block.v.positive_index
     pos = sel[losses.values[sel] > 0.0]
     queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
-    scores = fwd.tetrad_scores(block.tetrads, block.direction)[pos]
-    return queries, block.tetrads.negatives[pos], block.v.values[pos], scores
+    return queries, block.tetrads.negatives[pos], block.v.values[pos]
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -216,7 +216,9 @@ def _check_tetrads(tetrads: TetradSet, n: int) -> None:
 
 
 def _check_aligned(a, b) -> None:
-    """Raise AlignmentError unless a and b (tetrads or grouped values) have the same groups."""
+    """Raise AlignmentError unless a and b (tetrads, weights or losses) are both given and have the same groups."""
+    if a is None or b is None:
+        raise AlignmentError("a block has no weights")
     if a.total != b.total or not np.array_equal(a.offsets, b.offsets):
         raise AlignmentError("weights do not line up with the tetrads or losses")
 
@@ -433,15 +435,12 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def _dense_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
-    """(s, C B, C^T A, row sums of C * S, column sums of C * S) through the dense n x n matrix C.
+def _dense_terms(blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
+    """(s, C B, C^T A) through the dense n x n matrix C.
 
     Each block's coefficients, its weights where the loss is positive and
     +0.0 elsewhere, with its queries as rows, add their row sums into s and
-    themselves (a t2i block's transposed) into one image-row C. The cosine
-    term's C * S multiplies C's off-diagonal view by a full block's scores
-    in place, or, with no full block, forms the product at each tetrad's
-    entry. The sums of C * S are None for fwd's raw scores.
+    themselves (a t2i block's transposed) into one image-row C.
     """
     C = s = None
     for b, block_loss in zip(blocks, losses):
@@ -455,26 +454,7 @@ def _dense_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[GroupedVec
 
     # products are einsum loops, not BLAS: a threaded BLAS splits them by
     # thread count, which would change the gradient's bits
-    CB = np.einsum("kj,jl->kl", C, B)
-    CtA = np.einsum("kj,kl->jl", C, A)
-    if fwd.emb.norms is None:
-        return s, CB, CtA, None, None
-    # C * S is the dense product bit for bit: off the tetrads C is +0.0
-    # and S > 0. Both sums of it run along contiguous rows, so a t2i
-    # block gives the same bits as its swapped i2t problem.
-    full = next((b for b in blocks if b.tetrads.is_full), None)
-    if full is not None:  # its tetrads are every off-diagonal entry, and C's diagonal is +0.0
-        CS = np.ascontiguousarray(query_scores(C, full.direction))  # C itself, or a copy in full's query rows
-        off = _off_diagonal(CS)
-        off *= fwd.tetrad_scores(full.tetrads, full.direction).reshape(off.shape)
-        CS = query_scores(CS, full.direction)
-    else:
-        CS = np.zeros_like(C, order="C")
-        for b in blocks:
-            rows, cols = _tetrad_pairs(b.tetrads, b.direction)
-            CS[rows, cols] = C[rows, cols] * fwd.tetrad_scores(b.tetrads, b.direction)
-    del C
-    return s, CB, CtA, np.ascontiguousarray(CS).sum(axis=1), np.ascontiguousarray(CS.T).sum(axis=1)
+    return s, np.einsum("kj,jl->kl", C, B), np.einsum("kj,kl->jl", C, A)
 
 
 def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -485,7 +465,7 @@ def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: n
     return out
 
 
-def _scattered_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
+def _scattered_terms(blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
     """_dense_terms' values without an n x n array, added over the selected active tetrads alone.
 
     Every block's tetrads are listed (_selected_active) in block order,
@@ -493,19 +473,13 @@ def _scattered_terms(fwd: Pass, blocks: Sequence[Block], losses: Sequence[Groupe
     image row j and text column k. Each sum is one np.bincount per output
     column, which adds an entry's terms in that order.
     """
-    n = A.shape[0]
     lists = []
     for b, block_loss in zip(blocks, losses):
-        q, j, w, sc = _selected_active(fwd, b, block_loss)
-        lists.append((q, *query_pairs(q, j, b.direction), w, sc))
-    queries, rows, cols, w, scores = (np.concatenate(parts) for parts in zip(*lists))
-    s = np.bincount(queries, weights=w, minlength=n)
-    CB = _scattered_product(rows, cols, w, B)
-    CtA = _scattered_product(cols, rows, w, A)
-    if fwd.emb.norms is None:
-        return s, CB, CtA, None, None
-    ws = w * scores
-    return s, CB, CtA, np.bincount(rows, weights=ws, minlength=n), np.bincount(cols, weights=ws, minlength=n)
+        q, j, w = _selected_active(b, block_loss)
+        lists.append((q, *query_pairs(q, j, b.direction), w))
+    queries, rows, cols, w = (np.concatenate(parts) for parts in zip(*lists))
+    s = np.bincount(queries, weights=w, minlength=A.shape[0])
+    return s, _scattered_product(rows, cols, w, B), _scattered_product(cols, rows, w, A)
 
 
 def grad_loss_term(
@@ -517,25 +491,30 @@ def grad_loss_term(
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
-    fwd is the forward pass at params for these blocks; its embedding says
-    whether the scores are raw or cosine. losses are the blocks' losses at
-    that point, one per block in block order and lined up with its tetrads
-    (else AlignmentError). A tetrad contributes iff its weight and its loss
-    are strictly positive: it is selected and active. With C the image-row
-    matrix of those tetrads' weights (a t2i tetrad (query k, negative j)
-    sits at row j, column k) and s its per-query sums, sum C_kj S_kj -
-    sum s_k S_kk is backpropagated once, through the sigmoid (sigma' =
-    sigma * (1 - sigma)) into W1/b1 and W2/b2. A and B are the image and
-    text embeddings, divided by their norms for cosine scores.
+    fwd is the forward pass at params for these blocks; only its embedding
+    is read, which says whether the scores are raw or cosine. losses are the
+    blocks' losses at that point, one per block in block order and lined up
+    with its tetrads (else AlignmentError). A tetrad contributes iff its
+    weight and its loss are strictly positive: it is selected and active.
+
+    A score is the inner product of an image row of A and a text row of B:
+    A = H and B = G for raw scores, the rows of H and G divided by their
+    norms for cosine ones. With C the image-row matrix of the contributing
+    tetrads' weights (a t2i tetrad (query k, negative j) sits at row j,
+    column k) and s its per-query sums, sum C_kj S_kj - sum s_k S_kk has
+    gradient C B - s B with respect to A and C^T A - s A with respect to
+    B. For cosine scores each row is then chained through its
+    normalization, dH = (dA - <dA, A> A) / |H| and likewise for G, and the
+    result goes back through the sigmoid (sigma' = sigma * (1 - sigma))
+    into W1/b1 and W2/b2.
 
     When the selected tetrads (v > 0) are fewer than SCATTER_MAX_SHARE of
-    n^2, C B, C^T A, s and the cosine term's sums of C * S are added over
-    the selected active ones alone with np.bincount (_scattered_terms): no
-    n x n array. Else they go through the dense C with einsum
-    (_dense_terms). The two paths add in different orders, so their bits
-    differ, but the selected count alone picks the path: the dense and
-    gathered pass forms, and a set with its zero-weight tetrads removed,
-    take the same path and give the same bits.
+    n^2, s, C B and C^T A are added over the selected active ones alone
+    with np.bincount (_scattered_terms): no n x n array. Else they go
+    through the dense C with einsum (_dense_terms). The two paths add in
+    different orders, so their bits differ, but the selected count alone
+    picks the path: the dense and gathered pass forms, and a set with its
+    zero-weight tetrads removed, take the same path and give the same bits.
     """
     if len(losses) != len(blocks):
         raise AlignmentError(f"{len(losses)} loss vectors for {len(blocks)} blocks")
@@ -545,29 +524,20 @@ def grad_loss_term(
         _check_tetrads(b.tetrads, dataset.n)
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
-    normalized = fwd.emb.norms is not None  # the scores the pass holds
-    H, G = fwd.emb.H, fwd.emb.G
+    H, G, norms = fwd.emb.H, fwd.emb.G, fwd.emb.norms
     n = dataset.n
-
-    if normalized:
-        nh, ng = fwd.emb.norms
-        A, B = H / nh[:, None], G / ng[:, None]
-    else:
-        A, B = H, G
+    A, B = (H, G) if norms is None else (H / norms[0][:, None], G / norms[1][:, None])
     # the selected count, not the active one: it is known before any loss is read
     scattered = sum(len(b.v.positive_index) for b in blocks) < SCATTER_MAX_SHARE * n * n
-    terms = _scattered_terms if scattered else _dense_terms
-    s, CB, CtA, cs_rows, cs_cols = terms(fwd, blocks, losses, A, B)
-    dH_pre = CB - s[:, None] * B
-    dG_pre = CtA - s[:, None] * A
-    if normalized:
-        w_h = (cs_rows - s * fwd.aligned) / (nh * nh)
-        w_g = (cs_cols - s * fwd.aligned) / (ng * ng)
-        dH_pre = dH_pre / nh[:, None] - w_h[:, None] * H
-        dG_pre = dG_pre / ng[:, None] - w_g[:, None] * G
+    s, CB, CtA = (_scattered_terms if scattered else _dense_terms)(blocks, losses, A, B)
+    dA = CB - s[:, None] * B
+    dB = CtA - s[:, None] * A
+    if norms is not None:  # through A = H / |H| and B = G / |G|, row by row
+        dA = (dA - np.sum(dA * A, axis=1)[:, None] * A) / norms[0][:, None]
+        dB = (dB - np.sum(dB * B, axis=1)[:, None] * B) / norms[1][:, None]
 
-    dH = dH_pre * H * (1.0 - H)
-    dG = dG_pre * G * (1.0 - G)
+    dH = dA * H * (1.0 - H)
+    dG = dB * G * (1.0 - G)
     dW1 = np.einsum("kl,kp->lp", dH, dataset.images)
     return EmbeddingParams(dW1, dH.sum(axis=0), np.einsum("kl,kp->lp", dG, dataset.texts), dG.sum(axis=0))
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from pacedrank.cli import main
+from pacedrank.cli import GRADCHECK_TOLERANCE, main
 from pacedrank.data import load_features
 from pacedrank.evaluation import mean_ap, retrieve
+from pacedrank.gradcheck import run_gradient_check
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
@@ -388,6 +389,11 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out.strip()
         assert code == 0
         assert float(out) < 1e-5
+
+    def test_sixty_instances_cover_every_gradient_shape(self):
+        # instance i takes its shape from i mod 3 (sampled), 4 (directions) and
+        # 5 (cosine), so 60 instances check every combination
+        assert run_gradient_check(n_instances=60) < GRADCHECK_TOLERANCE
 
     def test_corrupted_gradient_fails_with_code_three(self, capsys):
         code = main(["gradcheck", "--seed", "0", "--instances", "3", "--corrupt"])
