@@ -37,10 +37,23 @@ _GATHER_ENTRIES = 1 << 15
 
 
 def sigmoid(t):
-    """Elementwise 1/(1+exp(-t)), clamped to stay strictly inside (0, 1)."""
-    t = np.clip(np.asarray(t, dtype=np.float64), -_EXP_CLAMP, _EXP_CLAMP)
-    out = 1.0 / (1.0 + np.exp(-t))
-    return np.clip(out, _OPEN_LO, _OPEN_HI)
+    """Elementwise 1/(1+exp(-t)), clamped to stay strictly inside (0, 1).
+
+    Each clamp is an np.maximum and an np.minimum, the operations np.clip
+    runs, and every step after the first writes in place into one fresh
+    array: the same IEEE operations, without np.clip's call overhead or
+    the temporaries. A 0-d or scalar input gives a numpy scalar.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    out = np.maximum(t, -_EXP_CLAMP, out=np.empty(t.shape))
+    np.minimum(out, _EXP_CLAMP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    np.maximum(out, _OPEN_LO, out=out)
+    np.minimum(out, _OPEN_HI, out=out)
+    return out if out.ndim else out[()]
 
 
 def _affine_rows(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,19 +25,22 @@ selected active tetrads (weight and loss both strictly positive) carry
 gradient. Scores are inner products of the rows of A and B: H and G for
 raw scores, their rows divided by their norms for cosine ones. One
 backward pass gives the gradient with respect to A and B, and cosine
-scores add one projection per row through the normalization. When the
-selected tetrads are few against n x n (SCATTER_MAX_SHARE), the backward
-pass adds the active ones among them one by one with np.bincount, in flat
-tetrad order, and allocates no n x n array; otherwise it multiplies a
-dense n x n coefficient matrix by A and B. The selected count picks the
-path, so both pass forms, and a set with its zero-weight tetrads removed,
-give the same gradient bits.
+scores add one projection per row through the normalization. Each block's
+selected active tetrads at a point are listed once (selected_active).
+When they are few against n x n (SCATTER_MAX_SHARE), the backward pass
+adds them one by one with np.bincount, in flat tetrad order, and
+allocates no n x n array; otherwise it multiplies a dense n x n
+coefficient matrix by A and B. The active count picks the path, so both
+pass forms, and a set with its zero-weight tetrads removed, give the same
+gradient bits. On one block the two paths add the same products in the
+same order.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any queries bound the smooth part from below.
 prefix_rejects scores, from the trial's embedding, the queries heaviest at
-the current point (heaviest_queries) in nested prefixes of query rows, and
-rejects once that bound, less a slack for rounding, exceeds the bound.
+the current point (heaviest_queries, from the same listing) in nested
+prefixes of query rows, and rejects once that bound, less a slack for
+rounding, exceeds the bound.
 
 All reductions are whole-array numpy reductions or np.bincount sums in a
 fixed order, and the gradient's matrix products are einsum loops, never
@@ -75,19 +78,20 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 # is always dense.
 GATHER_MAX_SHARE = 0.25
 # The gradient scatter-adds its selected active tetrads (v > 0, positive loss)
-# when the selected ones are fewer than this share of the n x n entries, and
-# otherwise builds the dense coefficient matrix C. Dense costs the same at any
-# share and scattering grows with the active count. Measured at d = 10 on a
-# 2-vCPU Xeon share (numpy 2.4, one BLAS thread), both directions, shares
-# 0.1 / 0.2 / 0.3 of n^2 selected: with every selected hinge active, scattering
-# took 0.3-0.5x / 0.7-1.15x / 1.0-1.7x the dense time at n = 600 and 2000, raw
-# and cosine; with 55-85% of them active (margin 0.1), 0.25-0.35x / 0.4-0.65x /
-# 0.6-0.9x. train-sampled-sym's first W-step (12,085 selected active tetrads
-# against 600 x 600) took 10-16 ms and a 6.1 MB tracemalloc peak dense, 2.5-3.5
-# ms and 1.3 MB scattered; a full symmetric set at n = 2000 with half its
-# weights positive took 220-300 ms and 100 MB dense, 460-780 ms and 180-275 MB
-# scattered. So the limit sits at the all-active crossover, and dense
-# selections, a full set's among them, stay dense.
+# when they are fewer than this share of the n x n entries, and otherwise
+# builds the dense coefficient matrix C. Dense costs the same at any share and
+# scattering grows with the active count, which is what the limit counts.
+# Measured at d = 10 on a 2-vCPU Xeon share (numpy 2.4, one BLAS thread), both
+# directions, shares 0.1 / 0.2 / 0.3 of n^2 selected: with every selected hinge
+# active, scattering took 0.3-0.5x / 0.7-1.15x / 1.0-1.7x the dense time at
+# n = 600 and 2000, raw and cosine. train-sampled-sym's first W-step (12,085
+# selected active tetrads against 600 x 600) took 10-16 ms and a 6.1 MB
+# tracemalloc peak dense, 2.5-3.5 ms and 1.3 MB scattered; a full symmetric set
+# at n = 2000 with half its weights positive took 220-300 ms and 100 MB dense,
+# 460-780 ms and 180-275 MB scattered. So the limit sits at the all-active
+# crossover. Self-paced selection admits easy tetrads first, most of them
+# inactive: on train-full's full set (n = 300) about half the tetrads are
+# selected, but at most 0.067 of n^2 are active over 10 outer iterations.
 SCATTER_MAX_SHARE = 0.2
 # prefix_rejects scores these nested shares of the queries, heaviest first, in turn.
 # On train-full (n = 300) a rejected line-search trial needed the top 0.3% / 1.8% /
@@ -194,18 +198,31 @@ def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) ->
     return _hinge(fwd.aligned, np.diff(tetrads.offsets), fwd.tetrad_scores(tetrads, direction), margin)
 
 
-def _selected_active(block: Block, losses: GroupedVector):
-    """The block's tetrads with v > 0 and a positive loss, in flat tetrad order.
+@dataclass(frozen=True)
+class Active:
+    """A block's selected active tetrads at one point, in flat tetrad order: query, negative, v and loss of each."""
 
-    Returns (queries, negatives, v), queries as rows. Only v.positive_index
-    is read, so a set with its zero-weight tetrads removed gives the same
-    arrays. The queries are repeated over per-group counts found by
-    np.searchsorted, so no index over the whole set is built.
+    queries: np.ndarray
+    negatives: np.ndarray
+    weights: np.ndarray
+    losses: np.ndarray
+
+
+def selected_active(block: Block, losses: GroupedVector) -> Active:
+    """The block's tetrads with v > 0 and a positive loss, from its losses at one point.
+
+    Only v.positive_index is read, so a set with its zero-weight tetrads
+    removed gives the same arrays. The queries are repeated over per-group
+    counts found by np.searchsorted, so no index over the whole set is
+    built. The gradient (grad_loss_term) and the prefix plan
+    (heaviest_queries) at a point both read this one listing.
     """
     sel = block.v.positive_index
-    pos = sel[losses.values[sel] > 0.0]
+    selected_losses = losses.values[sel]
+    positive = selected_losses > 0.0
+    pos = sel[positive]
     queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
-    return queries, block.tetrads.negatives[pos], block.v.values[pos]
+    return Active(queries, block.tetrads.negatives[pos], block.v.values[pos], selected_losses[positive])
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -346,13 +363,19 @@ class QueryPrefix:
     weights: np.ndarray
 
 
-def heaviest_queries(block: Block, losses: GroupedVector) -> QueryPrefix:
-    """The block's QueryPrefix at the point where losses were evaluated: the order per-query v * loss gives.
+def heaviest_queries(block: Block, active: Active) -> QueryPrefix:
+    """The block's QueryPrefix at the point active lists: the order per-query v * loss gives.
 
-    A stable sort keeps equal queries in index order. Only v.positive_index
-    is read, so no index over the whole set is built.
+    active is selected_active's listing of the block at that point. Each
+    query's v * loss is one np.bincount over its active tetrads, in index
+    order: for finite losses the bits of v.group_sums(losses), to which an
+    inactive tetrad adds exact zero. A stable sort keeps equal queries in
+    index order. Only v.positive_index is read, so no index over the whole
+    set is built.
     """
-    queries = np.argsort(-block.v.group_sums(losses), kind="stable")[: int(PREFIX_SHARES[-1] * block.tetrads.n)]
+    n = block.tetrads.n
+    weighted = np.bincount(active.queries, weights=active.weights * active.losses, minlength=n)
+    queries = np.argsort(-weighted, kind="stable")[: int(PREFIX_SHARES[-1] * n)]
     sel = block.v.positive_index
     starts = np.searchsorted(sel, block.tetrads.offsets)
     counts = starts[queries + 1] - starts[queries]
@@ -465,18 +488,18 @@ def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: n
     return out
 
 
-def _scattered_terms(blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
+def _scattered_terms(blocks: Sequence[Block], active: Sequence[Active], A: np.ndarray, B: np.ndarray):
     """_dense_terms' values without an n x n array, added over the selected active tetrads alone.
 
-    Every block's tetrads are listed (_selected_active) in block order,
-    then flat tetrad order; a t2i tetrad (query k, negative j) lands on
-    image row j and text column k. Each sum is one np.bincount per output
-    column, which adds an entry's terms in that order.
+    Every block's listed tetrads are taken in block order, then flat tetrad
+    order; a t2i tetrad (query k, negative j) lands on image row j and text
+    column k. Each sum is one np.bincount per output column, which adds an
+    entry's terms in that order. On one block, whose negatives ascend in
+    each group, that is the index order in which _dense_terms' einsums add
+    the same products, so C B and C^T A have its bits; s has them when the
+    weights are 0 or 1, whose sums are exact in any order.
     """
-    lists = []
-    for b, block_loss in zip(blocks, losses):
-        q, j, w = _selected_active(b, block_loss)
-        lists.append((q, *query_pairs(q, j, b.direction), w))
+    lists = [(a.queries, *query_pairs(a.queries, a.negatives, b.direction), a.weights) for b, a in zip(blocks, active)]
     queries, rows, cols, w = (np.concatenate(parts) for parts in zip(*lists))
     s = np.bincount(queries, weights=w, minlength=A.shape[0])
     return s, _scattered_product(rows, cols, w, B), _scattered_product(cols, rows, w, A)
@@ -488,6 +511,7 @@ def grad_loss_term(
     blocks: Sequence[Block],
     losses: Sequence[GroupedVector],
     fwd: Pass,
+    active: Optional[Sequence[Active]] = None,
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
@@ -496,6 +520,8 @@ def grad_loss_term(
     blocks' losses at that point, one per block in block order and lined up
     with its tetrads (else AlignmentError). A tetrad contributes iff its
     weight and its loss are strictly positive: it is selected and active.
+    active, when given, is each block's selected_active listing at these
+    losses; without it the blocks are listed here.
 
     A score is the inner product of an image row of A and a text row of B:
     A = H and B = G for raw scores, the rows of H and G divided by their
@@ -508,13 +534,15 @@ def grad_loss_term(
     result goes back through the sigmoid (sigma' = sigma * (1 - sigma))
     into W1/b1 and W2/b2.
 
-    When the selected tetrads (v > 0) are fewer than SCATTER_MAX_SHARE of
-    n^2, s, C B and C^T A are added over the selected active ones alone
-    with np.bincount (_scattered_terms): no n x n array. Else they go
-    through the dense C with einsum (_dense_terms). The two paths add in
-    different orders, so their bits differ, but the selected count alone
-    picks the path: the dense and gathered pass forms, and a set with its
-    zero-weight tetrads removed, take the same path and give the same bits.
+    When the selected active tetrads are fewer than SCATTER_MAX_SHARE of
+    n^2, s, C B and C^T A are added over them alone with np.bincount
+    (_scattered_terms): no n x n array. Else they go through the dense C
+    with einsum (_dense_terms). The active count alone picks the path, so
+    the dense and gathered pass forms, and a set with its zero-weight
+    tetrads removed, take the same path and give the same bits. On one
+    block both paths add C B and C^T A in the same order, and s too when
+    the weights are 0 or 1; on two, the dense path adds the blocks'
+    coefficients before it multiplies, so the paths' bits can differ.
     """
     if len(losses) != len(blocks):
         raise AlignmentError(f"{len(losses)} loss vectors for {len(blocks)} blocks")
@@ -527,9 +555,13 @@ def grad_loss_term(
     H, G, norms = fwd.emb.H, fwd.emb.G, fwd.emb.norms
     n = dataset.n
     A, B = (H, G) if norms is None else (H / norms[0][:, None], G / norms[1][:, None])
-    # the selected count, not the active one: it is known before any loss is read
-    scattered = sum(len(b.v.positive_index) for b in blocks) < SCATTER_MAX_SHARE * n * n
-    s, CB, CtA = (_scattered_terms if scattered else _dense_terms)(blocks, losses, A, B)
+    if active is None:
+        active = [selected_active(b, block_loss) for b, block_loss in zip(blocks, losses)]
+    # the active count: only active tetrads cost the scattered path anything
+    if sum(len(a.queries) for a in active) < SCATTER_MAX_SHARE * n * n:
+        s, CB, CtA = _scattered_terms(blocks, active, A, B)
+    else:
+        s, CB, CtA = _dense_terms(blocks, losses, A, B)
     dA = CB - s[:, None] * B
     dB = CtA - s[:, None] * A
     if norms is not None:  # through A = H / |H| and B = G / |G|, row by row
@@ -548,11 +580,13 @@ def grad_params(
     blocks: Sequence[Block],
     losses: Sequence[GroupedVector],
     fwd: Pass,
+    active: Optional[Sequence[Active]] = None,
 ) -> EmbeddingParams:
     """Gradient of ridge + every block's weighted hinge term, from fwd, the forward pass at params, and its losses.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
-    penalized); the blocks' term is added to it.
+    penalized); the blocks' term (grad_loss_term, which reads active) is
+    added to it.
     """
     ridge = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, losses, fwd))
+    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, losses, fwd, active))

@@ -71,6 +71,7 @@ from .loss import (
     heaviest_queries,
     prefix_rejects,
     ridge_value,
+    selected_active,
     smooth_part,
     with_penalties,
 )
@@ -254,25 +255,35 @@ def optimize_W(
     give, the inner steps taken and the pass at the final params, or None
     when the last line search failed and that pass was dropped before it.
 
-    value_fn applies the ridge floor, embeds the trial once, tries
-    loss.prefix_rejects on that embedding if the pass is dense (a gathered
-    one costs about what the prefix does, and a trial that falls through
-    pays both), and gives a trial that falls through the full pass on the
-    same embedding. Each block's heaviest queries are found after each gradient.
+    Each inner step lists every block's selected active tetrads once
+    (loss.selected_active); the gradient and, on a dense pass, each block's
+    heaviest queries (the prefix plan) read that listing. value_fn applies
+    the ridge floor, embeds the trial once, tries loss.prefix_rejects on
+    that embedding while the search has a plan, and gives a trial that
+    falls through the full pass on the same embedding. A gathered pass has
+    no plan: it costs about what the prefix does, and a trial that falls
+    through pays both. Once one trial of a search has fallen through, the
+    rest of that search drops its plan and runs full passes only; the
+    floor decides nothing a full pass would not, so the trajectory is the
+    same.
     """
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
     dense = dense_pass(dataset.n, blocks)
     last: dict = {}  # the latest trial's forward pass and per-block losses
+    plans = None  # each block's heaviest queries while the current search tries the prefix floor
 
     def value_fn(p, bound):
+        nonlocal plans
         last.clear()  # keep at most one pass alive while a trial is scored
         ridge = ridge_value(p)
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if dense and prefix_rejects(emb, blocks, lcfg, plans, ridge, bound):
-            return np.inf
+        if plans is not None:
+            if prefix_rejects(emb, blocks, lcfg, plans, ridge, bound):
+                return np.inf
+            plans = None  # fell through: the rest of this search runs full passes
         trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
@@ -286,12 +297,14 @@ def optimize_W(
         steps += 1
         if fwd is None:  # not handed over: the previous W-step's last line search failed
             fwd = forward_pass(forward(params, dataset, normalized), blocks)
-        grad = grad_params(params, dataset, blocks, losses, fwd)
+        active = [selected_active(b, l) for b, l in zip(blocks, losses)]
+        grad = grad_params(params, dataset, blocks, losses, fwd, active)
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
-        if dense:  # each block's heaviest queries at params, which value_fn reads
-            plans = [heaviest_queries(b, l) for b, l in zip(blocks, losses)]
+        # each block's heaviest queries at params, which value_fn reads
+        plans = [heaviest_queries(b, a) for b, a in zip(blocks, active)] if dense else None
+        del active  # not kept while the search scores its trials
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pacedrank import embed
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import (
     _GATHER_ENTRIES,
@@ -263,6 +264,21 @@ class TestRangeInvariants:
     def test_sigmoid_extremes_stay_open(self):
         vals = sigmoid(np.array([-1e9, -700.0, 0.0, 700.0, 1e9]))
         assert (vals > 0.0).all() and (vals < 1.0).all()
+
+    def test_sigmoid_equals_clip_formula_bitwise(self):
+        def clipped(t):
+            t = np.clip(np.asarray(t, dtype=np.float64), -embed._EXP_CLAMP, embed._EXP_CLAMP)
+            return np.clip(1.0 / (1.0 + np.exp(-t)), embed._OPEN_LO, embed._OPEN_HI)
+
+        rng = np.random.default_rng(14)
+        edges = np.array([0.0, -0.0, 500.0, -500.0, 700.0, -700.0, 1e9, -1e9, np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (rng.normal(0.0, 30.0, 10_000), rng.normal(0.0, 3.0, (300, 10))[:, ::3], edges,
+                      edges.reshape(1, -1), 0.0, -700.0, np.inf, np.nan, np.float64(2.5), np.asarray(1.0)):
+                got, want = sigmoid(t), clipped(t)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert sigmoid(0.0) == 0.5
 
     def test_scores_strictly_inside_zero_d(self):
         rng = np.random.default_rng(12)

@@ -39,6 +39,7 @@ from pacedrank.loss import (
     objective,
     prefix_rejects,
     ridge_value,
+    selected_active,
     smooth_part,
     tetrad_loss,
     weighted_sum_from,
@@ -858,22 +859,22 @@ class TestScatteredGradient:
 
     @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
     def test_path_choice_on_each_side_of_the_constant(self, directions):
-        # the count of positive weights picks the path, however many hinges are active
+        # the count of selected active tetrads picks the path, however many are selected
         rng = np.random.default_rng(5)
         n = 40
         dataset = random_dataset(rng, n=n, p=5, q=4)
         params = random_params(rng)
-        cfg = LossConfig(margin=0.1)
         limit = math.ceil(loss.SCATTER_MAX_SHARE * n * n)
+        blocks = sampled_blocks(rng, dataset, None, directions, 0.0)
+        assert sum(len(b.v.positive_index) for b in blocks) > limit  # every tetrad selected
+        fwd = point(params, dataset, blocks)
         for count, want in ((limit - 1, "_scattered_terms"), (limit, "_dense_terms")):
-            blocks = sampled_blocks(rng, dataset, None, directions, 1.0)
-            for i in rng.permutation(len(blocks) * (n * (n - 1)))[:count]:
-                b = blocks[i % len(blocks)]
-                values = b.v.values.copy()
-                values[i // len(blocks)] = rng.uniform(0.5, 1.0)
-                b.v = ImportanceVector(values, b.v.offsets)
-            assert sum(len(b.v.positive_index) for b in blocks) == count
-            assert gradient_and_path(params, dataset, blocks, *at_point(params, dataset, blocks, cfg))[1] == want
+            # losses of 1.0 at count tetrads, 0.0 elsewhere
+            flags = np.zeros(len(blocks) * (n * (n - 1)))
+            flags[rng.permutation(len(flags))[:count]] = 1.0
+            losses = [GroupedVector(flags[i::len(blocks)], b.tetrads.offsets) for i, b in enumerate(blocks)]
+            assert sum(len(selected_active(b, x).queries) for b, x in zip(blocks, losses)) == count
+            assert gradient_and_path(params, dataset, blocks, losses, fwd)[1] == want
 
     @pytest.mark.parametrize("m", [None, 6])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
@@ -958,9 +959,44 @@ class TestScatteredGradient:
         assert peak < n * n * 8
 
 
+class TestGradientPathsAgree:
+    """On one block, _dense_terms and _scattered_terms add the same products in the same order.
+
+    Each block's negatives ascend within its groups, so np.bincount over
+    the listing, in flat tetrad order, adds every entry of C B and C^T A in
+    the index order of einsum's loop over C. s, a sum of the weights, has
+    the same bits only when those sums are exact: for weights of 0 or 1.
+    """
+
+    @pytest.mark.parametrize("m", [None, 6], ids=["full", "sampled"])
+    @pytest.mark.parametrize("n", [40, 150])
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_one_block_terms_equal_bitwise(self, m, n, direction, normalized):
+        rng = np.random.default_rng(n + (m or 0))
+        dataset = random_dataset(rng, n=n, p=6, q=5)
+        params = random_params(rng, d=4, p=6, q=5)
+        (block,) = sampled_blocks(rng, dataset, m, (direction,), 0.3)
+        binary = Block(block.tetrads, direction, ImportanceVector(np.round(block.v.values), block.v.offsets))
+        emb = forward(params, dataset, normalized)
+        A, B = (emb.H, emb.G) if emb.norms is None else (emb.H / emb.norms[0][:, None], emb.G / emb.norms[1][:, None])
+        for b in (block, binary):
+            losses = block_losses(params, dataset, [b], LossConfig(margin=0.1), forward_pass(emb, [b]))
+            active = [selected_active(b, losses[0])]
+            assert 0 < len(active[0].queries) < len(b.v.positive_index)
+            s, CB, CtA = loss._dense_terms([b], losses, A, B)
+            s_scattered, CB_scattered, CtA_scattered = loss._scattered_terms([b], active, A, B)
+            assert CB.tobytes() == CB_scattered.tobytes()
+            assert CtA.tobytes() == CtA_scattered.tobytes()
+            if b is binary:
+                assert s.tobytes() == s_scattered.tobytes()
+            else:
+                assert np.allclose(s, s_scattered, rtol=1e-14, atol=0.0)
+
+
 def heaviest_first(blocks, losses):
-    """Each block's heaviest queries, as the W-step builds them."""
-    return [heaviest_queries(b, x) for b, x in zip(blocks, losses)]
+    """Each block's heaviest queries, as the W-step builds them from its listing."""
+    return [heaviest_queries(b, selected_active(b, x)) for b, x in zip(blocks, losses)]
 
 
 def selected_positions(v, queries):
@@ -1007,7 +1043,7 @@ class TestPrefixBound:
         block = Block(tetrads, direction, v)
         cfg = LossConfig(margin=0.1)
         losses = all_losses(params, dataset, tetrads, cfg, direction, normalized)
-        plan = heaviest_queries(block, losses)
+        plan = heaviest_queries(block, selected_active(block, losses))
         assert len(plan.queries) == 10  # 40 / 4
         # the order per-query v * loss gives, ties in index order
         key = [float(np.sum(v.group(k) * losses.group(k))) for k in range(40)]

@@ -13,7 +13,9 @@ from pacedrank.errors import (
     NonFiniteObjective,
     VersionMismatch,
 )
-from pacedrank.loss import Block, all_losses, block_losses, grad_loss_term, grad_params, ridge_value, smooth_part
+from pacedrank.loss import (
+    Block, all_losses, block_losses, grad_loss_term, grad_params, ridge_value, selected_active, smooth_part,
+)
 from pacedrank.trainer import (
     Checkpoint,
     CHECKPOINT_VERSION,
@@ -209,12 +211,17 @@ class TestSharedForwardPass:
         gradients = []
         real_grad = trainer.grad_params
 
-        def checked_gradient(params, dataset, blocks, losses, fwd):
-            # the losses handed over are the ones a fresh pass at the same params gives
+        def checked_gradient(params, dataset, blocks, losses, fwd, active):
+            # the losses handed over are the ones a fresh pass at the same params gives,
+            # and the listing is theirs
             fresh = losses_at(params, dataset, blocks, cfg)
             assert [x.values.tobytes() for x in losses] == [x.values.tobytes() for x in fresh]
+            listed = [selected_active(b, x) for b, x in zip(blocks, fresh)]
+            assert [[a.tobytes() for a in dataclasses.astuple(x)] for x in active] == [
+                [a.tobytes() for a in dataclasses.astuple(x)] for x in listed
+            ]
             gradients.append(params)
-            return real_grad(params, dataset, blocks, losses, fwd)
+            return real_grad(params, dataset, blocks, losses, fwd, active)
 
         monkeypatch.setattr(trainer, "grad_params", checked_gradient)
         params, history = train(ds, cfg)
@@ -532,17 +539,24 @@ class TestPrefixFloor:
         )
         lcfg, normalized = cfg.loss_config(), cfg.normalized_similarity
         current, checks, plans = {}, [], []
+        searches = []  # per line search, in order: "trial" for each trial within the ridge floor, and each check's outcome
         real_prefix, real_plan = trainer.prefix_rejects, trainer.heaviest_queries
 
         def tracking_search(params, grad, value_fn, current_value, cfg):
+            events = []
+            searches.append(events)
+
             def tracked(p, bound):
                 current["trial"] = p
+                if not ridge_value(p) > bound:
+                    events.append("trial")
                 return value_fn(p, bound)
             return line_search(params, grad, tracked, current_value, cfg)
 
         def checked_prefix(emb, blocks, cfg, plans, ridge, bound):
             out = real_prefix(emb, blocks, cfg, plans, ridge, bound)
             checks.append(out)
+            searches[-1].append("rejected" if out else "fell through")
             if out:  # the decision value_fn's full result gives
                 p = current["trial"]
                 assert not ridge > bound
@@ -558,17 +572,22 @@ class TestPrefixFloor:
         monkeypatch.setattr(trainer, "prefix_rejects", checked_prefix)
         monkeypatch.setattr(trainer, "heaviest_queries", counted_plan)
         params, history = train(ds, cfg)
-        monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
-        ref_params, ref_history = train(ds, cfg)
-        assert len(history) == 3
-        assert params_bytes(params) == params_bytes(ref_params)
-        assert history_rows(history) == history_rows(ref_history)
         # not vacuous on dense passes: some trial within the ridge floor was rejected
         # unscored; a gathered pass neither tries the floor nor orders its queries
         if dense:
             assert any(checks) and plans
         else:
             assert not checks and not plans
+        # once a trial falls through to a full pass, no later trial of its search is
+        # checked, and here some are scored in full
+        after = [events[events.index("fell through") + 1:] for events in searches if "fell through" in events]
+        assert all(rest.count("trial") == len(rest) for rest in after)
+        assert any(after) == dense
+        monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
+        ref_params, ref_history = train(ds, cfg)
+        assert len(history) == 3
+        assert params_bytes(params) == params_bytes(ref_params)
+        assert history_rows(history) == history_rows(ref_history)
 
 
 class TestTrain:
