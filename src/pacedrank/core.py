@@ -238,8 +238,10 @@ class TetradSet:
             raise ConfigInvalid(f"a set over {self.n} items needs {self.n + 1} offsets")
         if len(negatives) and (negatives.min() < 0 or negatives.max() >= self.n):
             raise IndexOutOfRange(f"negative index outside 0..{self.n - 1}")
-        # a (query, negative) pair listed twice would count twice in the loss but once in the
-        # dense gradient's coefficient matrix. Across a group boundary the negatives may fall.
+        # strictly ascending negatives rule out a (query, negative) pair listed twice, so that
+        # n(n - 1) tetrads can only be the full set: is_full counts tetrads alone, and the dense
+        # pass reads a full set as the off-diagonal entries (loss._entries). Across a group
+        # boundary the negatives may fall.
         # A chunk is read with the tetrad after it, so every two neighbours are compared.
         self_pair = descending = False
         for lo in range(0, len(negatives), _CHECK_CHUNK):

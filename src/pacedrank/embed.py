@@ -117,7 +117,7 @@ def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def query_rows(emb: Embedding, direction: str, queries=None) -> np.ndarray:
-    """Rows queries (an index array or slice; None for all) of query_scores(S, direction).
+    """Rows queries (an index array or slice; None for all) of S with direction's queries as rows: S or S.T.
 
     Query rows are scored against every item (image rows against G for
     i2t, text rows against H for t2i), which gives S's rows or columns bit
@@ -172,20 +172,10 @@ def forward(params: EmbeddingParams, dataset: Dataset, normalized: bool = False)
     return Embedding.of(embed_images(params, dataset.images), embed_texts(params, dataset.texts), normalized)
 
 
-def query_scores(S: np.ndarray, direction: str) -> np.ndarray:
-    """S with direction's queries as rows: S for i2t, S.T for t2i.
-
-    S.T is bit-identical to scoring text queries directly: each entry sums
-    the same products in the same order.
-    """
-    check_direction(direction)
-    return S if direction == "i2t" else S.T
-
-
 def query_pairs(queries, items, direction: str):
-    """(image rows, text cols) of the pairs (queries[t], items[t]): query_scores' index form.
+    """(image rows, text cols) of the pairs (queries[t], items[t]) in direction: swapped for t2i.
 
-    pair_scores over them gives query_scores(S, direction)[queries, items].
+    pair_scores over them gives query_rows(emb, direction)[queries, items].
     """
     check_direction(direction)
     return (queries, items) if direction == "i2t" else (items, queries)

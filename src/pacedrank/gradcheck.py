@@ -115,7 +115,7 @@ def numeric_gradient(inst: GradCheckInstance, h: float = 1e-5):
 
 
 def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float = 0.0) -> float:
-    """Max over entries of |analytic - numeric| / max(1, |numeric|).
+    """Max over entries of |analytic - numeric| / max(1, |numeric|); NaN if any entry is NaN.
 
     The corrupt offset exists as a negative control: it shifts the analytic
     gradient so the check must fail.
@@ -128,7 +128,7 @@ def max_relative_error(inst: GradCheckInstance, h: float = 1e-5, corrupt: float 
     for a, ncomp in zip(analytic.arrays, numeric):
         a = a + corrupt
         err = np.abs(a - ncomp) / np.maximum(1.0, np.abs(ncomp))
-        worst = max(worst, float(err.max()))
+        worst = float(np.maximum(worst, err.max()))  # np.maximum keeps a NaN, max() would drop it
     return worst
 
 
@@ -143,8 +143,10 @@ def run_gradient_check(
     Instance dimensions cycle through p, q <= 8, d <= 4 and cover both
     retrieval directions, their two-block sum (symmetric training) and the
     normalized-similarity mode. Every third instance is a sampled set, one
-    negative per query at 12 <= n <= 16, whose gradient is scatter-added as
-    it is for train's sampled sets; the others are full sets at n <= 8.
+    negative per query at 12 <= n <= 16, whose forward pass gathers its
+    scores as train's sampled sets do; the others are full sets at n <= 8.
+    A NaN error on any instance makes the result NaN, which fails any
+    tolerance.
     Fewer than one instance (which checks nothing) or a negative base_seed raises ConfigInvalid.
     """
     if n_instances < 1:
@@ -165,5 +167,5 @@ def run_gradient_check(
             normalized=(i % 5 == 4),
             m=1 if sampled else None,
         )
-        worst = max(worst, max_relative_error(inst, h=h, corrupt=corrupt))
+        worst = float(np.maximum(worst, max_relative_error(inst, h=h, corrupt=corrupt)))
     return worst

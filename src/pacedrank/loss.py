@@ -26,14 +26,12 @@ gradient. Scores are inner products of the rows of A and B: H and G for
 raw scores, their rows divided by their norms for cosine ones. One
 backward pass gives the gradient with respect to A and B, and cosine
 scores add one projection per row through the normalization. Each block's
-selected active tetrads at a point are listed once (selected_active).
-When they are few against n x n (SCATTER_MAX_SHARE), the backward pass
-adds them one by one with np.bincount, in flat tetrad order, and
-allocates no n x n array; otherwise it multiplies a dense n x n
-coefficient matrix by A and B. The active count picks the path, so both
-pass forms, and a set with its zero-weight tetrads removed, give the same
-gradient bits. On one block the two paths add the same products in the
-same order.
+selected active tetrads at a point are listed once (selected_active), and
+the backward pass adds them one by one with np.bincount, in flat tetrad
+order, so it allocates no n x n array. Self-paced selection admits easy
+tetrads first, most of them inactive, so the listing stays short. Both
+pass forms, and a set with its zero-weight tetrads removed, list the same
+tetrads and so give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any queries bound the smooth part from below.
@@ -67,7 +65,7 @@ from .core import (
     PacingState,
     TetradSet,
 )
-from .embed import Embedding, forward, pair_scores, query_pairs, query_rows, query_scores
+from .embed import Embedding, forward, pair_scores, query_pairs, query_rows
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 
@@ -77,22 +75,6 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 # d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
 # is always dense.
 GATHER_MAX_SHARE = 0.25
-# The gradient scatter-adds its selected active tetrads (v > 0, positive loss)
-# when they are fewer than this share of the n x n entries, and otherwise
-# builds the dense coefficient matrix C. Dense costs the same at any share and
-# scattering grows with the active count, which is what the limit counts.
-# Measured at d = 10 on a 2-vCPU Xeon share (numpy 2.4, one BLAS thread), both
-# directions, shares 0.1 / 0.2 / 0.3 of n^2 selected: with every selected hinge
-# active, scattering took 0.3-0.5x / 0.7-1.15x / 1.0-1.7x the dense time at
-# n = 600 and 2000, raw and cosine. train-sampled-sym's first W-step (12,085
-# selected active tetrads against 600 x 600) took 10-16 ms and a 6.1 MB
-# tracemalloc peak dense, 2.5-3.5 ms and 1.3 MB scattered; a full symmetric set
-# at n = 2000 with half its weights positive took 220-300 ms and 100 MB dense,
-# 460-780 ms and 180-275 MB scattered. So the limit sits at the all-active
-# crossover. Self-paced selection admits easy tetrads first, most of them
-# inactive: on train-full's full set (n = 300) about half the tetrads are
-# selected, but at most 0.067 of n^2 are active over 10 outer iterations.
-SCATTER_MAX_SHARE = 0.2
 # prefix_rejects scores these nested shares of the queries, heaviest first, in turn.
 # On train-full (n = 300) a rejected line-search trial needed the top 0.3% / 1.8% /
 # 33% of queries by weighted loss at its 10th / 50th / 90th percentile.
@@ -171,17 +153,6 @@ def _entries(M: np.ndarray, tetrads: TetradSet) -> np.ndarray:
     if tetrads.is_full:  # canonical order: the off-diagonal view, with no flat_queries
         return _off_diagonal(np.ascontiguousarray(M)).ravel()  # ravel copies the strided view
     return M[tetrads.flat_queries, tetrads.negatives]
-
-
-def _scatter(values: np.ndarray, tetrads: TetradSet) -> np.ndarray:
-    """_entries' inverse: an n x n matrix, queries as rows, with values at the tetrads' entries, +0.0 elsewhere."""
-    n = tetrads.n
-    M = np.zeros((n, n))
-    if tetrads.is_full:
-        _off_diagonal(M)[...] = values.reshape(n - 1, n)
-    else:
-        M[tetrads.flat_queries, tetrads.negatives] = values
-    return M
 
 
 def _hinge(aligned: np.ndarray, sizes: np.ndarray, scores: np.ndarray, margin: float) -> np.ndarray:
@@ -458,28 +429,6 @@ def objective(
     return with_penalties(smooth_part(params, blocks, losses), blocks, pacing)
 
 
-def _dense_terms(blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
-    """(s, C B, C^T A) through the dense n x n matrix C.
-
-    Each block's coefficients, its weights where the loss is positive and
-    +0.0 elsewhere, with its queries as rows, add their row sums into s and
-    themselves (a t2i block's transposed) into one image-row C.
-    """
-    C = s = None
-    for b, block_loss in zip(blocks, losses):
-        Cb = _scatter(np.where(block_loss.values > 0.0, b.v.values, 0.0), b.tetrads)
-        if C is None:  # the first block's matrix becomes C: no zeroed n x n buffer
-            s, C = Cb.sum(axis=1), query_scores(Cb, b.direction)
-        else:
-            s += Cb.sum(axis=1)
-            C += query_scores(Cb, b.direction)
-    del Cb
-
-    # products are einsum loops, not BLAS: a threaded BLAS splits them by
-    # thread count, which would change the gradient's bits
-    return s, np.einsum("kj,jl->kl", C, B), np.einsum("kj,kl->jl", C, A)
-
-
 def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: np.ndarray) -> np.ndarray:
     """out[i] = the sum of w[t] * E[other[t]] over index[t] == i: C E without C, one np.bincount per column."""
     out = np.empty(E.shape)
@@ -489,15 +438,14 @@ def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: n
 
 
 def _scattered_terms(blocks: Sequence[Block], active: Sequence[Active], A: np.ndarray, B: np.ndarray):
-    """_dense_terms' values without an n x n array, added over the selected active tetrads alone.
+    """(s, C B, C^T A), added over the selected active tetrads alone: no n x n array.
 
-    Every block's listed tetrads are taken in block order, then flat tetrad
-    order; a t2i tetrad (query k, negative j) lands on image row j and text
-    column k. Each sum is one np.bincount per output column, which adds an
-    entry's terms in that order. On one block, whose negatives ascend in
-    each group, that is the index order in which _dense_terms' einsums add
-    the same products, so C B and C^T A have its bits; s has them when the
-    weights are 0 or 1, whose sums are exact in any order.
+    C is the image-row matrix of the listed tetrads' weights and s its
+    per-query sums. Every block's listed tetrads are taken in block order,
+    then flat tetrad order; a t2i tetrad (query k, negative j) lands on
+    image row j and text column k. Each sum is one np.bincount per output
+    column, which adds an entry's terms in that order, so the bits depend
+    only on the listing.
     """
     lists = [(a.queries, *query_pairs(a.queries, a.negatives, b.direction), a.weights) for b, a in zip(blocks, active)]
     queries, rows, cols, w = (np.concatenate(parts) for parts in zip(*lists))
@@ -534,15 +482,10 @@ def grad_loss_term(
     result goes back through the sigmoid (sigma' = sigma * (1 - sigma))
     into W1/b1 and W2/b2.
 
-    When the selected active tetrads are fewer than SCATTER_MAX_SHARE of
-    n^2, s, C B and C^T A are added over them alone with np.bincount
-    (_scattered_terms): no n x n array. Else they go through the dense C
-    with einsum (_dense_terms). The active count alone picks the path, so
-    the dense and gathered pass forms, and a set with its zero-weight
-    tetrads removed, take the same path and give the same bits. On one
-    block both paths add C B and C^T A in the same order, and s too when
-    the weights are 0 or 1; on two, the dense path adds the blocks'
-    coefficients before it multiplies, so the paths' bits can differ.
+    s, C B and C^T A are added over the listed tetrads alone with
+    np.bincount (_scattered_terms), with no n x n array. Both pass forms,
+    and a set with its zero-weight tetrads removed, list the same tetrads
+    and so give the same bits.
     """
     if len(losses) != len(blocks):
         raise AlignmentError(f"{len(losses)} loss vectors for {len(blocks)} blocks")
@@ -553,15 +496,10 @@ def grad_loss_term(
     if not blocks:
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
     H, G, norms = fwd.emb.H, fwd.emb.G, fwd.emb.norms
-    n = dataset.n
     A, B = (H, G) if norms is None else (H / norms[0][:, None], G / norms[1][:, None])
     if active is None:
         active = [selected_active(b, block_loss) for b, block_loss in zip(blocks, losses)]
-    # the active count: only active tetrads cost the scattered path anything
-    if sum(len(a.queries) for a in active) < SCATTER_MAX_SHARE * n * n:
-        s, CB, CtA = _scattered_terms(blocks, active, A, B)
-    else:
-        s, CB, CtA = _dense_terms(blocks, losses, A, B)
+    s, CB, CtA = _scattered_terms(blocks, active, A, B)
     dA = CB - s[:, None] * B
     dB = CtA - s[:, None] * A
     if norms is not None:  # through A = H / |H| and B = G / |G|, row by row

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from pacedrank import gradcheck
 from pacedrank.cli import GRADCHECK_TOLERANCE, main
 from pacedrank.data import load_features
 from pacedrank.evaluation import mean_ap, retrieve
@@ -400,6 +402,23 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out.strip()
         assert code == 3
         assert float(out) >= 1e-5
+
+    def test_nan_gradient_fails_with_code_three(self, monkeypatch, capsys):
+        # Python's max(0.0, nan) is 0.0: a NaN error must reach the result, not be dropped
+        assert not run_gradient_check(3, 0, corrupt=float("nan")) < GRADCHECK_TOLERANCE
+        real = gradcheck.grad_params
+
+        def one_nan_entry(*args):
+            grad = real(*args)
+            W2 = grad.W2.copy()
+            W2.flat[0] = np.nan
+            return dataclasses.replace(grad, W2=W2)
+
+        monkeypatch.setattr(gradcheck, "grad_params", one_nan_entry)
+        assert not run_gradient_check(3, 0) < GRADCHECK_TOLERANCE
+        code = main(["gradcheck", "--seed", "0", "--instances", "3"])
+        assert code == 3
+        assert np.isnan(float(capsys.readouterr().out))
 
     @pytest.mark.parametrize("corrupt", [[], ["--corrupt"]], ids=["plain", "corrupt"])
     @pytest.mark.parametrize("instances", ["0", "-2"])

@@ -5,7 +5,7 @@ import pytest
 
 from pacedrank import evaluation
 from pacedrank.core import EmbeddingParams, validate_dataset
-from pacedrank.embed import query_scores, score_matrix
+from pacedrank.embed import score_matrix
 from pacedrank.errors import InvalidCutoff
 from pacedrank.evaluation import (
     average_precision,
@@ -185,10 +185,10 @@ class TestMeanAp:
         rng = np.random.default_rng(54)
         n = 60
         S = rng.integers(0, 3, size=(n, n)).astype(np.float64)
-        monkeypatch.setattr(evaluation, "query_rows", lambda emb, d, queries: query_scores(S, d)[queries].copy())
+        monkeypatch.setattr(evaluation, "query_rows", lambda emb, d, queries: (S if d == "i2t" else S.T)[queries].copy())
         ds = random_dataset(rng, n=n, p=3, q=3)
         params = random_params(rng, d=2, p=3, q=3)
-        Q = query_scores(S, direction)
+        Q = S if direction == "i2t" else S.T
         diag = np.diagonal(Q)[:, None]
         idx = np.arange(n)
         rank = 1 + np.sum(Q > diag, axis=1) + np.sum((Q == diag) & (idx[None, :] < idx[:, None]), axis=1)
