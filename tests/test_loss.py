@@ -635,6 +635,23 @@ def dense_reference(params, dataset, blocks, cfg, normalized):
     return losses, grad
 
 
+class TestMixedBlocks:
+    """Block lists over one full tetrad set, in one direction or in both."""
+
+    @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
+    def test_full_sets_never_build_flat_queries(self, directions, normalized):
+        # a cached flat_queries would hold n(n-1) int64 entries for a full set
+        dataset, params, tetrads, v = random_instance(41, n=30)
+        blocks = [Block(tetrads, d, v) for d in directions]
+        cfg = LossConfig(margin=0.1)
+        fwd = forward_pass(forward(params, dataset, normalized), blocks)
+        losses = block_losses(params, dataset, blocks, cfg, fwd)
+        grad_loss_term(params, dataset, blocks, losses, fwd)
+        grad_params(params, dataset, blocks, losses, fwd)
+        assert "flat_queries" not in tetrads.__dict__
+
+
 def layout_dataset(rng, n, layout):
     """A random dataset whose feature arrays are C-order, Fortran-order or [::2]-strided views."""
     images, texts = rng.standard_normal((n, 20)), rng.standard_normal((n, 20))
@@ -832,14 +849,14 @@ class TestScatteredGradient:
         assert [a.tobytes() for a in hinge_rule_gradient(params, dataset, blocks, cfg, poisoned_fwd).arrays] == want
 
     @pytest.mark.parametrize("zero_share", [0.95, 0.0])
-    @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
-    def test_full_set_gradient_builds_no_per_tetrad_index(self, zero_share, directions, normalized):
-        # a cached group_ids or flat_queries would hold n(n-1) int64 entries
+    def test_full_set_gradient_builds_no_per_tetrad_index(self, zero_share, normalized):
+        # a cached group_ids or flat_queries would hold n(n-1) int64 entries;
+        # a share of 0.95 zero weights leaves few active tetrads, 0.0 many
         rng = np.random.default_rng(44)
         dataset = random_dataset(rng, n=30, p=5, q=4)
         params = random_params(rng)
-        blocks = sampled_blocks(rng, dataset, None, directions, zero_share)
+        blocks = sampled_blocks(rng, dataset, None, ("i2t", "t2i"), zero_share)
         grad_params(params, dataset, blocks, *at_point(params, dataset, blocks, LossConfig(margin=0.3), normalized))
         for b in blocks:
             assert "group_ids" not in b.v.__dict__
