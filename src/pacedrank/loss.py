@@ -34,11 +34,11 @@ pass forms, and a set with its zero-weight tetrads removed, list the same
 tetrads and so give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
-the weighted hinges of any queries bound the smooth part from below.
-prefix_rejects scores, from the trial's embedding, the queries heaviest at
-the current point (heaviest_queries, from the same listing) in nested
-prefixes of query rows, and rejects once that bound, less a slack for
-rounding, exceeds the bound.
+the weighted hinges of any tetrads bound the smooth part from below.
+floor_rejects scores, from the trial's embedding, the tetrads active at the
+current point (the listing the gradient reads, embed.pair_scores), which
+carry almost all of the weighted loss, and rejects once that bound, less a
+slack for rounding, exceeds the bound.
 
 All reductions are whole-array numpy reductions or np.bincount sums in a
 fixed order, and the gradient's matrix products are einsum loops, never
@@ -75,10 +75,6 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 # d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
 # is always dense.
 GATHER_MAX_SHARE = 0.25
-# prefix_rejects scores these nested shares of the queries, heaviest first, in turn.
-# On train-full (n = 300) a rejected line-search trial needed the top 0.3% / 1.8% /
-# 33% of queries by weighted loss at its 10th / 50th / 90th percentile.
-PREFIX_SHARES = (1 / 64, 1 / 16, 1 / 4)
 
 
 @dataclass
@@ -112,20 +108,16 @@ class Pass:
         raise AlignmentError("the forward pass was not computed for this tetrad set and direction")
 
 
-def dense_pass(n: int, blocks: Sequence[Block]) -> bool:
-    """Whether forward_pass scores these blocks through the n x n matrix: they hold GATHER_MAX_SHARE of it."""
-    return sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n
-
-
 def forward_pass(emb: Embedding, blocks: Sequence[Block]) -> Pass:
     """The pass at emb's point for these blocks: dense, or gathered when they hold few tetrads.
 
-    The dense form reads the aligned scores and each block's entries from
-    the n x n matrix, then drops it. The matrix has the last block's queries
-    as rows, and a block of the other direction reads its transpose.
+    The pass is dense when the blocks hold GATHER_MAX_SHARE of the n x n
+    score entries. The dense form reads the aligned scores and each block's
+    entries from the matrix, then drops it. The matrix has the last block's
+    queries as rows, and a block of the other direction reads its transpose.
     """
     n = len(emb.H)
-    if dense_pass(n, blocks):
+    if sum(b.tetrads.total for b in blocks) >= GATHER_MAX_SHARE * n * n:
         last = blocks[-1].direction
         S = query_rows(emb, last)
         aligned = np.diagonal(S).copy()
@@ -185,8 +177,8 @@ def selected_active(block: Block, losses: GroupedVector) -> Active:
     Only v.positive_index is read, so a set with its zero-weight tetrads
     removed gives the same arrays. The queries are repeated over per-group
     counts found by np.searchsorted, so no index over the whole set is
-    built. The gradient (grad_loss_term) and the prefix plan
-    (heaviest_queries) at a point both read this one listing.
+    built. The gradient (grad_loss_term) at a point and the line-search
+    floor (floor_rejects) at its trials both read this one listing.
     """
     sel = block.v.positive_index
     selected_losses = losses.values[sel]
@@ -318,76 +310,41 @@ def with_penalties(smooth: float, blocks: Sequence[Block], pacing: PacingState) 
     return total
 
 
-@dataclass(frozen=True)
-class QueryPrefix:
-    """A block's queries by weighted loss, heaviest first, as far as the largest prefix share reads.
-
-    counts[i] is the number of selected tetrads (v > 0) of queries[i], and
-    ends[i] that of queries[:i]; negatives and weights list those tetrads
-    query after query, each group in flat tetrad order.
-    """
-
-    queries: np.ndarray
-    counts: np.ndarray
-    ends: np.ndarray
-    negatives: np.ndarray
-    weights: np.ndarray
-
-
-def heaviest_queries(block: Block, active: Active) -> QueryPrefix:
-    """The block's QueryPrefix at the point active lists: the order per-query v * loss gives.
-
-    active is selected_active's listing of the block at that point. Each
-    query's v * loss is one np.bincount over its active tetrads, in index
-    order: for finite losses the bits of v.group_sums(losses), to which an
-    inactive tetrad adds exact zero. A stable sort keeps equal queries in
-    index order. Only v.positive_index is read, so no index over the whole
-    set is built.
-    """
-    n = block.tetrads.n
-    weighted = np.bincount(active.queries, weights=active.weights * active.losses, minlength=n)
-    queries = np.argsort(-weighted, kind="stable")[: int(PREFIX_SHARES[-1] * n)]
-    sel = block.v.positive_index
-    starts = np.searchsorted(sel, block.tetrads.offsets)
-    counts = starts[queries + 1] - starts[queries]
-    ends = np.concatenate([[0], np.cumsum(counts)])
-    pos = sel[np.arange(ends[-1]) + np.repeat(starts[queries] - ends[:-1], counts)]
-    return QueryPrefix(queries, counts, ends, block.tetrads.negatives[pos], block.v.values[pos])
-
-
-def _prefix_terms(R: np.ndarray, prefix: QueryPrefix, lo: int, hi: int, margin: float) -> float:
-    """The sum of v * loss over the selected tetrads of prefix.queries[lo:hi], whose score rows R holds.
+def _listed_terms(emb: Embedding, aligned: np.ndarray, direction: str, active: Active, margin: float) -> float:
+    """The sum of v * loss at emb's point, whose S_kk aligned holds, over the tetrads active lists.
 
     Each hinge and product is computed as all_losses and weighted_sum_from
-    compute it; only their sum runs in another order.
+    compute it; only their sum runs over fewer terms.
     """
-    queries, counts, listed = prefix.queries[lo:hi], prefix.counts[lo:hi], slice(prefix.ends[lo], prefix.ends[hi])
-    rows = np.repeat(np.arange(hi - lo), counts)
-    hinges = _hinge(R[np.arange(hi - lo), queries], counts, R[rows, prefix.negatives[listed]], margin)
+    scores = pair_scores(emb, *query_pairs(active.queries, active.negatives, direction))
+    hinges = _hinge(aligned, np.bincount(active.queries, minlength=len(aligned)), scores, margin)
     np.maximum(0.0, hinges, out=hinges)
-    return float(np.sum(prefix.weights[listed] * hinges))
+    return float(np.sum(active.weights * hinges))
 
 
-def prefix_rejects(
+def floor_rejects(
     emb: Embedding,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    plans: Sequence[QueryPrefix],
+    active: Sequence[Active],
     ridge: float,
     bound: float,
 ) -> bool:
-    """Whether smooth_part at emb's point, whose ridge is ridge, surely exceeds bound, shown by a prefix of its terms.
+    """Whether smooth_part at emb's point, whose ridge is ridge, surely exceeds bound, shown by some of its terms.
 
-    plans holds each block's QueryPrefix at the current point. For each
-    share in PREFIX_SHARES every block scores its next queries' rows from
-    emb (embed.query_rows) and adds their weighted hinges to the lower
-    bound, which starts at ridge. Blocks add their terms. Whether a pass
-    is dense enough to try this is the caller's test (trainer.optimize_W).
+    active holds each block's selected_active listing, made at another
+    point (the W-step's current one). The listed tetrads' weighted hinges
+    at emb's point (_listed_terms) are added to the lower bound, which
+    starts at ridge.
     """
-    n = len(emb.H)
+    every = np.arange(len(emb.H))
+    aligned = pair_scores(emb, every, every)
+    lb = ridge
+    for b, a in zip(blocks, active):
+        lb += _listed_terms(emb, aligned, b.direction, a, cfg.margin)
     # Rounding. smooth_part is a floating-point sum, in some order, of T nonnegative
     # terms: the ridge and each block's v * loss products. lb sums, in another
-    # order, a subset of the same terms, equal bit for bit (its rows are S's, and
+    # order, a subset of the same terms, equal bit for bit (its scores are S's, and
     # each term is computed alike). A sum of at most T nonnegative terms lies
     # within a factor 1 +- g of its exact value, g = (T-1)u / (1 - (T-1)u) <= T eps
     # (u = eps / 2). So smooth_part >= exact (1 - g) >= exact lb (1 - g)
@@ -397,19 +354,7 @@ def prefix_rejects(
     # or one within the slack, decides nothing.
     terms = 1 + sum(len(b.v.positive_index) for b in blocks)
     scale = 1.0 - 4.0 * terms * np.finfo(np.float64).eps
-    lb = ridge
-    done = 0
-    for share in PREFIX_SHARES:
-        rows = int(share * n)
-        if rows <= done:
-            continue
-        for b, plan in zip(blocks, plans):
-            R = query_rows(emb, b.direction, plan.queries[done:rows])
-            lb += _prefix_terms(R, plan, done, rows, cfg.margin)
-        done = rows
-        if np.isfinite(lb) and lb * scale > bound:
-            return True
-    return False
+    return bool(np.isfinite(lb) and lb * scale > bound)
 
 
 def objective(

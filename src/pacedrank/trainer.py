@@ -13,9 +13,9 @@ trial's pass and losses serve the next gradient, its losses the weight
 solve; the pass at a W-step's final params serves the next W-step's entry
 gradient. The line search asks one value_fn(trial, bound) per trial. A
 trial whose ridge alone exceeds the Armijo bound is rejected unembedded;
-otherwise it is embedded, and on a dense pass first bounded below from its
-heaviest queries (loss.prefix_rejects). A trial that falls through gets
-the full pass on the same embedding, so every decision, and so every
+otherwise it is embedded and first bounded below from the tetrads active at
+the current point (loss.floor_rejects). A trial that falls through gets the
+full pass on the same embedding, so every decision, and so every
 trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
@@ -65,11 +65,9 @@ from .loss import (
     Block,
     Pass,
     block_losses,
-    dense_pass,
+    floor_rejects,
     forward_pass,
     grad_params,
-    heaviest_queries,
-    prefix_rejects,
     ridge_value,
     selected_active,
     smooth_part,
@@ -256,34 +254,30 @@ def optimize_W(
     when the last line search failed and that pass was dropped before it.
 
     Each inner step lists every block's selected active tetrads once
-    (loss.selected_active); the gradient and, on a dense pass, each block's
-    heaviest queries (the prefix plan) read that listing. value_fn applies
-    the ridge floor, embeds the trial once, tries loss.prefix_rejects on
-    that embedding while the search has a plan, and gives a trial that
-    falls through the full pass on the same embedding. A gathered pass has
-    no plan: it costs about what the prefix does, and a trial that falls
-    through pays both. Once one trial of a search has fallen through, the
-    rest of that search drops its plan and runs full passes only; the
-    floor decides nothing a full pass would not, so the trajectory is the
-    same.
+    (loss.selected_active); the gradient and the line search read that
+    listing. value_fn applies the ridge floor, embeds the trial once, tries
+    loss.floor_rejects on that embedding while the search holds the
+    listing, and gives a trial that falls through the full pass on the same
+    embedding. Once one trial of a search has fallen through, the rest of
+    that search drops the listing and runs full passes only; the floor
+    decides nothing a full pass would not, so the trajectory is the same.
     """
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
-    dense = dense_pass(dataset.n, blocks)
     last: dict = {}  # the latest trial's forward pass and per-block losses
-    plans = None  # each block's heaviest queries while the current search tries the prefix floor
+    active = None  # each block's listing at params while the current search tries the floor
 
     def value_fn(p, bound):
-        nonlocal plans
+        nonlocal active
         last.clear()  # keep at most one pass alive while a trial is scored
         ridge = ridge_value(p)
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if plans is not None:
-            if prefix_rejects(emb, blocks, lcfg, plans, ridge, bound):
+        if active is not None:
+            if floor_rejects(emb, blocks, lcfg, active, ridge, bound):
                 return np.inf
-            plans = None  # fell through: the rest of this search runs full passes
+            active = None  # fell through: the rest of this search runs full passes
         trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
@@ -302,9 +296,6 @@ def optimize_W(
         fwd = None
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
-        # each block's heaviest queries at params, which value_fn reads
-        plans = [heaviest_queries(b, a) for b, a in zip(blocks, active)] if dense else None
-        del active  # not kept while the search scores its trials
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break

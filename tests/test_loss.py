@@ -22,21 +22,20 @@ from pacedrank.core import (
     build_tetrads,
     validate_dataset,
 )
-from pacedrank.embed import forward, query_rows, score_matrix
+from pacedrank.embed import forward, pair_scores, query_rows, score_matrix
 from pacedrank.errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 from pacedrank.gradcheck import make_instance, max_relative_error, numeric_gradient
 from pacedrank.loss import (
     Block,
     _entries,
-    _prefix_terms,
+    _listed_terms,
     all_losses,
     block_losses,
+    floor_rejects,
     forward_pass,
     grad_loss_term,
     grad_params,
-    heaviest_queries,
     objective,
-    prefix_rejects,
     ridge_value,
     selected_active,
     smooth_part,
@@ -885,15 +884,21 @@ class TestScatteredGradient:
         assert peak < n * n * 8
 
 
-def heaviest_first(blocks, losses):
-    """Each block's heaviest queries, as the W-step builds them from its listing."""
-    return [heaviest_queries(b, selected_active(b, x)) for b, x in zip(blocks, losses)]
+def listings(blocks, losses):
+    """Each block's selected_active listing, as the W-step builds it once per inner step."""
+    return [selected_active(b, x) for b, x in zip(blocks, losses)]
 
 
-def selected_positions(v, queries):
-    """Flat positions of the selected tetrads of these queries, query after query."""
-    return np.array([t for k in queries for t in range(v.offsets[k], v.offsets[k + 1]) if v.values[t] > 0.0],
-                    dtype=np.int64)
+def listed_positions(v, losses):
+    """Flat positions of the selected active tetrads (v > 0, loss > 0), in flat tetrad order."""
+    sel = v.positive_index
+    return sel[losses.values[sel] > 0.0]
+
+
+def nearby(params, seed, scale=0.1):
+    """A point near params, as a line-search trial is."""
+    step = random_params(np.random.default_rng(seed), params.d, params.p, params.q)
+    return params.axpy(scale, step)
 
 
 def with_empty_groups(rng, tetrads, v):
@@ -925,6 +930,8 @@ class TestPrefixBound:
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
     @pytest.mark.parametrize("direction", ["i2t", "t2i"])
     def test_terms_equal_weighted_loss_terms_bitwise(self, direction, normalized, layout):
+        # the floor's per-block sum at a trial is np.sum of the products all_losses and the
+        # weights give there, over the tetrads listed at the current point
         rng = np.random.default_rng(71)
         dataset, params, tetrads, v = random_instance(71, n=40)
         values = v.values.copy()
@@ -935,17 +942,16 @@ class TestPrefixBound:
         block = Block(tetrads, direction, v)
         cfg = LossConfig(margin=0.1)
         losses = all_losses(params, dataset, tetrads, cfg, direction, normalized)
-        plan = heaviest_queries(block, selected_active(block, losses))
-        assert len(plan.queries) == 10  # 40 / 4
-        # the order per-query v * loss gives, ties in index order
-        key = [float(np.sum(v.group(k) * losses.group(k))) for k in range(40)]
-        assert plan.queries.tolist() == sorted(range(40), key=lambda k: -key[k])[:10]
-        emb = forward(params, dataset, normalized)
-        for lo, hi in ((0, 2), (2, 10), (0, 10)):
-            R = query_rows(emb, direction, plan.queries[lo:hi])
-            pos = selected_positions(v, plan.queries[lo:hi])
-            want = float(np.sum(v.values[pos] * losses.values[pos]))
-            assert _prefix_terms(R, plan, lo, hi, cfg.margin) == want
+        active = selected_active(block, losses)
+        pos = listed_positions(v, losses)
+        assert 0 < len(pos) < len(v.positive_index)
+        every = np.arange(dataset.n)
+        for at in (params, nearby(params, 1)):
+            trial_losses = all_losses(at, dataset, tetrads, cfg, direction, normalized)
+            emb = forward(at, dataset, normalized)
+            want = float(np.sum(v.values[pos] * trial_losses.values[pos]))
+            assert _listed_terms(emb, pair_scores(emb, every, every), direction, active, cfg.margin) == want
+        assert np.any(trial_losses.values[pos] == 0.0)  # the trial's active set differs from the listing's
 
     @pytest.mark.parametrize("layout", ["full", "empty-groups"])
     @pytest.mark.parametrize("directions", [("i2t",), ("t2i",), ("i2t", "t2i")], ids=["i2t", "t2i", "both"])
@@ -957,29 +963,31 @@ class TestPrefixBound:
             tetrads, v = with_empty_groups(rng, tetrads, v)
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
-        losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized))
-        order = heaviest_first(blocks, losses)
-        value = smooth_part(params, blocks, losses)
-        ridge = ridge_value(params)
-        assert value > 2.0 * ridge
-        emb = forward(params, dataset, normalized)
-        rejected = []
-        for share in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.5):
-            bound = ridge + share * (value - ridge)
-            rejected.append(prefix_rejects(emb, blocks, cfg, order, ridge, bound))
-            assert not (rejected[-1] and value <= bound)
-        assert rejected[0] and not rejected[-2]  # a bound at the ridge falls to the first prefix
+        active = listings(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks, normalized)))
+        for at in (params, nearby(params, 2)):  # the listing's own point, and a trial near it
+            losses = block_losses(at, dataset, blocks, cfg, point(at, dataset, blocks, normalized))
+            value = smooth_part(at, blocks, losses)
+            ridge = ridge_value(at)
+            assert value > 2.0 * ridge
+            emb = forward(at, dataset, normalized)
+            rejected = []
+            for share in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.5):
+                bound = ridge + share * (value - ridge)
+                rejected.append(floor_rejects(emb, blocks, cfg, active, ridge, bound))
+                assert not (rejected[-1] and value <= bound)
+            assert rejected[0] and not rejected[-2]  # a bound at the ridge falls to the listed terms
 
     def test_bound_within_the_slack_falls_through(self):
-        # one weighted query: its prefix holds every term, so the bound equals the value
+        # one weighted query, all of whose tetrads are active: the listing holds every
+        # term, so the bound equals the value
         dataset, params, tetrads, v = random_instance(73, n=64)
         values = np.zeros(tetrads.total)
         values[tetrads.offsets[5]:tetrads.offsets[6]] = 0.5
         blocks = [Block(tetrads, "i2t", ImportanceVector(values, tetrads.offsets))]
-        cfg = LossConfig(margin=0.1)
+        cfg = LossConfig(margin=3.0)  # above every raw score gap (d = 3)
         losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
-        order = heaviest_first(blocks, losses)
-        assert order[0].queries[0] == 5  # the first prefix, 64 / 64 rows
+        active = listings(blocks, losses)
+        assert len(active[0].losses) == 63
         value = smooth_part(params, blocks, losses)
         assert value > 1.01 * ridge_value(params)
         slack = 4.0 * (1 + 63) * np.finfo(np.float64).eps
@@ -987,32 +995,34 @@ class TestPrefixBound:
         for bound, rejects in ((np.nextafter(value, -np.inf), False), (value * (1.0 - slack / 2), False),
                                (value * (1.0 - 2 * slack), True)):
             assert value > bound
-            assert prefix_rejects(emb, blocks, cfg, order, ridge, bound) == rejects
+            assert floor_rejects(emb, blocks, cfg, active, ridge, bound) == rejects
 
     @pytest.mark.parametrize("case", ["nan-params", "infinite-hinge-sum"])
     def test_non_finite_lower_bound_falls_through(self, case):
         dataset, params, tetrads, v = random_instance(74, n=64)
         cfg = LossConfig(margin=1e308 if case == "infinite-hinge-sum" else 0.1)
-        if case == "nan-params":
-            params = EmbeddingParams(params.W1 * np.nan, params.b1, params.W2, params.b2)
         blocks = [Block(tetrads, "i2t", v)]
+        trial = params
+        if case == "nan-params":  # a NaN bias: the ridge stays finite, every score is NaN
+            trial = EmbeddingParams(params.W1, params.b1 * np.nan, params.W2, params.b2)
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
-            value = smooth_part(params, blocks, losses)
-            order = heaviest_first(blocks, losses)
-            assert not np.isfinite(value)
-            emb = forward(params, dataset)
+            active = listings(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
+            assert len(active[0].losses) > 0
+            losses = block_losses(trial, dataset, blocks, cfg, point(trial, dataset, blocks))
+            assert not np.isfinite(smooth_part(trial, blocks, losses))
+            emb, ridge = forward(trial, dataset), ridge_value(trial)
+            assert np.isfinite(ridge)
             for bound in (1e10, 1e300):  # above the ridge, which alone rejects exactly
-                assert not prefix_rejects(emb, blocks, cfg, order, ridge_value(params), bound)
+                assert not floor_rejects(emb, blocks, cfg, active, ridge, bound)
 
     def test_zero_weights_leave_the_ridge_floor(self):
         dataset, params, tetrads, _ = random_instance(75, n=64)
         blocks = [Block(tetrads, "i2t", ImportanceVector(np.zeros(tetrads.total), tetrads.offsets))]
         cfg = LossConfig(margin=0.1)
-        order = heaviest_first(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
-        assert order[0].queries.tolist() == list(range(16))  # every key is 0: index order
-        # the prefixes add nothing: only the ridge less the rounding slack (T = 1 term) rejects
+        active = listings(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
+        assert len(active[0].queries) == 0
+        # nothing is listed: only the ridge less the rounding slack (T = 1 term) rejects
         emb, ridge = forward(params, dataset), ridge_value(params)
         scale = 1.0 - 4.0 * np.finfo(np.float64).eps
         for bound in (ridge * 0.5, ridge * scale * (1.0 - 1e-15), np.nextafter(ridge, -np.inf), ridge, ridge * 1.5):
-            assert prefix_rejects(emb, blocks, cfg, order, ridge, bound) == (ridge * scale > bound)
+            assert floor_rejects(emb, blocks, cfg, active, ridge, bound) == (ridge * scale > bound)

@@ -275,8 +275,8 @@ class TestSharedForwardPass:
         out, value, steps, _ = optimize_W(params, ds, blocks, cfg, losses)
         assert steps >= 2
         assert len(passes) == len(within) + 1
-        # each full pass of a full set scores the dense matrix (the prefix floor
-        # scores fewer rows and rejects some trials: they get no full pass); a
+        # each full pass of a full set scores the dense matrix (the floor gathers
+        # its listed pairs and rejects some trials: they get no full pass); a
         # sampled W-step's passes are all gathered
         assert sum(shape[0] == ds.n for shape in scored) == (0 if cfg.sample_negatives else len(full))
         assert len(full) <= len(passes)
@@ -358,8 +358,8 @@ EDGE_SEARCHES = {
 VALUE_FNS = {"ridge": ridge_value, "nan": lambda p: np.nan, "inf": lambda p: np.inf}
 
 
-def no_prefix(*args):
-    """loss.prefix_rejects switched off: the ridge floor alone rules trials out."""
+def no_listed_floor(*args):
+    """loss.floor_rejects switched off: the ridge floor alone rules trials out."""
     return False
 
 
@@ -387,7 +387,7 @@ class TestRidgeFloor:
                 return value_fn(p, bound)
             return line_search(params, grad, recorded, current_value, cfg)
 
-        monkeypatch.setattr(trainer, "prefix_rejects", no_prefix)
+        monkeypatch.setattr(trainer, "floor_rejects", no_listed_floor)
         monkeypatch.setattr(trainer, "forward_pass", counting_pass)
         monkeypatch.setattr(trainer, "line_search", recording_search)
         params, history = train(ds, cfg)
@@ -405,7 +405,7 @@ class TestRidgeFloor:
     def test_value_fn_skips_only_trials_above_the_floor(self, monkeypatch, seed):
         # at n = 30 the leading trials' ridges exceed their bounds, some of them
         # while still below the current value. The W-step's value_fn embeds each
-        # trial the ridge floor passes exactly once, prefix floor or full pass.
+        # trial the ridge floor passes exactly once, listed floor or full pass.
         dataset, params, tetrads, v = random_instance(seed, n=30)
         cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5, max_inner_steps=1)
         blocks = [Block(tetrads, "i2t", v)]
@@ -472,8 +472,8 @@ class TestRidgeFloor:
             return real_pass(emb, blocks)
 
         monkeypatch.setattr(trainer, "line_search", capturing_search)
-        # the prefix floor would reject some trials the ridge floor passes: this is the ridge floor's test
-        monkeypatch.setattr(trainer, "prefix_rejects", no_prefix)
+        # the listed floor would reject some trials the ridge floor passes: this is the ridge floor's test
+        monkeypatch.setattr(trainer, "floor_rejects", no_listed_floor)
         optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
         (value_fn,) = value_fns
         with np.errstate(over="ignore"):  # gnorm2, the large steps' ridges and sigmoids overflow
@@ -520,12 +520,12 @@ class TestRidgeFloor:
 
 
 PREFIX_MODES = {
-    "full-raw-i2t": ({}, True),
-    "full-cosine-sym": (dict(symmetric_tetrads=True, normalized_similarity=True), True),
+    "full-raw-i2t": {},
+    "full-cosine-sym": dict(symmetric_tetrads=True, normalized_similarity=True),
     # 40 x 12 tetrads at n = 40 are a share of 0.3 of the score matrix: a dense pass
-    "sampled-raw-i2t": (dict(sample_negatives=12), True),
-    # a gathered pass costs about what the prefix would, so the floor is never tried
-    "sampled-sym-cosine": (SHARED_PASS_MODES["sampled-sym-cosine"], False),
+    "sampled-raw-i2t": dict(sample_negatives=12),
+    # a gathered pass, which tries the floor as a dense one does
+    "sampled-sym-cosine": SHARED_PASS_MODES["sampled-sym-cosine"],
 }
 
 
@@ -533,14 +533,18 @@ class TestPrefixFloor:
     @pytest.mark.parametrize("mode", PREFIX_MODES)
     def test_train_equals_floor_free_bitwise(self, monkeypatch, mode):
         ds = tiny_corpus(seed=2, n=40)
-        options, dense = PREFIX_MODES[mode]
         cfg = TrainConfig(
-            embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, sufficient_decrease=0.1, **options
+            embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, sufficient_decrease=0.1,
+            **PREFIX_MODES[mode],
         )
         lcfg, normalized = cfg.loss_config(), cfg.normalized_similarity
-        current, checks, plans = {}, [], []
+        current, checks = {}, []
         searches = []  # per line search, in order: "trial" for each trial within the ridge floor, and each check's outcome
-        real_prefix, real_plan = trainer.prefix_rejects, trainer.heaviest_queries
+        real_floor, real_grad = trainer.floor_rejects, trainer.grad_params
+
+        def listing_gradient(params, dataset, blocks, losses, fwd, active):
+            current["listing"] = active
+            return real_grad(params, dataset, blocks, losses, fwd, active)
 
         def tracking_search(params, grad, value_fn, current_value, cfg):
             events = []
@@ -553,8 +557,9 @@ class TestPrefixFloor:
                 return value_fn(p, bound)
             return line_search(params, grad, tracked, current_value, cfg)
 
-        def checked_prefix(emb, blocks, cfg, plans, ridge, bound):
-            out = real_prefix(emb, blocks, cfg, plans, ridge, bound)
+        def checked_floor(emb, blocks, cfg, active, ridge, bound):
+            assert active is current["listing"]  # the listing the step's gradient read
+            out = real_floor(emb, blocks, cfg, active, ridge, bound)
             checks.append(out)
             searches[-1].append("rejected" if out else "fell through")
             if out:  # the decision value_fn's full result gives
@@ -564,25 +569,17 @@ class TestPrefixFloor:
                 assert not smooth_part(p, blocks, full) <= bound
             return out
 
-        def counted_plan(*args):
-            plans.append(args)
-            return real_plan(*args)
-
+        monkeypatch.setattr(trainer, "grad_params", listing_gradient)
         monkeypatch.setattr(trainer, "line_search", tracking_search)
-        monkeypatch.setattr(trainer, "prefix_rejects", checked_prefix)
-        monkeypatch.setattr(trainer, "heaviest_queries", counted_plan)
+        monkeypatch.setattr(trainer, "floor_rejects", checked_floor)
         params, history = train(ds, cfg)
-        # not vacuous on dense passes: some trial within the ridge floor was rejected
-        # unscored; a gathered pass neither tries the floor nor orders its queries
-        if dense:
-            assert any(checks) and plans
-        else:
-            assert not checks and not plans
+        # not vacuous on either pass form: some trial within the ridge floor was rejected unscored
+        assert any(checks)
         # once a trial falls through to a full pass, no later trial of its search is
         # checked, and here some are scored in full
         after = [events[events.index("fell through") + 1:] for events in searches if "fell through" in events]
         assert all(rest.count("trial") == len(rest) for rest in after)
-        assert any(after) == dense
+        assert any(after)
         monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
         ref_params, ref_history = train(ds, cfg)
         assert len(history) == 3
