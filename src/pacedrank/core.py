@@ -262,6 +262,25 @@ class TetradSet:
     def flat_queries(self) -> np.ndarray:
         return _group_ids(self.offsets, 0, self.total)
 
+    @cached_property
+    def row_positions(self) -> np.ndarray:
+        """Each tetrad's (query k, negative j) as the flat index k * n + j of a C-contiguous n x n matrix."""
+        return self._positions(transposed=False)
+
+    @cached_property
+    def column_positions(self) -> np.ndarray:
+        """Each tetrad's (query k, negative j) as the flat index j * n + k: queries as the matrix's columns."""
+        return self._positions(transposed=True)
+
+    def _positions(self, transposed: bool) -> np.ndarray:
+        # the queries are not cached: flat_queries would stay alive beside the positions
+        queries = _group_ids(self.offsets, 0, self.total)
+        rows, cols = (self.negatives, queries) if transposed else (queries, self.negatives)
+        positions = rows * self.n
+        positions += cols
+        positions.flags.writeable = False
+        return positions
+
     @property
     def is_full(self) -> bool:
         """Whether this is build_tetrads' full set: every j != k for query k, ascending.
@@ -409,6 +428,11 @@ class GroupedVector:
     def positive_index(self) -> np.ndarray:
         """Flat positions of the strictly positive values, ascending."""
         return _frozen_array(np.flatnonzero(self.values > 0.0), dtype=np.int64)
+
+    @cached_property
+    def positive_count(self) -> int:
+        """Number of strictly positive values; it does not build positive_index."""
+        return int(np.count_nonzero(self.values > 0.0))
 
     def positive_counts(self) -> np.ndarray:
         """Per-group number of strictly positive values."""

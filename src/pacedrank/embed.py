@@ -26,10 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset, EmbeddingParams, check_direction
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteObjective
 
-_EXP_CLAMP = 500.0  # keeps exp() finite; output is re-clipped into open (0, 1)
-_OPEN_LO = np.nextafter(0.0, 1.0)
+# t is clamped below at -_EXP_CLAMP, which keeps exp(-t) finite and every output
+# at least 1/(1 + e^500), about 7e-218 > 0. No clamp above is needed: from
+# t of about 37 on, 1 + exp(-t) rounds to 1, and 1 is clipped to _OPEN_HI.
+_EXP_CLAMP = 500.0
 _OPEN_HI = np.nextafter(1.0, 0.0)
 # embedding values per gathered chunk (256 KB): fresh buffers much larger than
 # this cost page faults that took longer, per pass, than the products
@@ -37,21 +39,21 @@ _GATHER_ENTRIES = 1 << 15
 
 
 def sigmoid(t):
-    """Elementwise 1/(1+exp(-t)), clamped to stay strictly inside (0, 1).
+    """Elementwise 1/(1+exp(-t)), strictly inside (0, 1).
 
-    Each clamp is an np.maximum and an np.minimum, the operations np.clip
-    runs, and every step after the first writes in place into one fresh
-    array: the same IEEE operations, without np.clip's call overhead or
-    the temporaries. A 0-d or scalar input gives a numpy scalar.
+    The bits of 1/(1+exp(-clip(t, -500, 500))) clipped to
+    [nextafter(0, 1), nextafter(1, 0)], from two of those four clamps (see
+    _EXP_CLAMP): t's floor, an np.maximum, and the output's ceiling, an
+    np.minimum, the operations np.clip runs. Every step after the first
+    writes in place into one fresh array: six ufunc calls and no
+    temporaries. A 0-d or scalar input gives a numpy scalar.
     """
     t = np.asarray(t, dtype=np.float64)
     out = np.maximum(t, -_EXP_CLAMP, out=np.empty(t.shape))
-    np.minimum(out, _EXP_CLAMP, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
-    np.maximum(out, _OPEN_LO, out=out)
     np.minimum(out, _OPEN_HI, out=out)
     return out if out.ndim else out[()]
 
@@ -108,7 +110,18 @@ class Embedding:
 
     @classmethod
     def of(cls, H: np.ndarray, G: np.ndarray, normalized: bool) -> "Embedding":
-        return cls(H, G, (_row_norms(H), _row_norms(G)) if normalized else None)
+        """The embedding of rows H and G; for cosine scores, raises NonFiniteObjective unless every row norm is > 0.
+
+        Sigmoid outputs are positive, but a row saturated near 0 (all
+        entries below about 1e-154) squares to a norm of 0, and its cosine
+        scores would divide by it.
+        """
+        if not normalized:
+            return cls(H, G, None)
+        norms = (_row_norms(H), _row_norms(G))
+        if not all((n > 0.0).all() for n in norms):  # NaN fails too
+            raise NonFiniteObjective("a row norm of the embedding is not positive, so cosine scores are undefined")
+        return cls(H, G, norms)
 
 
 def inner_scores(H: np.ndarray, G: np.ndarray) -> np.ndarray:

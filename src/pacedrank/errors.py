@@ -47,7 +47,7 @@ class GroupTooLarge(PacedRankError):
 
 
 class NonFiniteObjective(PacedRankError):
-    """Training produced a non-finite objective or gradient."""
+    """Training produced a non-finite objective or gradient, or cosine scores divide by a zero row norm."""
 
 
 class ConfigInvalid(PacedRankError):

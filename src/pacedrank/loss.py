@@ -15,7 +15,9 @@ Every loss reads one Pass per parameter point: the embedding
 (embed.forward), the aligned scores S_kk and each block's tetrad scores
 S_kj. forward_pass reads them from the dense n x n matrix
 (embed.query_rows) or, when the blocks hold few tetrads against it,
-gathers them (embed.pair_scores): the same bits either way. block_losses,
+gathers them (embed.pair_scores): the same bits either way. A dense pass
+reads a full set as the matrix's off-diagonal entries and any other set
+with one np.take at the set's cached flat positions. block_losses,
 grad_loss_term and grad_params read a given Pass, whose embedding says raw
 or cosine, so blocks at one point share one forward and one backward pass;
 all_losses and objective embed params themselves.
@@ -35,10 +37,14 @@ tetrads and so give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any tetrads bound the smooth part from below.
-floor_rejects scores, from the trial's embedding, the tetrads active at the
-current point (the listing the gradient reads, embed.pair_scores), which
-carry almost all of the weighted loss, and rejects once that bound, less a
-slack for rounding, exceeds the bound.
+floor_rejects scores, from the trial's embedding (embed.pair_scores), the
+tetrads of floor_listing: the selected ones whose hinge argument at the
+current point exceeds -FLOOR_REACH * margin. They are the active ones, which
+carry almost all of the weighted loss, and those an overshooting trial is
+likely to activate. The floor rejects once that bound, less a slack for
+rounding, exceeds the Armijo bound. The listing recomputes its hinge
+arguments from the current point's pass, since the losses clip them at 0:
+those hinges are computed twice at that point.
 
 All reductions are whole-array numpy reductions or np.bincount sums in a
 fixed order, and the gradient's matrix products are einsum loops, never
@@ -46,7 +52,9 @@ BLAS, so objective and gradient values are identical across runs and BLAS
 thread counts. The weighted loss sums the products of the strictly
 positive weights in flat tetrad order; group masses add each group's
 weights in index order. Tetrads with zero weight therefore cannot perturb
-either value even at the bit level.
+either value even at the bit level, which lets the trainer's W-step run on
+each block cut down to its selected tetrads. Where every weight is positive,
+the weighted sum and the listings read whole arrays, with no gather.
 """
 
 from __future__ import annotations
@@ -141,10 +149,17 @@ def _off_diagonal(M: np.ndarray) -> np.ndarray:
 
 
 def _entries(M: np.ndarray, tetrads: TetradSet) -> np.ndarray:
-    """A fresh array of M[k, j] for every tetrad (query k, negative j), in flat tetrad order."""
+    """A fresh array of M[k, j] for every tetrad (query k, negative j), in flat tetrad order.
+
+    M is the dense pass's C-contiguous matrix S or its transpose. Any set
+    but the full one is read with one np.take from S's flat entries, at the
+    set's cached positions of its tetrads in S.
+    """
     if tetrads.is_full:  # canonical order: the off-diagonal view, with no flat_queries
         return _off_diagonal(np.ascontiguousarray(M)).ravel()  # ravel copies the strided view
-    return M[tetrads.flat_queries, tetrads.negatives]
+    if M.flags.c_contiguous:
+        return np.take(M.reshape(-1), tetrads.row_positions)
+    return np.take(M.T.reshape(-1), tetrads.column_positions)  # M[k, j] is S[j, k]
 
 
 def _hinge(aligned: np.ndarray, sizes: np.ndarray, scores: np.ndarray, margin: float) -> np.ndarray:
@@ -163,29 +178,66 @@ def _hinge_args(fwd: Pass, tetrads: TetradSet, direction: str, margin: float) ->
 
 @dataclass(frozen=True)
 class Active:
-    """A block's selected active tetrads at one point, in flat tetrad order: query, negative, v and loss of each."""
+    """Some of a block's selected tetrads, listed at one point in flat tetrad order: query, negative and v of each."""
 
     queries: np.ndarray
     negatives: np.ndarray
     weights: np.ndarray
-    losses: np.ndarray
+
+
+def _listing(block: Block, values: np.ndarray, above: float) -> Active:
+    """The block's tetrads with v > 0 and values[t] > above, in flat tetrad order.
+
+    Only the selected positions are read (v.positive_index, or every
+    position when no weight is 0, with no gather), so a set with its
+    zero-weight tetrads removed gives the same arrays. The queries are
+    repeated over per-group counts found by np.searchsorted, so no index
+    over the whole set is built.
+    """
+    v = block.v
+    if v.positive_count == v.total:  # every tetrad selected
+        pos = np.flatnonzero(values > above)
+    else:
+        sel = v.positive_index
+        pos = sel[values[sel] > above]
+    queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
+    return Active(queries, block.tetrads.negatives[pos], v.values[pos])
 
 
 def selected_active(block: Block, losses: GroupedVector) -> Active:
-    """The block's tetrads with v > 0 and a positive loss, from its losses at one point.
+    """The block's tetrads with v > 0 and a positive loss, from its losses at one point: the ones the gradient reads.
 
-    Only v.positive_index is read, so a set with its zero-weight tetrads
-    removed gives the same arrays. The queries are repeated over per-group
-    counts found by np.searchsorted, so no index over the whole set is
-    built. The gradient (grad_loss_term) at a point and the line-search
-    floor (floor_rejects) at its trials both read this one listing.
+    The W-step lists them once per inner step, and grad_loss_term takes
+    that listing. The line-search floor reads a longer one (floor_listing).
     """
-    sel = block.v.positive_index
-    selected_losses = losses.values[sel]
-    positive = selected_losses > 0.0
-    pos = sel[positive]
-    queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
-    return Active(queries, block.tetrads.negatives[pos], block.v.values[pos], selected_losses[positive])
+    return _listing(block, losses.values, 0.0)
+
+
+# The line-search floor lists the selected tetrads whose hinge argument at the
+# current point exceeds -FLOOR_REACH * margin: the active ones, and those an
+# overshooting trial is likely to activate. A longer listing rejects more trials
+# unscored, and costs more per check. Swept at 0, 0.25, 0.5 and 1 (2 vCPUs,
+# numpy 2.4.6, noisy host), as full passes that a trial's value then rejected,
+# and the median in-process train time:
+# - perfbench's train-full (one outer iteration): 36, 9, 7 and 2 passes; 120,
+#   102, 101 and 112 ms;
+# - the same corpus over 30 iterations: 1050, 56 and 25 passes at 0, 0.25 and
+#   0.5; 4.2, 2.7-3.1 and 3.6 s;
+# - raw i2t at n = 600 (embedding_dim 8, 3 iterations): 544, 0, 0 and 0
+#   passes; 3.3, 0.6-0.9, 0.7-1.1 and 0.9 s;
+# - perfbench's train-sampled-sym: 6, 3, 2 and 1 passes; 24-27 ms throughout.
+FLOOR_REACH = 0.25
+
+
+def floor_listing(block: Block, fwd: Pass, margin: float) -> Active:
+    """The block's selected tetrads whose hinge argument at fwd's point exceeds -FLOOR_REACH * margin.
+
+    The arguments are recomputed from the pass (the losses clip them at 0),
+    with the bits all_losses computes before it clips, and listed as
+    selected_active lists the losses; the active tetrads are a part of this
+    listing. floor_rejects reads it at the line search's trials.
+    """
+    return _listing(block, _hinge_args(fwd, block.tetrads, block.direction, margin), -FLOOR_REACH * margin)
 
 
 def _check_tetrads(tetrads: TetradSet, n: int) -> None:
@@ -265,10 +317,13 @@ def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:
 
     One np.sum over the products of the strictly positive weights, in flat
     tetrad order (v.positive_index, cached on the weights, which stay fixed
-    for a whole W-step). A set with its zero-weight tetrads removed yields
-    the same product array, so it yields the same bits.
+    for a whole W-step), gathered only when some weight is 0. A set with its
+    zero-weight tetrads removed yields the same product array, so it yields
+    the same bits.
     """
     _check_aligned(losses, v)
+    if v.positive_count == v.total:  # every weight positive: the same products, with no gather
+        return float(np.sum(v.values * losses.values))
     sel = v.positive_index
     return float(np.sum(v.values[sel] * losses.values[sel]))
 
@@ -326,21 +381,21 @@ def floor_rejects(
     emb: Embedding,
     blocks: Sequence[Block],
     cfg: LossConfig,
-    active: Sequence[Active],
+    listed: Sequence[Active],
     ridge: float,
     bound: float,
 ) -> bool:
     """Whether smooth_part at emb's point, whose ridge is ridge, surely exceeds bound, shown by some of its terms.
 
-    active holds each block's selected_active listing, made at another
-    point (the W-step's current one). The listed tetrads' weighted hinges
-    at emb's point (_listed_terms) are added to the lower bound, which
-    starts at ridge.
+    listed holds each block's floor_listing, made at another point (the
+    W-step's current one); any listing of selected tetrads is sound. The
+    listed tetrads' weighted hinges at emb's point (_listed_terms) are
+    added to the lower bound, which starts at ridge.
     """
     every = np.arange(len(emb.H))
     aligned = pair_scores(emb, every, every)
     lb = ridge
-    for b, a in zip(blocks, active):
+    for b, a in zip(blocks, listed):
         lb += _listed_terms(emb, aligned, b.direction, a, cfg.margin)
     # Rounding. smooth_part is a floating-point sum, in some order, of T nonnegative
     # terms: the ridge and each block's v * loss products. lb sums, in another
@@ -352,7 +407,7 @@ def floor_rejects(
     # whose factor and product round by about eps each, implies smooth_part >
     # bound: value_fn's result would reject the trial too. A NaN or infinite lb,
     # or one within the slack, decides nothing.
-    terms = 1 + sum(len(b.v.positive_index) for b in blocks)
+    terms = 1 + sum(b.v.positive_count for b in blocks)
     scale = 1.0 - 4.0 * terms * np.finfo(np.float64).eps
     return bool(np.isfinite(lb) and lb * scale > bound)
 

@@ -7,16 +7,24 @@ per query group, then grows the pacing thresholds. Both alternation steps
 are non-increasing on the full objective at fixed thresholds, which the
 recorded history makes auditable.
 
+The W-step minimises ridge + sum v * loss, on which a tetrad with v = 0
+has no effect, so train hands it each block cut down to its selected
+tetrads (_selected): their weights, their losses, and their scores gathered
+from the full set's pass. A set with its zero-weight tetrads removed gives
+the same value and gradient bits (loss), so every trajectory is the one the
+full sets give. After the W-step the full set is scored once, from the
+final embedding, for the weight solve; that pass also gives the next
+W-step's entry.
+
 Every point the W-step scores is embedded once and gets one pass
 (loss.forward_pass), which serves all blocks: the accepted line-search
-trial's pass and losses serve the next gradient, its losses the weight
-solve; the pass at a W-step's final params serves the next W-step's entry
-gradient. The line search asks one value_fn(trial, bound) per trial. A
-trial whose ridge alone exceeds the Armijo bound is rejected unembedded;
-otherwise it is embedded and first bounded below from the tetrads active at
-the current point (loss.floor_rejects). A trial that falls through gets the
-full pass on the same embedding, so every decision, and so every
-trajectory, is the one full passes give.
+trial's pass and losses serve the next gradient. The line search asks one
+value_fn(trial, bound) per trial. A trial whose ridge alone exceeds the
+Armijo bound is rejected unembedded; otherwise it is embedded and first
+bounded below from the selected tetrads active at the current point or
+close to it (loss.floor_listing, loss.floor_rejects). A trial that falls
+through gets the full pass on the same embedding, so every decision, and
+so every trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -42,14 +50,16 @@ from .core import (
     Dataset,
     EmbeddingParams,
     GroupedVector,
+    ImportanceVector,
     LossConfig,
     PacingState,
+    TetradSet,
     build_tetrads,
     check_int,
     check_real,
     check_seed,
 )
-from .embed import forward
+from .embed import Embedding, forward
 from .errors import (
     ConfigInvalid,
     CorruptCheckpoint,
@@ -65,6 +75,7 @@ from .loss import (
     Block,
     Pass,
     block_losses,
+    floor_listing,
     floor_rejects,
     forward_pass,
     grad_params,
@@ -236,8 +247,11 @@ def optimize_W(
     cfg: TrainConfig,
     losses: list[GroupedVector],
     fwd: Optional[Pass] = None,
-) -> tuple[EmbeddingParams, float, int, Optional[Pass]]:
+) -> tuple[EmbeddingParams, float, int, Embedding]:
     """Descend on ridge + sum v*loss at fixed weights until stalled.
+
+    train hands over each block cut down to its selected tetrads, which
+    gives the same bits as the full blocks; any blocks are accepted.
 
     losses holds each block's losses at params, which give the smooth value
     there; each accepted step replaces them in place by the accepted
@@ -250,34 +264,35 @@ def optimize_W(
     scored line-search trial's pass serves every block, and the accepted
     trial's pass and losses (line_search accepts its last trial) serve the
     next gradient. Returns the final params, the smooth value their losses
-    give, the inner steps taken and the pass at the final params, or None
-    when the last line search failed and that pass was dropped before it.
+    give, the inner steps taken and the embedding at the final params; a
+    point's scores are dropped before its line search, its embedding is not.
 
-    Each inner step lists every block's selected active tetrads once
-    (loss.selected_active); the gradient and the line search read that
-    listing. value_fn applies the ridge floor, embeds the trial once, tries
-    loss.floor_rejects on that embedding while the search holds the
-    listing, and gives a trial that falls through the full pass on the same
-    embedding. Once one trial of a search has fallen through, the rest of
-    that search drops the listing and runs full passes only; the floor
-    decides nothing a full pass would not, so the trajectory is the same.
+    Each inner step lists every block's selected active tetrads once for
+    the gradient (loss.selected_active), then the longer floor listing
+    (loss.floor_listing) for the line search. value_fn applies the ridge
+    floor, embeds the trial once, tries loss.floor_rejects on that
+    embedding while the search holds the floor listing, and gives a trial
+    that falls through the full pass on the same embedding. Once one trial
+    of a search has fallen through, the rest of that search drops the
+    listing and runs full passes only; the floor decides nothing a full
+    pass would not, so the trajectory is the same.
     """
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
     last: dict = {}  # the latest trial's forward pass and per-block losses
-    active = None  # each block's listing at params while the current search tries the floor
+    near = None  # each block's floor listing at params while the current search tries the floor
 
     def value_fn(p, bound):
-        nonlocal active
+        nonlocal near
         last.clear()  # keep at most one pass alive while a trial is scored
         ridge = ridge_value(p)
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if active is not None:
-            if floor_rejects(emb, blocks, lcfg, active, ridge, bound):
+        if near is not None:
+            if floor_rejects(emb, blocks, lcfg, near, ridge, bound):
                 return np.inf
-            active = None  # fell through: the rest of this search runs full passes
+            near = None  # fell through: the rest of this search runs full passes
         trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
@@ -289,11 +304,13 @@ def optimize_W(
     steps = 0
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        if fwd is None:  # not handed over: the previous W-step's last line search failed
+        if fwd is None:  # not handed over
             fwd = forward_pass(forward(params, dataset, normalized), blocks)
         active = [selected_active(b, l) for b, l in zip(blocks, losses)]
         grad = grad_params(params, dataset, blocks, losses, fwd, active)
-        fwd = None
+        del active  # freed before the longer floor listing is made
+        near = [floor_listing(b, fwd, lcfg.margin) for b in blocks]
+        emb, fwd = fwd.emb, None  # the point's embedding outlives its line search; its scores do not
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
@@ -306,7 +323,7 @@ def optimize_W(
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
             break
-    return params, value, steps, fwd
+    return params, value, steps, emb if fwd is None else fwd.emb
 
 
 def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
@@ -318,13 +335,44 @@ def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
 
 
 def _update_weights(blocks: list[Block], losses: list[GroupedVector], pacing: PacingState) -> None:
-    """Solve each block's selection weights from its losses.
+    """Solve each block's selection weights from its losses."""
+    for b, block_loss in zip(blocks, losses):
+        b.v = spl.update_importance(block_loss, pacing)
 
-    Indexing instead of a loop variable leaves no reference to a loss
-    vector behind, so optimize_W can free each set of losses it replaces.
+
+def _selected(
+    blocks: list[Block], losses: list[GroupedVector], fwd: Pass
+) -> tuple[list[Block], list[GroupedVector], Pass]:
+    """Each block cut down to its selected tetrads (v > 0), with their losses and its pass, all at one point.
+
+    A tetrad with v = 0 adds nothing to the W-step's value, gradient or line
+    search, and a set with its zero-weight tetrads removed gives the same
+    bits (loss's pruned-set contract), so the W-step reads only these. The
+    tetrads are negatives[v.positive_index], with offsets from
+    v.positive_counts(); the weights, the losses and the pass's scores are
+    gathered at the same positions, so no score is computed again. A block
+    whose weights are all positive is kept as it is.
     """
-    for i, b in enumerate(blocks):
-        b.v = spl.update_importance(losses[i], pacing)
+    kept, kept_losses, scores = [], [], []
+    for b, block_loss in zip(blocks, losses):
+        block_scores = fwd.tetrad_scores(b.tetrads, b.direction)
+        if b.v.positive_count < b.tetrads.total:
+            sel = b.v.positive_index
+            offsets = np.concatenate(([0], np.cumsum(b.v.positive_counts())))
+            tetrads = TetradSet(b.tetrads.n, offsets, _locked(b.tetrads.negatives[sel]))
+            b = Block(tetrads, b.direction, ImportanceVector(_locked(b.v.values[sel]), tetrads.offsets))
+            block_loss = GroupedVector(_locked(block_loss.values[sel]), tetrads.offsets)
+            block_scores = block_scores[sel]
+        kept.append(b)
+        kept_losses.append(block_loss)
+        scores.append((b.tetrads, b.direction, block_scores))
+    return kept, kept_losses, Pass(fwd.emb, fwd.aligned, tuple(scores))
+
+
+def _locked(values: np.ndarray) -> np.ndarray:
+    """A fresh array, locked so that the container it goes into keeps it without a copy."""
+    values.flags.writeable = False
+    return values
 
 
 def train(
@@ -354,9 +402,10 @@ def train(
         blocks.append(Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
 
-    # The pass at the current params, for the next W-step's entry gradient.
-    # It is popped as it is handed over, so no reference here keeps it alive
-    # while optimize_W's line search scores its trials.
+    # The full set's pass at the current params, from which the next W-step's
+    # entry pass is gathered. Each pass is popped as it is handed over, so no
+    # reference here keeps one alive while optimize_W's line search scores its
+    # trials.
     held = {"fwd": forward_pass(forward(params, dataset, cfg.normalized_similarity), blocks)}
     losses = block_losses(params, dataset, blocks, cfg.loss_config(), held["fwd"])
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
@@ -375,9 +424,15 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        params, smooth, inner_steps, held["fwd"] = optimize_W(params, dataset, blocks, cfg, losses, held.pop("fwd"))
+        # the W-step reads the selected tetrads alone; the full set's losses are dropped meanwhile
+        kept, losses, held["fwd"] = _selected(blocks, losses, held.pop("fwd"))
+        params, smooth, inner_steps, emb = optimize_W(params, dataset, kept, cfg, losses, held.pop("fwd"))
         obj_after_w = with_penalties(smooth, blocks, pacing)
+        del kept, losses
 
+        # the full set's losses at the final params, for the weight solve, from the final embedding
+        held["fwd"] = forward_pass(emb, blocks)
+        losses = block_losses(params, dataset, blocks, cfg.loss_config(), held["fwd"])
         _update_weights(blocks, losses, pacing)
         smooth = smooth_part(params, blocks, losses)
         obj_after_v = with_penalties(smooth, blocks, pacing)

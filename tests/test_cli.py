@@ -6,7 +6,7 @@ import pytest
 
 from pacedrank import gradcheck
 from pacedrank.cli import GRADCHECK_TOLERANCE, main
-from pacedrank.data import load_features
+from pacedrank.data import load_features, save_features
 from pacedrank.evaluation import mean_ap, retrieve
 from pacedrank.gradcheck import run_gradient_check
 from pacedrank.trainer import (
@@ -114,6 +114,21 @@ class TestTrainCommand:
         assert 0.0 <= summary["test_map_i2t"] <= 1.0
         split_lines = (run / "split.txt").read_text().strip().splitlines()
         assert [ln.split()[0] for ln in split_lines] == ["train", "validation", "test"]
+
+    def test_saturated_cosine_rows_exit_two(self, tmp_path, capsys):
+        # features times 1e150 saturate the sigmoid: some embedded row squares to a
+        # norm of 0, so cosine scores are undefined (a runtime failure, not bad input)
+        rng = np.random.default_rng(0)
+        paths = {}
+        for side in ("images", "texts"):
+            paths[side] = str(tmp_path / f"{side}.txt")
+            save_features(paths[side], rng.standard_normal((30, 5)) * 1e150)
+        train = {"embedding_dim": 3, "max_outer_iters": 2, "seed": 1}
+        path, _ = write_config(tmp_path, data=paths, train=dict(train, normalized_similarity=True))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "row norm" in capsys.readouterr().err
+        path, _ = write_config(tmp_path, data=paths, train=train)
+        assert main(["train", "--config", str(path)]) == 0  # raw scores still train
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1

@@ -111,6 +111,18 @@ class TestBuildTetrads:
         assert len(ts.negatives) == ts.total
         assert np.array_equal(ts.flat_queries, np.repeat(np.arange(4), 3))
 
+    def test_matrix_positions(self):
+        rng = np.random.default_rng(8)
+        ts = build_tetrads(validate_dataset(rng.standard_normal((7, 2)), rng.standard_normal((7, 2))), 3, 0)
+        M = rng.standard_normal((7, 7))
+        ks, js = ts.flat_queries, ts.negatives
+        assert M.reshape(-1)[ts.row_positions].tobytes() == M[ks, js].tobytes()
+        assert M.reshape(-1)[ts.column_positions].tobytes() == M.T[ks, js].tobytes()
+        # computed without caching the queries; the positions are cached and locked
+        fresh = build_tetrads(validate_dataset(rng.standard_normal((7, 2)), rng.standard_normal((7, 2))), 3, 0)
+        assert fresh.row_positions is fresh.row_positions and not fresh.row_positions.flags.writeable
+        assert "flat_queries" not in fresh.__dict__
+
     @pytest.mark.parametrize(
         "n, m, seed",
         [(2, None, None), (7, None, None), (40, None, None)]
@@ -284,6 +296,7 @@ class TestGroupedVector:
             group, weights=values * losses.values, minlength=12
         ).tobytes()
         assert v.positive_counts().tolist() == np.bincount(group[values > 0.0], minlength=12).tolist()
+        assert v.positive_count == len(v.positive_index) == np.count_nonzero(values)
         assert "group_ids" not in dir(v)  # no per-value group index is kept
         empty = ImportanceVector(np.zeros(0), np.zeros(3, dtype=int))
         assert empty.group_sums().tolist() == [0.0, 0.0]

@@ -20,8 +20,9 @@ from pacedrank.embed import (
     sigmoid,
     similarity,
 )
-from pacedrank.errors import DimensionMismatch
-from pacedrank.evaluation import retrieve
+from pacedrank.errors import DimensionMismatch, NonFiniteObjective
+from pacedrank.evaluation import mean_ap, retrieve
+from pacedrank.trainer import TrainConfig, init_params, train
 
 from conftest import random_dataset, random_params
 
@@ -266,12 +267,16 @@ class TestRangeInvariants:
         assert (vals > 0.0).all() and (vals < 1.0).all()
 
     def test_sigmoid_equals_clip_formula_bitwise(self):
+        # the formula with all four clamps; sigmoid runs two of them
         def clipped(t):
-            t = np.clip(np.asarray(t, dtype=np.float64), -embed._EXP_CLAMP, embed._EXP_CLAMP)
-            return np.clip(1.0 / (1.0 + np.exp(-t)), embed._OPEN_LO, embed._OPEN_HI)
+            t = np.clip(np.asarray(t, dtype=np.float64), -500.0, 500.0)
+            return np.clip(1.0 / (1.0 + np.exp(-t)), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
         rng = np.random.default_rng(14)
-        edges = np.array([0.0, -0.0, 500.0, -500.0, 700.0, -700.0, 1e9, -1e9, np.inf, -np.inf, np.nan])
+        # around 37, where 1 + exp(-t) starts to round to 1, and around the clamp at 500
+        edges = np.array([0.0, -0.0, 500.0, -500.0, 700.0, -700.0, 1e9, -1e9, np.inf, -np.inf, np.nan,
+                          36.5, 36.75, 37.0, 37.25, 37.5, 38.0, -36.5, -38.0, 499.99, 500.01, -499.99, -500.01,
+                          710.0, -710.0, 1e308, -1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             for t in (rng.normal(0.0, 30.0, 10_000), rng.normal(0.0, 3.0, (300, 10))[:, ::3], edges,
                       edges.reshape(1, -1), 0.0, -700.0, np.inf, np.nan, np.float64(2.5), np.asarray(1.0)):
@@ -295,3 +300,35 @@ class TestRangeInvariants:
         before = map_image(params, x)
         bumped = EmbeddingParams(params.W1, params.b1 + 0.7, params.W2, params.b2)
         assert (map_image(bumped, x) >= before).all()
+
+
+def saturated_corpus(seed=0):
+    """n = 30, p = q = 5, features times 1e150: every embedding entry saturates to about 7e-218 or 1."""
+    rng = np.random.default_rng(seed)
+    return validate_dataset(rng.standard_normal((30, 5)) * 1e150, rng.standard_normal((30, 5)) * 1e150)
+
+
+class TestSaturatedCosineRows:
+    # a row whose entries all saturate low squares to a norm of 0, and its cosine
+    # scores would divide by it
+    def test_cosine_scores_raise_before_dividing(self):
+        ds = saturated_corpus()
+        cfg = TrainConfig(embedding_dim=3, max_outer_iters=2, normalized_similarity=True)
+        params = init_params(np.random.default_rng(cfg.seed), 3, 5, 5)
+        raw = forward(params, ds)
+        assert min(np.sum(raw.H * raw.H, axis=1).min(), np.sum(raw.G * raw.G, axis=1).min()) == 0.0
+        # raised before anything divides: a numpy warning would fail the test first
+        # (pyproject.toml's filterwarnings = error)
+        with pytest.raises(NonFiniteObjective, match="row norm"):
+            forward(params, ds, normalized=True)
+        with pytest.raises(NonFiniteObjective, match="row norm"):
+            train(ds, cfg)
+        with pytest.raises(NonFiniteObjective, match="row norm"):
+            mean_ap(params, ds, normalized=True)
+        for direction in ("i2t", "t2i"):
+            with pytest.raises(NonFiniteObjective, match="row norm"):
+                retrieve(params, ds.images[0], ds.texts, direction, normalized=True)
+
+    def test_raw_scores_still_train(self):
+        params, history = train(saturated_corpus(), TrainConfig(embedding_dim=3, max_outer_iters=2))
+        assert len(history) == 2 and params.is_finite()

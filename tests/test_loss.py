@@ -31,6 +31,7 @@ from pacedrank.loss import (
     _listed_terms,
     all_losses,
     block_losses,
+    floor_listing,
     floor_rejects,
     forward_pass,
     grad_loss_term,
@@ -535,9 +536,10 @@ class TestFullSetPath:
         pruned, kept = without_first_negatives(tetrads)
         assert pruned.total == 9 * 7 and not pruned.is_full
         S = score_matrix(params, dataset)
-        got = _entries(S, pruned)
-        assert got.tobytes() == gathered_entries(S, pruned).tobytes()
-        assert got.tobytes() == _entries(S, tetrads)[kept].tobytes()
+        for M in (S, S.T):  # the transpose is read from S's flat entries too
+            got = _entries(M, pruned)
+            assert got.tobytes() == gathered_entries(M, pruned).tobytes()
+            assert got.tobytes() == _entries(M, tetrads)[kept].tobytes()
 
         # the full set, with zero weights at the dropped tetrads, has the pruned set's gradient
         values = np.zeros(tetrads.total)
@@ -977,6 +979,55 @@ class TestPrefixBound:
                 assert not (rejected[-1] and value <= bound)
             assert rejected[0] and not rejected[-2]  # a bound at the ridge falls to the listed terms
 
+    @pytest.mark.parametrize("zero_share", [0.0, 0.4])
+    @pytest.mark.parametrize("direction", ["i2t", "t2i"])
+    def test_floor_listing_is_the_selected_tetrads_within_reach(self, direction, zero_share):
+        rng = np.random.default_rng(79)
+        dataset, params, tetrads, v = random_instance(79, n=40)
+        values = v.values.copy()
+        values[rng.uniform(size=tetrads.total) < zero_share] = 0.0
+        tetrads, v = with_empty_groups(rng, tetrads, ImportanceVector(values, tetrads.offsets))
+        block = Block(tetrads, direction, v)
+        cfg = LossConfig(margin=0.1)
+        losses, fwd = at_point(params, dataset, [block], cfg)
+        S = score_matrix(params, dataset)
+        S = S if direction == "i2t" else S.T
+        ks, js = tetrads.flat_queries, tetrads.negatives
+        args = (S[ks, js] - S[ks, ks]) + cfg.margin
+        pos = np.flatnonzero((v.values > 0.0) & (args > -loss.FLOOR_REACH * cfg.margin))
+        got = floor_listing(block, fwd, cfg.margin)
+        assert got.queries.tobytes() == ks[pos].tobytes() and got.negatives.tobytes() == js[pos].tobytes()
+        assert got.weights.tobytes() == v.values[pos].tobytes()
+        active = listed_positions(v, losses[0])
+        assert 0 < len(active) < len(pos) and np.isin(active, pos).all()
+
+    @pytest.mark.parametrize("seed", [80, 83])
+    def test_reach_listing_rejects_overshoots_the_active_listing_lets_through(self, seed):
+        # a line search's trials from a point: where a trial overshoots, the tetrads it activates
+        # are not in the active listing, and the floor listing's reach below 0 holds some of them
+        rng = np.random.default_rng(seed)
+        dataset, params, tetrads, v = random_instance(seed, n=64)
+        values = v.values.copy()
+        values[rng.uniform(size=tetrads.total) < 0.5] = 0.0
+        blocks = [Block(tetrads, "i2t", ImportanceVector(values, tetrads.offsets))]
+        cfg = LossConfig(margin=0.1)
+        losses, fwd = at_point(params, dataset, blocks, cfg)
+        value = smooth_part(params, blocks, losses)
+        active = listings(blocks, losses)
+        near = [floor_listing(b, fwd, cfg.margin) for b in blocks]
+        assert len(near[0].queries) > len(active[0].queries)
+        grad = grad_params(params, dataset, blocks, losses, fwd, active)
+        outcomes = []
+        for step in 0.5 ** np.arange(12):
+            trial = params.axpy(-step, grad)
+            bound = value - 1e-4 * step * grad.norm_sq()  # the Armijo bound, as the W-step's search sets it
+            emb, ridge = forward(trial, dataset), ridge_value(trial)
+            rejected = [floor_rejects(emb, blocks, cfg, listed, ridge, bound) for listed in (active, near)]
+            full = smooth_part(trial, blocks, block_losses(trial, dataset, blocks, cfg, point(trial, dataset, blocks)))
+            assert not (rejected[1] and full <= bound)  # a full pass rejects what the floor rejects
+            outcomes.append(rejected)
+        assert [False, True] in outcomes
+
     def test_bound_within_the_slack_falls_through(self):
         # one weighted query, all of whose tetrads are active: the listing holds every
         # term, so the bound equals the value
@@ -987,7 +1038,7 @@ class TestPrefixBound:
         cfg = LossConfig(margin=3.0)  # above every raw score gap (d = 3)
         losses = block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks))
         active = listings(blocks, losses)
-        assert len(active[0].losses) == 63
+        assert len(active[0].queries) == 63
         value = smooth_part(params, blocks, losses)
         assert value > 1.01 * ridge_value(params)
         slack = 4.0 * (1 + 63) * np.finfo(np.float64).eps
@@ -1007,7 +1058,7 @@ class TestPrefixBound:
             trial = EmbeddingParams(params.W1, params.b1 * np.nan, params.W2, params.b2)
         with np.errstate(over="ignore", invalid="ignore"):
             active = listings(blocks, block_losses(params, dataset, blocks, cfg, point(params, dataset, blocks)))
-            assert len(active[0].losses) > 0
+            assert len(active[0].queries) > 0
             losses = block_losses(trial, dataset, blocks, cfg, point(trial, dataset, blocks))
             assert not np.isfinite(smooth_part(trial, blocks, losses))
             emb, ridge = forward(trial, dataset), ridge_value(trial)

@@ -14,7 +14,8 @@ from pacedrank.errors import (
     VersionMismatch,
 )
 from pacedrank.loss import (
-    Block, all_losses, block_losses, grad_loss_term, grad_params, ridge_value, selected_active, smooth_part,
+    Block, all_losses, block_losses, floor_listing, grad_loss_term, grad_params, ridge_value, selected_active,
+    smooth_part,
 )
 from pacedrank.trainer import (
     Checkpoint,
@@ -160,7 +161,8 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
     Every block embeds and scores each line-search trial itself, with no
     floor, every gradient runs its own pass (the given fwd is ignored), and
     the losses at the final params come from one more pass per block. Its
-    value is summed again from those losses, and it hands back no pass.
+    value is summed again from those losses, and the embedding it hands
+    back is the final params embedded once more.
     """
     value = smooth_part(params, blocks, losses)
     lcfg = cfg.loss_config()
@@ -186,12 +188,13 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
         if rel < cfg.rel_tol:
             break
     losses[:] = losses_at(params)
-    return params, smooth_part(params, blocks, losses), steps, None
+    return params, smooth_part(params, blocks, losses), steps, embed.forward(params, dataset, norm)
 
 
 SHARED_PASS_MODES = {
     "full-raw-i2t": {},
-    # 2 x 40 x 4 tetrads at n = 40 are a share of 0.2 of the score matrix: a gathered pass
+    # 2 x 40 x 4 tetrads at n = 40 are a share of 0.2 of the score matrix, and the W-step's
+    # selected ones fewer still: every pass is gathered
     "sampled-sym-cosine": dict(sample_negatives=4, symmetric_tetrads=True, normalized_similarity=True),
 }
 
@@ -392,8 +395,9 @@ class TestRidgeFloor:
         monkeypatch.setattr(trainer, "line_search", recording_search)
         params, history = train(ds, cfg)
         # the floor rules trials out, and exactly those whose ridge exceeds the bound:
-        # the others each get one full pass (the first pass is train's entry pass)
-        assert scored[1:] and len(scored) == 1 + len(within)
+        # the others each get one full pass. The other passes are train's entry pass
+        # and, after each W-step, the full set's pass for the weight solve.
+        assert scored[1:] and len(scored) == 1 + len(within) + len(history)
         assert len(within) < len(trials)
         monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
         ref_params, ref_history = train(ds, cfg)
@@ -520,13 +524,22 @@ class TestRidgeFloor:
 
 
 PREFIX_MODES = {
+    # in both full modes the W-step's blocks, cut down to their selected tetrads (from
+    # about half of each block's 1560 up), are sets other than the full one, read from
+    # dense passes
     "full-raw-i2t": {},
     "full-cosine-sym": dict(symmetric_tetrads=True, normalized_similarity=True),
-    # 40 x 12 tetrads at n = 40 are a share of 0.3 of the score matrix: a dense pass
+    # 40 x 12 tetrads at n = 40 are a share of 0.3 of the score matrix, so the weight
+    # solve's pass is dense; the selected ones (about 270 to 340) are a share below 0.25,
+    # so the W-step's passes are gathered
     "sampled-raw-i2t": dict(sample_negatives=12),
-    # a gathered pass, which tries the floor as a dense one does
+    # gathered passes only, which try the floor as dense ones do
     "sampled-sym-cosine": SHARED_PASS_MODES["sampled-sym-cosine"],
 }
+
+
+def listing_bytes(active):
+    return [a.tobytes() for a in dataclasses.astuple(active)]
 
 
 class TestPrefixFloor:
@@ -543,7 +556,7 @@ class TestPrefixFloor:
         real_floor, real_grad = trainer.floor_rejects, trainer.grad_params
 
         def listing_gradient(params, dataset, blocks, losses, fwd, active):
-            current["listing"] = active
+            current["point"] = params
             return real_grad(params, dataset, blocks, losses, fwd, active)
 
         def tracking_search(params, grad, value_fn, current_value, cfg):
@@ -557,9 +570,12 @@ class TestPrefixFloor:
                 return value_fn(p, bound)
             return line_search(params, grad, tracked, current_value, cfg)
 
-        def checked_floor(emb, blocks, cfg, active, ridge, bound):
-            assert active is current["listing"]  # the listing the step's gradient read
-            out = real_floor(emb, blocks, cfg, active, ridge, bound)
+        def checked_floor(emb, blocks, cfg, listed, ridge, bound):
+            # the floor listing at the point whose gradient the search follows
+            at = point(current["point"], ds, blocks, normalized)
+            want = [floor_listing(b, at, lcfg.margin) for b in blocks]
+            assert [listing_bytes(a) for a in listed] == [listing_bytes(a) for a in want]
+            out = real_floor(emb, blocks, cfg, listed, ridge, bound)
             checks.append(out)
             searches[-1].append("rejected" if out else "fell through")
             if out:  # the decision value_fn's full result gives
@@ -585,6 +601,51 @@ class TestPrefixFloor:
         assert len(history) == 3
         assert params_bytes(params) == params_bytes(ref_params)
         assert history_rows(history) == history_rows(ref_history)
+
+
+class TestSelectedWStep:
+    @pytest.mark.parametrize("zero_block", [False, True], ids=["some-zero", "last-block-all-zero"])
+    @pytest.mark.parametrize("mode", PREFIX_MODES)
+    def test_equals_full_blocks_bitwise(self, mode, zero_block):
+        ds = tiny_corpus(seed=2, n=40)
+        cfg = TrainConfig(
+            embedding_dim=4, max_inner_steps=6, seed=3, sufficient_decrease=0.1, **PREFIX_MODES[mode],
+        )
+        lcfg, normalized = cfg.loss_config(), cfg.normalized_similarity
+        rng = np.random.default_rng(7)
+        params = init_params(rng, cfg.embedding_dim, ds.p, ds.q)
+        blocks = []
+        for direction in ("i2t", "t2i") if cfg.symmetric_tetrads else ("i2t",):
+            tetrads = build_tetrads(ds, cfg.sample_negatives, cfg.seed)
+            values = rng.uniform(size=tetrads.total)
+            values[rng.uniform(size=tetrads.total) < 0.5] = 0.0
+            blocks.append(Block(tetrads, direction, ImportanceVector(values, tetrads.offsets)))
+        if zero_block:  # the last block selects nothing
+            last = blocks[-1].tetrads
+            blocks[-1] = Block(last, blocks[-1].direction, ImportanceVector(np.zeros(last.total), last.offsets))
+        fwd = point(params, ds, blocks, normalized)
+        losses = block_losses(params, ds, blocks, lcfg, fwd)
+        kept, kept_losses, kept_fwd = trainer._selected(blocks, list(losses), fwd)
+        # cut down to the selected tetrads, with the scores a pass over them gives
+        assert [k.tetrads.total for k in kept] == [b.v.positive_count for b in blocks]
+        assert all(k.tetrads.total < b.tetrads.total for k, b in zip(kept, blocks))
+        fresh = point(params, ds, kept, normalized)
+        assert kept_fwd.aligned.tobytes() == fresh.aligned.tobytes()
+        for k in kept:
+            assert kept_fwd.tetrad_scores(k.tetrads, k.direction).tobytes() == \
+                fresh.tetrad_scores(k.tetrads, k.direction).tobytes()
+
+        want = optimize_W(params, ds, blocks, cfg, losses, fwd)
+        got = optimize_W(params, ds, kept, cfg, kept_losses, kept_fwd)
+        assert want[2] >= 2
+        assert params_bytes(got[0]) == params_bytes(want[0])
+        assert got[1].hex() == want[1].hex() and got[2] == want[2]
+        # the returned embedding is the final params', and the full set's losses read from
+        # it are the ones the W-step on the full blocks ends on
+        emb = embed.forward(got[0], ds, normalized)
+        assert got[3].H.tobytes() == emb.H.tobytes() and got[3].G.tobytes() == emb.G.tobytes()
+        final = block_losses(got[0], ds, blocks, lcfg, loss.forward_pass(got[3], blocks))
+        assert [x.values.tobytes() for x in final] == [x.values.tobytes() for x in losses]
 
 
 class TestTrain:
