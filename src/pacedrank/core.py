@@ -438,8 +438,8 @@ class GroupedVector:
         """Per-group number of strictly positive values."""
         return np.diff(np.searchsorted(self.positive_index, self.offsets))
 
-    def group_sums(self, factor: Optional["GroupedVector"] = None) -> np.ndarray:
-        """Per-group sums of the strictly positive values, or of their products with factor's values.
+    def group_sums(self) -> np.ndarray:
+        """Per-group sums of the strictly positive values.
 
         Only positive_index is read, with each entry's group from
         positive_counts: no index over every value is built. Each group adds
@@ -448,9 +448,8 @@ class GroupedVector:
         exact +0.0. Empty groups sum to 0.
         """
         sel = self.positive_index
-        terms = self.values[sel] if factor is None else self.values[sel] * factor.values[sel]
         groups = np.repeat(np.arange(self.n_groups), self.positive_counts())
-        sums = np.bincount(groups, weights=terms, minlength=self.n_groups)
+        sums = np.bincount(groups, weights=self.values[sel], minlength=self.n_groups)
         return sums.astype(np.float64, copy=False)  # bincount gives ints when there are no terms
 
 

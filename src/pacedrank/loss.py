@@ -79,9 +79,10 @@ from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
 
 # A pass gathers its blocks' scores when they hold fewer tetrads than this
 # share of the n x n score entries. Dense scoring costs the same at any share
-# and gathering grows with it; measured crossovers lie between 0.3 (n = 300,
-# d = 200) and 0.8 (n = 600, d = 10). A full set (n(n-1) >= n^2 / 2 tetrads)
-# is always dense.
+# and gathering grows with it. For one sampled block, raw or cosine, measured
+# crossovers lie between 0.3 (d = 200, n = 300 to 2000) and 0.5 (d = 10,
+# n = 2000); at d = 10 and n = 300 or 600 they lie near 0.35. A full set
+# (n(n-1) >= n^2 / 2 tetrads) is always dense.
 GATHER_MAX_SHARE = 0.25
 
 

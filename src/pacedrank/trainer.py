@@ -9,16 +9,16 @@ recorded history makes auditable.
 
 The W-step minimises ridge + sum v * loss, on which a tetrad with v = 0
 has no effect, so train hands it each block cut down to its selected
-tetrads (_selected): their weights, their losses, and their scores gathered
-from the full set's pass. A set with its zero-weight tetrads removed gives
-the same value and gradient bits (loss), so every trajectory is the one the
-full sets give. After the W-step the full set is scored once, from the
-final embedding, for the weight solve; that pass also gives the next
-W-step's entry.
+tetrads and their weights (_selected), with the embedding at its entry
+point. A set with its zero-weight tetrads removed gives the same value and
+gradient bits (loss), so every trajectory is the one the full sets give.
+After the W-step the full set is scored once, from the final embedding,
+for the weight solve; those losses are then dropped.
 
-Every point the W-step scores is embedded once and gets one pass
-(loss.forward_pass), which serves all blocks: the accepted line-search
-trial's pass and losses serve the next gradient. The line search asks one
+The W-step owns every pass and loss vector it reads: each point it scores
+is embedded once and gets one pass (loss.forward_pass) for all blocks, the
+accepted trial's serving the next gradient, and a point's scores and
+losses are dropped before its line search. The line search asks one
 value_fn(trial, bound) per trial. A trial whose ridge alone exceeds the
 Armijo bound is rejected unembedded; otherwise it is embedded and first
 bounded below from the selected tetrads active at the current point or
@@ -73,7 +73,6 @@ from .errors import (
 from .evaluation import mean_ap
 from .loss import (
     Block,
-    Pass,
     block_losses,
     floor_listing,
     floor_rejects,
@@ -245,27 +244,19 @@ def optimize_W(
     dataset: Dataset,
     blocks: list[Block],
     cfg: TrainConfig,
-    losses: list[GroupedVector],
-    fwd: Optional[Pass] = None,
+    emb: Embedding,
 ) -> tuple[EmbeddingParams, float, int, Embedding]:
-    """Descend on ridge + sum v*loss at fixed weights until stalled.
+    """Descend on ridge + sum v*loss at fixed weights from params, whose embedding is emb, until stalled.
 
-    train hands over each block cut down to its selected tetrads, which
-    gives the same bits as the full blocks; any blocks are accepted.
-
-    losses holds each block's losses at params, which give the smooth value
-    there; each accepted step replaces them in place by the accepted
-    trial's, so on return they are the losses at the returned params (they
-    do not depend on v). Only one set of losses is alive at a time.
-
-    Each parameter point gets one forward pass. fwd, when given, is the
-    pass at params for these blocks (it does not depend on v either) and
-    serves the entry gradient; without it params are embedded again. Each
-    scored line-search trial's pass serves every block, and the accepted
-    trial's pass and losses (line_search accepts its last trial) serve the
-    next gradient. Returns the final params, the smooth value their losses
-    give, the inner steps taken and the embedding at the final params; a
-    point's scores are dropped before its line search, its embedding is not.
+    Any blocks are accepted; train hands over each block cut down to its
+    selected tetrads, which gives the same bits as the full blocks. Each
+    point gets one forward pass, which serves every block: the entry
+    point's is scored here from emb, each scored trial's in value_fn, and
+    the accepted trial's pass and losses (line_search accepts its last
+    trial) serve the next gradient. A point's scores and losses are dropped
+    before its line search; its embedding is not. Returns the final params,
+    the smooth value their losses give, the inner steps taken and the
+    embedding at the final params.
 
     Each inner step lists every block's selected active tetrads once for
     the gradient (loss.selected_active), then the longer floor listing
@@ -298,32 +289,31 @@ def optimize_W(
         last.update(fwd=trial_fwd, losses=trial_losses)
         return smooth_part(p, blocks, trial_losses)
 
+    fwd = forward_pass(emb, blocks)
+    losses = block_losses(params, dataset, blocks, lcfg, fwd)
     value = smooth_part(params, blocks, losses)
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
     steps = 0
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        if fwd is None:  # not handed over
-            fwd = forward_pass(forward(params, dataset, normalized), blocks)
         active = [selected_active(b, l) for b, l in zip(blocks, losses)]
         grad = grad_params(params, dataset, blocks, losses, fwd, active)
         del active  # freed before the longer floor listing is made
         near = [floor_listing(b, fwd, lcfg.margin) for b in blocks]
-        emb, fwd = fwd.emb, None  # the point's embedding outlives its line search; its scores do not
+        del fwd, losses  # the point's scores and losses are dropped before its line search
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
-        fwd = last["fwd"]
-        losses[:] = last["losses"]
-        last.clear()
+        fwd, losses = last.pop("fwd"), last.pop("losses")
+        emb = fwd.emb
         rel = (value - new_value) / max(1.0, abs(value))
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
             break
-    return params, value, steps, emb if fwd is None else fwd.emb
+    return params, value, steps, emb
 
 
 def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
@@ -334,39 +324,48 @@ def _auto_sample(cfg: TrainConfig, n: int) -> Optional[int]:
     return max(1, min(n - 1, (FULL_TETRAD_LIMIT * FULL_TETRAD_LIMIT) // n))
 
 
-def _update_weights(blocks: list[Block], losses: list[GroupedVector], pacing: PacingState) -> None:
-    """Solve each block's selection weights from its losses."""
+def _update_weights(
+    params: EmbeddingParams, blocks: list[Block], losses: list[GroupedVector], pacing: PacingState
+) -> float:
+    """Solve each block's selection weights from its losses at params; return the new smooth part there."""
     for b, block_loss in zip(blocks, losses):
         b.v = spl.update_importance(block_loss, pacing)
+    return smooth_part(params, blocks, losses)
 
 
-def _selected(
-    blocks: list[Block], losses: list[GroupedVector], fwd: Pass
-) -> tuple[list[Block], list[GroupedVector], Pass]:
-    """Each block cut down to its selected tetrads (v > 0), with their losses and its pass, all at one point.
+def _check_growth(pacing: PacingState, cfg: TrainConfig) -> None:
+    """Raise ConfigInvalid if the max_outer_iters - 1 growths train applies overflow lam or gamma."""
+    lam, gamma = pacing.lam, pacing.gamma
+    for _ in range(cfg.max_outer_iters - 1):
+        grown = (lam * cfg.lam_growth, gamma * cfg.gamma_growth)
+        if grown == (lam, gamma):  # neither moves, so neither will
+            return
+        lam, gamma = grown
+        for name, value in zip(("lam_growth", "gamma_growth"), grown):
+            if not np.isfinite(value):
+                raise ConfigInvalid(f"{name} = {getattr(cfg, name)!r} overflows the pacing within "
+                                    f"max_outer_iters = {cfg.max_outer_iters}")
+
+
+def _selected(blocks: list[Block]) -> list[Block]:
+    """Each block cut down to its selected tetrads (v > 0), with their weights.
 
     A tetrad with v = 0 adds nothing to the W-step's value, gradient or line
     search, and a set with its zero-weight tetrads removed gives the same
     bits (loss's pruned-set contract), so the W-step reads only these. The
     tetrads are negatives[v.positive_index], with offsets from
-    v.positive_counts(); the weights, the losses and the pass's scores are
-    gathered at the same positions, so no score is computed again. A block
-    whose weights are all positive is kept as it is.
+    v.positive_counts(), and the weights are gathered at the same
+    positions. A block whose weights are all positive is kept as it is.
     """
-    kept, kept_losses, scores = [], [], []
-    for b, block_loss in zip(blocks, losses):
-        block_scores = fwd.tetrad_scores(b.tetrads, b.direction)
+    kept = []
+    for b in blocks:
         if b.v.positive_count < b.tetrads.total:
             sel = b.v.positive_index
             offsets = np.concatenate(([0], np.cumsum(b.v.positive_counts())))
             tetrads = TetradSet(b.tetrads.n, offsets, _locked(b.tetrads.negatives[sel]))
             b = Block(tetrads, b.direction, ImportanceVector(_locked(b.v.values[sel]), tetrads.offsets))
-            block_loss = GroupedVector(_locked(block_loss.values[sel]), tetrads.offsets)
-            block_scores = block_scores[sel]
         kept.append(b)
-        kept_losses.append(block_loss)
-        scores.append((b.tetrads, b.direction, block_scores))
-    return kept, kept_losses, Pass(fwd.emb, fwd.aligned, tuple(scores))
+    return kept
 
 
 def _locked(values: np.ndarray) -> np.ndarray:
@@ -401,19 +400,17 @@ def train(
     if cfg.symmetric_tetrads:
         blocks.append(Block(build_tetrads(dataset, m, cfg.seed + 1), "t2i", None))
     total_tetrads = sum(b.tetrads.total for b in blocks)
+    lcfg = cfg.loss_config()
 
-    # The full set's pass at the current params, from which the next W-step's
-    # entry pass is gathered. Each pass is popped as it is handed over, so no
-    # reference here keeps one alive while optimize_W's line search scores its
-    # trials.
-    held = {"fwd": forward_pass(forward(params, dataset, cfg.normalized_similarity), blocks)}
-    losses = block_losses(params, dataset, blocks, cfg.loss_config(), held["fwd"])
+    emb = forward(params, dataset, cfg.normalized_similarity)
+    losses = block_losses(params, dataset, blocks, lcfg, forward_pass(emb, blocks))
     lam0 = max(spl.init_lambda(losses, cfg.init_fraction), _MIN_LAMBDA)
     pacing = PacingState(lam=lam0, gamma=cfg.gamma_ratio * lam0)
-    _update_weights(blocks, losses, pacing)
+    _check_growth(pacing, cfg)  # before any W-step
     # the smooth part at the current (params, v); every objective the loop
     # records is derived from the losses at the W-step's final params
-    smooth = smooth_part(params, blocks, losses)
+    smooth = _update_weights(params, blocks, losses, pacing)
+    del losses
 
     prev_smooth: Optional[float] = None
     prev_mass: Optional[float] = None
@@ -424,17 +421,13 @@ def train(
 
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
-        # the W-step reads the selected tetrads alone; the full set's losses are dropped meanwhile
-        kept, losses, held["fwd"] = _selected(blocks, losses, held.pop("fwd"))
-        params, smooth, inner_steps, emb = optimize_W(params, dataset, kept, cfg, losses, held.pop("fwd"))
+        # the W-step reads the selected tetrads alone
+        params, smooth, inner_steps, emb = optimize_W(params, dataset, _selected(blocks), cfg, emb)
         obj_after_w = with_penalties(smooth, blocks, pacing)
-        del kept, losses
-
-        # the full set's losses at the final params, for the weight solve, from the final embedding
-        held["fwd"] = forward_pass(emb, blocks)
-        losses = block_losses(params, dataset, blocks, cfg.loss_config(), held["fwd"])
-        _update_weights(blocks, losses, pacing)
-        smooth = smooth_part(params, blocks, losses)
+        # the full set's losses at the final params, from the final embedding, for the weight solve only
+        smooth = _update_weights(
+            params, blocks, block_losses(params, dataset, blocks, lcfg, forward_pass(emb, blocks)), pacing
+        )
         obj_after_v = with_penalties(smooth, blocks, pacing)
         if not (np.isfinite(obj_entry) and np.isfinite(obj_after_w) and np.isfinite(obj_after_v)):
             raise NonFiniteObjective(f"objective became non-finite at iteration {it}")
@@ -481,7 +474,8 @@ def train(
             if stable >= 2:
                 break
         prev_smooth, prev_mass = smooth, mass
-        pacing = PacingState(pacing.lam * cfg.lam_growth, pacing.gamma * cfg.gamma_growth)
+        if it < cfg.max_outer_iters:  # no pacing is grown past the last iteration
+            pacing = PacingState(pacing.lam * cfg.lam_growth, pacing.gamma * cfg.gamma_growth)
 
     if cfg.early_stop_patience is not None and best_val > -np.inf:
         return best_params, history

@@ -130,6 +130,13 @@ class TestTrainCommand:
         path, _ = write_config(tmp_path, data=paths, train=train)
         assert main(["train", "--config", str(path)]) == 0  # raw scores still train
 
+    def test_overflowing_pacing_growth_exits_one_before_training(self, tmp_path, capsys):
+        train = {"embedding_dim": 4, "max_outer_iters": 5, "seed": 1, "lam_growth": 1e300}
+        path, _ = write_config(tmp_path, train=train)
+        assert main(["train", "--config", str(path)]) == 1
+        assert "lam_growth = 1e+300 overflows the pacing" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err

@@ -288,13 +288,9 @@ class TestGroupedVector:
         values[rng.uniform(size=values.size) < 0.4] = 0.0
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         v = ImportanceVector(values, offsets)
-        losses = GroupedVector(rng.uniform(size=values.size), offsets)
         group = np.repeat(np.arange(12), sizes)
         # bincount over every value adds the zeros as exact +0.0
         assert v.group_sums().tobytes() == np.bincount(group, weights=values, minlength=12).tobytes()
-        assert v.group_sums(losses).tobytes() == np.bincount(
-            group, weights=values * losses.values, minlength=12
-        ).tobytes()
         assert v.positive_counts().tolist() == np.bincount(group[values > 0.0], minlength=12).tolist()
         assert v.positive_count == len(v.positive_index) == np.count_nonzero(values)
         assert "group_ids" not in dir(v)  # no per-value group index is kept

@@ -489,7 +489,7 @@ class TestGradient:
         with pytest.raises(AlignmentError):
             grad_params(params, dataset, blocks, losses, fwd)
         with pytest.raises(AlignmentError):
-            trainer.optimize_W(params, dataset, blocks, trainer.TrainConfig(), losses, fwd)
+            trainer.optimize_W(params, dataset, blocks, trainer.TrainConfig(), fwd.emb)
 
     def test_bytes_independent_of_blas_threads(self):
         src = str(Path(pacedrank.__file__).resolve().parent.parent)

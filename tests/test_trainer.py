@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ def losses_at(params, dataset, blocks, cfg):
     """Each block's losses at params, from one pass."""
     fwd = point(params, dataset, blocks, cfg.normalized_similarity)
     return block_losses(params, dataset, blocks, cfg.loss_config(), fwd)
+
+
+def embedding_at(params, dataset, cfg):
+    """The embedding at params, which optimize_W is handed with them."""
+    return embed.forward(params, dataset, cfg.normalized_similarity)
 
 
 def smooth_value(params, dataset, blocks, cfg):
@@ -96,7 +102,7 @@ class TestOptimizeW:
         v = ImportanceVector(np.zeros(tetrads.total), tetrads.offsets)
         cfg = TrainConfig(max_inner_steps=200, rel_tol=1e-12)
         blocks = [Block(tetrads, "i2t", v)]
-        out, _, steps, _ = optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
+        out, _, steps, _ = optimize_W(params, dataset, blocks, cfg, embedding_at(params, dataset, cfg))
         norm = np.sqrt(np.sum(out.W1**2) + np.sum(out.W2**2))
         assert norm < 1e-3
         assert steps <= 200
@@ -109,7 +115,7 @@ class TestOptimizeW:
         )
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
-        out, _, steps, _ = optimize_W(zero, dataset, blocks, cfg, losses_at(zero, dataset, blocks, cfg))
+        out, _, steps, _ = optimize_W(zero, dataset, blocks, cfg, embedding_at(zero, dataset, cfg))
         assert steps == 1
         assert params_equal(out, zero)
 
@@ -129,7 +135,7 @@ class TestOptimizeW:
             return step, new_params, new_value
 
         monkeypatch.setattr(trainer, "line_search", recording_search)
-        optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
+        optimize_W(params, dataset, blocks, cfg, embedding_at(params, dataset, cfg))
         assert accepted
         assert (np.diff(values) <= 0.0).all()
 
@@ -139,7 +145,7 @@ class TestOptimizeW:
         blocks = [Block(tetrads, "i2t", v)]
         cfg = TrainConfig()
         with pytest.raises(NonFiniteObjective, match="value"):
-            optimize_W(bad, dataset, blocks, cfg, losses_at(bad, dataset, blocks, cfg))
+            optimize_W(bad, dataset, blocks, cfg, embedding_at(bad, dataset, cfg))
 
     def test_nan_gradient_raises(self, monkeypatch):
         dataset, params, tetrads, v = random_instance(64)
@@ -148,28 +154,29 @@ class TestOptimizeW:
         nan = EmbeddingParams(*(np.full_like(a, np.nan) for a in params.arrays))
         monkeypatch.setattr(trainer, "grad_params", lambda *args: nan)
         with pytest.raises(NonFiniteObjective, match="gradient"):
-            optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
+            optimize_W(params, dataset, blocks, cfg, embedding_at(params, dataset, cfg))
 
 
 def tiny_corpus(seed=0, n=30):
     return synth_generate(SynthSpec(n=n, latent=3, p=8, q=8, noise=0.1, seed=seed))
 
 
-def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
+def unshared_optimize_W(params, dataset, blocks, cfg, emb):
     """Reference W-step in which no forward pass is shared.
 
-    Every block embeds and scores each line-search trial itself, with no
-    floor, every gradient runs its own pass (the given fwd is ignored), and
-    the losses at the final params come from one more pass per block. Its
-    value is summed again from those losses, and the embedding it hands
-    back is the final params embedded once more.
+    Every block embeds and scores its entry point and each line-search trial
+    itself, with no floor (the given emb is ignored), every gradient runs its
+    own pass, and the losses at the final params come from one more pass per
+    block. Its value is summed again from those losses, and the embedding it
+    hands back is the final params embedded once more.
     """
-    value = smooth_part(params, blocks, losses)
     lcfg = cfg.loss_config()
     norm = cfg.normalized_similarity
 
     def losses_at(p):
         return [all_losses(p, dataset, b.tetrads, lcfg, b.direction, norm) for b in blocks]
+
+    value = smooth_part(params, blocks, losses_at(params))
 
     def gradient(p):
         g = EmbeddingParams(p.W1, np.zeros_like(p.b1), p.W2, np.zeros_like(p.b2))
@@ -187,8 +194,7 @@ def unshared_optimize_W(params, dataset, blocks, cfg, losses, fwd=None):
         params, value = new_params, new_value
         if rel < cfg.rel_tol:
             break
-    losses[:] = losses_at(params)
-    return params, smooth_part(params, blocks, losses), steps, embed.forward(params, dataset, norm)
+    return params, smooth_part(params, blocks, losses_at(params)), steps, embed.forward(params, dataset, norm)
 
 
 SHARED_PASS_MODES = {
@@ -245,13 +251,13 @@ class TestSharedForwardPass:
         for direction in ("i2t", "t2i") if cfg.symmetric_tetrads else ("i2t",):
             tetrads = build_tetrads(ds, cfg.sample_negatives, cfg.seed)
             blocks.append(Block(tetrads, direction, ImportanceVector(rng.uniform(size=tetrads.total), tetrads.offsets)))
-        losses = losses_at(params, ds, blocks, cfg)
+        emb = embedding_at(params, ds, cfg)
 
         passes, scored, within, full = [], [], [], []
         real_embed, real_scores, real_search = embed.embed_images, embed.inner_scores, trainer.line_search
         real_pass = trainer.forward_pass
 
-        def counting_embed(params, X):  # the entry gradient's pass and each trial embed the images once
+        def counting_embed(params, X):  # each trial embeds the images once; the entry's embedding is handed over
             passes.append(params)
             return real_embed(params, X)
 
@@ -273,19 +279,17 @@ class TestSharedForwardPass:
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(embed, "inner_scores", counting_scores)
         monkeypatch.setattr(trainer, "line_search", counting_search)
-        for module in (trainer, loss):  # the trials' passes, and the entry gradient's
+        for module in (trainer, loss):  # the entry point's pass and the trials'
             monkeypatch.setattr(module, "forward_pass", counting_pass)
-        out, value, steps, _ = optimize_W(params, ds, blocks, cfg, losses)
+        out, value, steps, _ = optimize_W(params, ds, blocks, cfg, emb)
         assert steps >= 2
-        assert len(passes) == len(within) + 1
+        assert len(passes) == len(within)
         # each full pass of a full set scores the dense matrix (the floor gathers
         # its listed pairs and rejects some trials: they get no full pass); a
         # sampled W-step's passes are all gathered
         assert sum(shape[0] == ds.n for shape in scored) == (0 if cfg.sample_negatives else len(full))
-        assert len(full) <= len(passes)
-        want = losses_at(out, ds, blocks, cfg)
-        assert [a.values.tobytes() for a in losses] == [b.values.tobytes() for b in want]
-        assert value.hex() == smooth_part(out, blocks, want).hex()
+        assert len(full) <= len(passes) + 1  # the entry point's pass, from the embedding handed over
+        assert value.hex() == smooth_value(out, ds, blocks, cfg).hex()
 
     @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
     def test_train_scores_each_point_once(self, monkeypatch, mode):
@@ -396,8 +400,8 @@ class TestRidgeFloor:
         params, history = train(ds, cfg)
         # the floor rules trials out, and exactly those whose ridge exceeds the bound:
         # the others each get one full pass. The other passes are train's entry pass
-        # and, after each W-step, the full set's pass for the weight solve.
-        assert scored[1:] and len(scored) == 1 + len(within) + len(history)
+        # and, per W-step, its entry point's pass and the full set's pass for the weight solve.
+        assert scored[1:] and len(scored) == 1 + len(within) + 2 * len(history)
         assert len(within) < len(trials)
         monkeypatch.setattr(trainer, "line_search", floor_free_line_search)
         ref_params, ref_history = train(ds, cfg)
@@ -413,7 +417,7 @@ class TestRidgeFloor:
         dataset, params, tetrads, v = random_instance(seed, n=30)
         cfg = TrainConfig(margin=0.2, sufficient_decrease=0.5, max_inner_steps=1)
         blocks = [Block(tetrads, "i2t", v)]
-        losses = losses_at(params, dataset, blocks, cfg)
+        emb = embedding_at(params, dataset, cfg)
         embedded, trials, within, results = [], [], [], []
         real_embed = embed.embed_images
 
@@ -436,14 +440,14 @@ class TestRidgeFloor:
 
         monkeypatch.setattr(embed, "embed_images", counting_embed)
         monkeypatch.setattr(trainer, "line_search", recording_search)
-        optimize_W(params, dataset, blocks, cfg, losses)
+        optimize_W(params, dataset, blocks, cfg, emb)
         got, want = results
         assert got[0] > 0.0
         assert_same_search(got, want)
         n_trials = round(np.log2(cfg.initial_step / got[0])) + 1
         assert len(trials) == n_trials and len(within) < n_trials
-        # the entry gradient's pass, then one embedding per trial within the floor
-        assert embedded == [params_bytes(params)] + within
+        # one embedding per trial within the floor; the entry point's is handed over
+        assert embedded == within
         assert within[-1] == params_bytes(got[1])
 
     @pytest.mark.parametrize("case", EDGE_SEARCHES)
@@ -478,7 +482,7 @@ class TestRidgeFloor:
         monkeypatch.setattr(trainer, "line_search", capturing_search)
         # the listed floor would reject some trials the ridge floor passes: this is the ridge floor's test
         monkeypatch.setattr(trainer, "floor_rejects", no_listed_floor)
-        optimize_W(params, dataset, blocks, cfg, losses_at(params, dataset, blocks, cfg))
+        optimize_W(params, dataset, blocks, cfg, embedding_at(params, dataset, cfg))
         (value_fn,) = value_fns
         with np.errstate(over="ignore"):  # gnorm2, the large steps' ridges and sigmoids overflow
             want = floor_free_line_search(params, grad, unbounded(f), current_value, cfg, within)
@@ -611,7 +615,7 @@ class TestSelectedWStep:
         cfg = TrainConfig(
             embedding_dim=4, max_inner_steps=6, seed=3, sufficient_decrease=0.1, **PREFIX_MODES[mode],
         )
-        lcfg, normalized = cfg.loss_config(), cfg.normalized_similarity
+        normalized = cfg.normalized_similarity
         rng = np.random.default_rng(7)
         params = init_params(rng, cfg.embedding_dim, ds.p, ds.q)
         blocks = []
@@ -623,29 +627,54 @@ class TestSelectedWStep:
         if zero_block:  # the last block selects nothing
             last = blocks[-1].tetrads
             blocks[-1] = Block(last, blocks[-1].direction, ImportanceVector(np.zeros(last.total), last.offsets))
-        fwd = point(params, ds, blocks, normalized)
-        losses = block_losses(params, ds, blocks, lcfg, fwd)
-        kept, kept_losses, kept_fwd = trainer._selected(blocks, list(losses), fwd)
-        # cut down to the selected tetrads, with the scores a pass over them gives
+        kept = trainer._selected(blocks)
+        # cut down to the selected tetrads
         assert [k.tetrads.total for k in kept] == [b.v.positive_count for b in blocks]
         assert all(k.tetrads.total < b.tetrads.total for k, b in zip(kept, blocks))
-        fresh = point(params, ds, kept, normalized)
-        assert kept_fwd.aligned.tobytes() == fresh.aligned.tobytes()
-        for k in kept:
-            assert kept_fwd.tetrad_scores(k.tetrads, k.direction).tobytes() == \
-                fresh.tetrad_scores(k.tetrads, k.direction).tobytes()
 
-        want = optimize_W(params, ds, blocks, cfg, losses, fwd)
-        got = optimize_W(params, ds, kept, cfg, kept_losses, kept_fwd)
+        emb = embed.forward(params, ds, normalized)
+        want = optimize_W(params, ds, blocks, cfg, emb)
+        got = optimize_W(params, ds, kept, cfg, emb)
         assert want[2] >= 2
         assert params_bytes(got[0]) == params_bytes(want[0])
         assert got[1].hex() == want[1].hex() and got[2] == want[2]
-        # the returned embedding is the final params', and the full set's losses read from
-        # it are the ones the W-step on the full blocks ends on
+        # the returned embedding is the final params'
         emb = embed.forward(got[0], ds, normalized)
         assert got[3].H.tobytes() == emb.H.tobytes() and got[3].G.tobytes() == emb.G.tobytes()
-        final = block_losses(got[0], ds, blocks, lcfg, loss.forward_pass(got[3], blocks))
-        assert [x.values.tobytes() for x in final] == [x.values.tobytes() for x in losses]
+
+
+class TestWStepOwnsItsPoint:
+    @pytest.mark.parametrize("held", [False, True], ids=["direct", "arguments-held"])
+    @pytest.mark.parametrize("mode", SHARED_PASS_MODES)
+    def test_no_array_of_the_point_outlives_its_gradient(self, monkeypatch, mode, held):
+        # When a line search starts, the pass and the losses of the point whose gradient
+        # it follows are gone: its aligned scores, its tetrad scores and its losses. Only
+        # the W-step held them. With held, a wrapper keeps optimize_W's arguments alive
+        # for the whole call, as Python 3.10's call stack does.
+        ds = tiny_corpus(seed=2, n=40)
+        cfg = TrainConfig(embedding_dim=4, max_outer_iters=3, max_inner_steps=6, seed=3, **SHARED_PASS_MODES[mode])
+        point_arrays, alive = [], []  # weak references to the latest gradient's point; per search, how many live
+        real_grad, real_search, real_w_step = trainer.grad_params, trainer.line_search, trainer.optimize_W
+
+        def recording_gradient(params, dataset, blocks, losses, fwd, active):
+            arrays = [fwd.aligned] + [scores for _, _, scores in fwd.scores] + [x.values for x in losses]
+            point_arrays[:] = [weakref.ref(a) for a in arrays]
+            return real_grad(params, dataset, blocks, losses, fwd, active)
+
+        def checked_search(params, grad, value_fn, current_value, cfg):
+            alive.append(sum(ref() is not None for ref in point_arrays))
+            return real_search(params, grad, value_fn, current_value, cfg)
+
+        def holding_w_step(*args):  # args keeps every argument alive until the W-step returns
+            return real_w_step(*args)
+
+        monkeypatch.setattr(trainer, "grad_params", recording_gradient)
+        monkeypatch.setattr(trainer, "line_search", checked_search)
+        if held:
+            monkeypatch.setattr(trainer, "optimize_W", holding_w_step)
+        _, history = train(ds, cfg)
+        assert len(history) == 3 and len(point_arrays) >= 3
+        assert alive == [0] * sum(r.inner_steps for r in history.records)
 
 
 class TestTrain:
@@ -729,6 +758,24 @@ class TestTrain:
         for a, b in zip(recs, recs[1:]):
             assert b.lam == a.lam * cfg.lam_growth
             assert b.gamma == a.gamma * cfg.gamma_growth
+
+    @pytest.mark.parametrize("factor", ["lam_growth", "gamma_growth"])
+    def test_pacing_overflow_fails_before_any_w_step(self, monkeypatch, factor):
+        rng = np.random.default_rng(0)
+        ds = validate_dataset(rng.standard_normal((20, 5)), rng.standard_normal((20, 4)))
+        # the second growth overflows: 5 iterations would need it, 2 grow the pacing once
+        cfg = TrainConfig(embedding_dim=2, max_outer_iters=5, seed=1, **{factor: 1e300})
+
+        def no_w_step(*args, **kwargs):
+            raise AssertionError("a W-step ran before the pacing growth was checked")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(trainer, "optimize_W", no_w_step)
+            with pytest.raises(ConfigInvalid, match=f"^{factor} = 1e\\+300 overflows the pacing"):
+                train(ds, cfg)
+        _, history = train(ds, dataclasses.replace(cfg, max_outer_iters=2))
+        a, b = history.records
+        assert (b.lam, b.gamma) == (a.lam * cfg.lam_growth, a.gamma * cfg.gamma_growth)
 
     def test_normalized_similarity_mode_runs(self):
         ds = tiny_corpus(seed=8, n=16)
