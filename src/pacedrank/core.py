@@ -152,13 +152,9 @@ class EmbeddingParams:
         return (self.W1, self.b1, self.W2, self.b2)
 
     def norm_sq(self) -> float:
-        """Sum of squares of every entry, accumulated component by component."""
-        return float(
-            np.sum(self.W1 * self.W1)
-            + np.sum(self.b1 * self.b1)
-            + np.sum(self.W2 * self.W2)
-            + np.sum(self.b2 * self.b2)
-        )
+        """Sum of squares of every entry, accumulated component by component; +inf, with no warning, if it overflows."""
+        with np.errstate(over="ignore"):
+            return float(sum(np.sum(a * a) for a in self.arrays))
 
     def is_finite(self) -> bool:
         return all(bool(np.isfinite(arr).all()) for arr in self.arrays)
@@ -258,9 +254,10 @@ class TetradSet:
     def total(self) -> int:
         return len(self.negatives)
 
-    @cached_property
+    @property
     def flat_queries(self) -> np.ndarray:
-        return _group_ids(self.offsets, 0, self.total)
+        """Each tetrad's query k, in flat tetrad order: a fresh array, built at each read."""
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
 
     @cached_property
     def row_positions(self) -> np.ndarray:
@@ -273,8 +270,7 @@ class TetradSet:
         return self._positions(transposed=True)
 
     def _positions(self, transposed: bool) -> np.ndarray:
-        # the queries are not cached: flat_queries would stay alive beside the positions
-        queries = _group_ids(self.offsets, 0, self.total)
+        queries = self.flat_queries  # dropped on return: only the positions stay cached
         rows, cols = (self.negatives, queries) if transposed else (queries, self.negatives)
         positions = rows * self.n
         positions += cols
@@ -424,14 +420,14 @@ class GroupedVector:
     def group(self, k: int) -> np.ndarray:
         return self.values[int(self.offsets[k]) : int(self.offsets[k + 1])]
 
-    @cached_property
+    @property
     def positive_index(self) -> np.ndarray:
-        """Flat positions of the strictly positive values, ascending."""
-        return _frozen_array(np.flatnonzero(self.values > 0.0), dtype=np.int64)
+        """Flat positions of the strictly positive values, ascending: a fresh array, built at each read."""
+        return np.flatnonzero(self.values > 0.0)
 
     @cached_property
     def positive_count(self) -> int:
-        """Number of strictly positive values; it does not build positive_index."""
+        """Number of strictly positive values; it builds no index."""
         return int(np.count_nonzero(self.values > 0.0))
 
     def positive_counts(self) -> np.ndarray:
@@ -441,14 +437,14 @@ class GroupedVector:
     def group_sums(self) -> np.ndarray:
         """Per-group sums of the strictly positive values.
 
-        Only positive_index is read, with each entry's group from
-        positive_counts: no index over every value is built. Each group adds
-        its terms in index order, so for nonnegative values (losses, weights)
-        these are the bits of the sums over every value, to which a zero adds
-        exact +0.0. Empty groups sum to 0.
+        positive_index is built once and read alone, with each entry's group
+        found by np.searchsorted: no index over every value is built. Each
+        group adds its terms in index order, so for nonnegative values
+        (losses, weights) these are the bits of the sums over every value, to
+        which a zero adds exact +0.0. Empty groups sum to 0.
         """
         sel = self.positive_index
-        groups = np.repeat(np.arange(self.n_groups), self.positive_counts())
+        groups = np.repeat(np.arange(self.n_groups), np.diff(np.searchsorted(sel, self.offsets)))
         sums = np.bincount(groups, weights=self.values[sel], minlength=self.n_groups)
         return sums.astype(np.float64, copy=False)  # bincount gives ints when there are no terms
 

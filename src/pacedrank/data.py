@@ -138,12 +138,12 @@ def save_features(path, matrix) -> None:
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded permutation of range(n) sliced into the three parts."""
+    """Seeded permutation of range(n) sliced into the three parts; SplitTooSmall if one would hold < 2 rows."""
     n_train = int(n * spec.train)
     n_val = int(n * spec.validation)
     n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
-        raise SplitTooSmall(f"cannot split {n} rows into nonempty parts with {spec}")
+    if min(n_train, n_val, n_test) < 2:
+        raise SplitTooSmall(f"cannot split {n} rows into parts of at least 2 rows with {spec}")
     perm = np.random.default_rng(spec.seed).permutation(n)
     return (
         perm[:n_train],

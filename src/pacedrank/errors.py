@@ -59,7 +59,7 @@ class InvalidCutoff(PacedRankError):
 
 
 class SplitTooSmall(PacedRankError):
-    """A requested split would leave some part empty."""
+    """A requested split would leave some part with fewer than 2 rows."""
 
 
 class IoFailure(PacedRankError):

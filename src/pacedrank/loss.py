@@ -27,13 +27,13 @@ selected active tetrads (weight and loss both strictly positive) carry
 gradient. Scores are inner products of the rows of A and B: H and G for
 raw scores, their rows divided by their norms for cosine ones. One
 backward pass gives the gradient with respect to A and B, and cosine
-scores add one projection per row through the normalization. Each block's
-selected active tetrads at a point are listed once (selected_active), and
-the backward pass adds them one by one with np.bincount, in flat tetrad
-order, so it allocates no n x n array. Self-paced selection admits easy
-tetrads first, most of them inactive, so the listing stays short. Both
-pass forms, and a set with its zero-weight tetrads removed, list the same
-tetrads and so give the same gradient bits.
+scores add one projection per row through the normalization. The gradient
+lists each block's selected active tetrads itself (selected_active) and
+adds them one by one with np.bincount, in flat tetrad order, so it
+allocates no n x n array; the listing lives only for that call.
+Self-paced selection admits easy tetrads first, most of them inactive, so
+the listing stays short. Both pass forms, and a set with its zero-weight
+tetrads removed, list the same tetrads and so give the same gradient bits.
 
 A line-search trial can be rejected from part of its value: the ridge plus
 the weighted hinges of any tetrads bound the smooth part from below.
@@ -54,7 +54,9 @@ positive weights in flat tetrad order; group masses add each group's
 weights in index order. Tetrads with zero weight therefore cannot perturb
 either value even at the bit level, which lets the trainer's W-step run on
 each block cut down to its selected tetrads. Where every weight is positive,
-the weighted sum and the listings read whole arrays, with no gather.
+the weighted sum reads whole arrays, with no gather. No per-tetrad index
+(a set's flat_queries, the weights' positive_index) is cached: each is
+built where it is read and dropped with that call.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _entries(M: np.ndarray, tetrads: TetradSet) -> np.ndarray:
     but the full one is read with one np.take from S's flat entries, at the
     set's cached positions of its tetrads in S.
     """
-    if tetrads.is_full:  # canonical order: the off-diagonal view, with no flat_queries
+    if tetrads.is_full:  # canonical order: the off-diagonal view, with no positions
         return _off_diagonal(np.ascontiguousarray(M)).ravel()  # ravel copies the strided view
     if M.flags.c_contiguous:
         return np.take(M.reshape(-1), tetrads.row_positions)
@@ -165,7 +167,8 @@ def _entries(M: np.ndarray, tetrads: TetradSet) -> np.ndarray:
 
 def _hinge(aligned: np.ndarray, sizes: np.ndarray, scores: np.ndarray, margin: float) -> np.ndarray:
     """A fresh array of (S_kj - S_kk) + margin, for scores listing sizes[k] tetrads of each query k in turn."""
-    # S_kk repeated over the group sizes: flat_queries would cache n(n-1) int64 for a full set
+    # S_kk repeated over the group sizes, into the one buffer returned: aligned[flat_queries]
+    # would build a second array of one int64 per tetrad
     args = np.repeat(aligned, sizes)
     np.subtract(scores, args, out=args)
     args += margin
@@ -189,18 +192,13 @@ class Active:
 def _listing(block: Block, values: np.ndarray, above: float) -> Active:
     """The block's tetrads with v > 0 and values[t] > above, in flat tetrad order.
 
-    Only the selected positions are read (v.positive_index, or every
-    position when no weight is 0, with no gather), so a set with its
-    zero-weight tetrads removed gives the same arrays. The queries are
+    The positions come from one mask over both conditions, so a set with
+    its zero-weight tetrads removed gives the same arrays. The queries are
     repeated over per-group counts found by np.searchsorted, so no index
     over the whole set is built.
     """
     v = block.v
-    if v.positive_count == v.total:  # every tetrad selected
-        pos = np.flatnonzero(values > above)
-    else:
-        sel = v.positive_index
-        pos = sel[values[sel] > above]
+    pos = np.flatnonzero((values > above) & (v.values > 0.0))
     queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
     return Active(queries, block.tetrads.negatives[pos], v.values[pos])
 
@@ -208,8 +206,9 @@ def _listing(block: Block, values: np.ndarray, above: float) -> Active:
 def selected_active(block: Block, losses: GroupedVector) -> Active:
     """The block's tetrads with v > 0 and a positive loss, from its losses at one point: the ones the gradient reads.
 
-    The W-step lists them once per inner step, and grad_loss_term takes
-    that listing. The line-search floor reads a longer one (floor_listing).
+    grad_loss_term lists each block this way at each call and drops the
+    listing on return. The line-search floor reads a longer one
+    (floor_listing).
     """
     return _listing(block, losses.values, 0.0)
 
@@ -257,8 +256,9 @@ def _check_aligned(a, b) -> None:
 
 
 def ridge_value(params: EmbeddingParams) -> float:
-    """0.5 * (sum of squared entries of W1 and W2); biases are excluded."""
-    return 0.5 * (float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2)))
+    """0.5 * (sum of squared entries of W1 and W2); biases are excluded. +inf, with no warning, if it overflows."""
+    with np.errstate(over="ignore"):
+        return 0.5 * (float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2)))
 
 
 def tetrad_loss(
@@ -317,10 +317,9 @@ def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:
     """Sum of v * loss over all tetrads, skipping zero weights exactly.
 
     One np.sum over the products of the strictly positive weights, in flat
-    tetrad order (v.positive_index, cached on the weights, which stay fixed
-    for a whole W-step), gathered only when some weight is 0. A set with its
-    zero-weight tetrads removed yields the same product array, so it yields
-    the same bits.
+    tetrad order, gathered at v.positive_index (built here) only when some
+    weight is 0. A set with its zero-weight tetrads removed yields the same
+    product array, so it yields the same bits.
     """
     _check_aligned(losses, v)
     if v.positive_count == v.total:  # every weight positive: the same products, with no gather
@@ -460,7 +459,6 @@ def grad_loss_term(
     blocks: Sequence[Block],
     losses: Sequence[GroupedVector],
     fwd: Pass,
-    active: Optional[Sequence[Active]] = None,
 ) -> EmbeddingParams:
     """Gradient of every block's weighted hinge term (no ridge), in one backward pass.
 
@@ -469,8 +467,8 @@ def grad_loss_term(
     blocks' losses at that point, one per block in block order and lined up
     with its tetrads (else AlignmentError). A tetrad contributes iff its
     weight and its loss are strictly positive: it is selected and active.
-    active, when given, is each block's selected_active listing at these
-    losses; without it the blocks are listed here.
+    Each block's such tetrads are listed here (selected_active), and the
+    listing is dropped on return.
 
     A score is the inner product of an image row of A and a text row of B:
     A = H and B = G for raw scores, the rows of H and G divided by their
@@ -498,8 +496,7 @@ def grad_loss_term(
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
     H, G, norms = fwd.emb.H, fwd.emb.G, fwd.emb.norms
     A, B = (H, G) if norms is None else (H / norms[0][:, None], G / norms[1][:, None])
-    if active is None:
-        active = [selected_active(b, block_loss) for b, block_loss in zip(blocks, losses)]
+    active = [selected_active(b, block_loss) for b, block_loss in zip(blocks, losses)]
     s, CB, CtA = _scattered_terms(blocks, active, A, B)
     dA = CB - s[:, None] * B
     dB = CtA - s[:, None] * A
@@ -519,13 +516,12 @@ def grad_params(
     blocks: Sequence[Block],
     losses: Sequence[GroupedVector],
     fwd: Pass,
-    active: Optional[Sequence[Active]] = None,
 ) -> EmbeddingParams:
     """Gradient of ridge + every block's weighted hinge term, from fwd, the forward pass at params, and its losses.
 
     The ridge term's gradient is W1, W2 themselves (biases are not
-    penalized); the blocks' term (grad_loss_term, which reads active) is
-    added to it.
+    penalized); the blocks' term (grad_loss_term, which lists the selected
+    active tetrads itself) is added to it.
     """
     ridge = EmbeddingParams(params.W1, np.zeros_like(params.b1), params.W2, np.zeros_like(params.b2))
-    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, losses, fwd, active))
+    return ridge.axpy(1.0, grad_loss_term(params, dataset, blocks, losses, fwd))

@@ -79,7 +79,6 @@ from .loss import (
     forward_pass,
     grad_params,
     ridge_value,
-    selected_active,
     smooth_part,
     with_penalties,
 )
@@ -256,10 +255,12 @@ def optimize_W(
     trial) serve the next gradient. A point's scores and losses are dropped
     before its line search; its embedding is not. Returns the final params,
     the smooth value their losses give, the inner steps taken and the
-    embedding at the final params.
+    embedding at the final params. Raises NonFiniteObjective when the
+    entry value or a gradient is not finite, or when a gradient's squared
+    norm overflows, which would make every Armijo bound -inf.
 
-    Each inner step lists every block's selected active tetrads once for
-    the gradient (loss.selected_active), then the longer floor listing
+    Each inner step takes the gradient, which lists the selected active
+    tetrads itself and drops them, then the longer floor listing
     (loss.floor_listing) for the line search. value_fn applies the ridge
     floor, embeds the trial once, tries loss.floor_rejects on that
     embedding while the search holds the floor listing, and gives a trial
@@ -297,13 +298,13 @@ def optimize_W(
     steps = 0
     for _ in range(cfg.max_inner_steps):
         steps += 1
-        active = [selected_active(b, l) for b, l in zip(blocks, losses)]
-        grad = grad_params(params, dataset, blocks, losses, fwd, active)
-        del active  # freed before the longer floor listing is made
+        grad = grad_params(params, dataset, blocks, losses, fwd)
         near = [floor_listing(b, fwd, lcfg.margin) for b in blocks]
         del fwd, losses  # the point's scores and losses are dropped before its line search
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
+        if not np.isfinite(grad.norm_sq()):  # every Armijo bound would be -inf: no trial could pass
+            raise NonFiniteObjective("the gradient's squared norm overflows")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break
@@ -353,15 +354,16 @@ def _selected(blocks: list[Block]) -> list[Block]:
     A tetrad with v = 0 adds nothing to the W-step's value, gradient or line
     search, and a set with its zero-weight tetrads removed gives the same
     bits (loss's pruned-set contract), so the W-step reads only these. The
-    tetrads are negatives[v.positive_index], with offsets from
-    v.positive_counts(), and the weights are gathered at the same
-    positions. A block whose weights are all positive is kept as it is.
+    tetrads are negatives[sel], sel = v.positive_index built once per
+    block, with each group's offset the number of entries of sel before it,
+    and the weights are gathered at the same positions. A block whose
+    weights are all positive is kept as it is.
     """
     kept = []
     for b in blocks:
         if b.v.positive_count < b.tetrads.total:
             sel = b.v.positive_index
-            offsets = np.concatenate(([0], np.cumsum(b.v.positive_counts())))
+            offsets = np.searchsorted(sel, b.tetrads.offsets)
             tetrads = TetradSet(b.tetrads.n, offsets, _locked(b.tetrads.negatives[sel]))
             b = Block(tetrads, b.direction, ImportanceVector(_locked(b.v.values[sel]), tetrads.offsets))
         kept.append(b)

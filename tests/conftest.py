@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ def random_instance(seed, n=6, p=5, q=4, d=3):
     tetrads = build_tetrads(dataset)
     v = ImportanceVector(rng.uniform(0.0, 1.0, tetrads.total), tetrads.offsets)
     return dataset, params, tetrads, v
+
+
+def cached_arrays(obj):
+    """Names of the arrays obj holds beyond its dataclass fields, sorted: any per-tetrad index it caches."""
+    fields = {f.name for f in dataclasses.fields(obj)}
+    return sorted(name for name, x in vars(obj).items() if isinstance(x, np.ndarray) and name not in fields)
 
 
 def point(params, dataset, blocks, normalized=False):

@@ -130,6 +130,18 @@ class TestTrainCommand:
         path, _ = write_config(tmp_path, data=paths, train=train)
         assert main(["train", "--config", str(path)]) == 0  # raw scores still train
 
+    def test_overflowing_gradient_norm_exits_two(self, tmp_path, capsys):
+        # features times 1e300 with raw scores: the gradient is finite but its squared
+        # norm overflows, so no line-search trial could pass (a runtime failure)
+        rng = np.random.default_rng(0)
+        paths = {}
+        for side in ("images", "texts"):
+            paths[side] = str(tmp_path / f"{side}.txt")
+            save_features(paths[side], rng.standard_normal((30, 5)) * 1e300)
+        path, _ = write_config(tmp_path, data=paths, train={"embedding_dim": 3, "max_outer_iters": 2, "seed": 1})
+        assert main(["train", "--config", str(path)]) == 2
+        assert "squared norm overflows" in capsys.readouterr().err
+
     def test_overflowing_pacing_growth_exits_one_before_training(self, tmp_path, capsys):
         train = {"embedding_dim": 4, "max_outer_iters": 5, "seed": 1, "lam_growth": 1e300}
         path, _ = write_config(tmp_path, train=train)

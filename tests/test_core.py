@@ -25,6 +25,8 @@ from pacedrank.errors import (
 from pacedrank.loss import all_losses, tetrad_loss
 from pacedrank.spl import update_importance
 
+from conftest import cached_arrays
+
 
 class TestValidateDataset:
     def test_consistent_shapes(self):
@@ -118,10 +120,10 @@ class TestBuildTetrads:
         ks, js = ts.flat_queries, ts.negatives
         assert M.reshape(-1)[ts.row_positions].tobytes() == M[ks, js].tobytes()
         assert M.reshape(-1)[ts.column_positions].tobytes() == M.T[ks, js].tobytes()
-        # computed without caching the queries; the positions are cached and locked
+        # the positions are cached and locked; the queries they are computed from are not kept
         fresh = build_tetrads(validate_dataset(rng.standard_normal((7, 2)), rng.standard_normal((7, 2))), 3, 0)
         assert fresh.row_positions is fresh.row_positions and not fresh.row_positions.flags.writeable
-        assert "flat_queries" not in fresh.__dict__
+        assert cached_arrays(fresh) == ["row_positions"]
 
     @pytest.mark.parametrize(
         "n, m, seed",

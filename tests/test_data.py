@@ -120,6 +120,13 @@ class TestSplit:
         with pytest.raises(SplitTooSmall):
             split_indices(3, SplitSpec(0.34, 0.33, 0.33, seed=0))
 
+    def test_one_row_part_is_too_small(self):
+        # 5 rows at 0.6 / 0.2 / 0.2 give parts of 3, 1 and 1: a Dataset holds at least 2 pairs
+        ds = synth_generate(SynthSpec(n=5, latent=2, p=3, q=3, seed=0))
+        with pytest.raises(SplitTooSmall):
+            split(ds, SplitSpec())
+        assert [len(part) for part in split_indices(10, SplitSpec())] == [6, 2, 2]
+
     def test_fractions_validated(self):
         with pytest.raises(ConfigInvalid):
             SplitSpec(0.9, 0.2, 0.2)

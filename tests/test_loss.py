@@ -44,7 +44,7 @@ from pacedrank.loss import (
     weighted_sum_from,
 )
 
-from conftest import at_point, point, random_dataset, random_instance, random_params
+from conftest import at_point, cached_arrays, point, random_dataset, random_instance, random_params
 
 
 # (directions, normalized) of the sampled finite-difference cases
@@ -642,7 +642,7 @@ class TestMixedBlocks:
     @pytest.mark.parametrize("directions", [("i2t",), ("i2t", "t2i")], ids=["i2t", "both"])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
     def test_full_sets_never_build_flat_queries(self, directions, normalized):
-        # a cached flat_queries would hold n(n-1) int64 entries for a full set
+        # a cached per-tetrad index (flat_queries, positions) would hold n(n-1) int64 entries for a full set
         dataset, params, tetrads, v = random_instance(41, n=30)
         blocks = [Block(tetrads, d, v) for d in directions]
         cfg = LossConfig(margin=0.1)
@@ -650,7 +650,7 @@ class TestMixedBlocks:
         losses = block_losses(params, dataset, blocks, cfg, fwd)
         grad_loss_term(params, dataset, blocks, losses, fwd)
         grad_params(params, dataset, blocks, losses, fwd)
-        assert "flat_queries" not in tetrads.__dict__
+        assert cached_arrays(tetrads) == [] and cached_arrays(v) == []
 
 
 def layout_dataset(rng, n, layout):
@@ -852,16 +852,15 @@ class TestScatteredGradient:
     @pytest.mark.parametrize("zero_share", [0.95, 0.0])
     @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "cosine"])
     def test_full_set_gradient_builds_no_per_tetrad_index(self, zero_share, normalized):
-        # a cached group_ids or flat_queries would hold n(n-1) int64 entries;
-        # a share of 0.95 zero weights leaves few active tetrads, 0.0 many
+        # a cached per-tetrad index (flat_queries, positive_index) would hold up to
+        # n(n-1) int64 entries; a share of 0.95 zero weights leaves few active tetrads, 0.0 many
         rng = np.random.default_rng(44)
         dataset = random_dataset(rng, n=30, p=5, q=4)
         params = random_params(rng)
         blocks = sampled_blocks(rng, dataset, None, ("i2t", "t2i"), zero_share)
         grad_params(params, dataset, blocks, *at_point(params, dataset, blocks, LossConfig(margin=0.3), normalized))
         for b in blocks:
-            assert "group_ids" not in b.v.__dict__
-            assert "flat_queries" not in b.tetrads.__dict__
+            assert cached_arrays(b.v) == [] and cached_arrays(b.tetrads) == []
 
     def test_auto_sampled_gradient_memory_is_below_one_score_matrix(self):
         # train's auto-sampled set at n = 10,000: 400 negatives per query,
@@ -887,7 +886,7 @@ class TestScatteredGradient:
 
 
 def listings(blocks, losses):
-    """Each block's selected_active listing, as the W-step builds it once per inner step."""
+    """Each block's selected_active listing, as the gradient builds it at each call."""
     return [selected_active(b, x) for b, x in zip(blocks, losses)]
 
 
@@ -1016,7 +1015,7 @@ class TestPrefixBound:
         active = listings(blocks, losses)
         near = [floor_listing(b, fwd, cfg.margin) for b in blocks]
         assert len(near[0].queries) > len(active[0].queries)
-        grad = grad_params(params, dataset, blocks, losses, fwd, active)
+        grad = grad_params(params, dataset, blocks, losses, fwd)
         outcomes = []
         for step in 0.5 ** np.arange(12):
             trial = params.axpy(-step, grad)

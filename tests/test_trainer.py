@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,8 +16,7 @@ from pacedrank.errors import (
     VersionMismatch,
 )
 from pacedrank.loss import (
-    Block, all_losses, block_losses, floor_listing, grad_loss_term, grad_params, ridge_value, selected_active,
-    smooth_part,
+    Block, all_losses, block_losses, floor_listing, grad_loss_term, grad_params, ridge_value, smooth_part,
 )
 from pacedrank.trainer import (
     Checkpoint,
@@ -220,17 +220,12 @@ class TestSharedForwardPass:
         gradients = []
         real_grad = trainer.grad_params
 
-        def checked_gradient(params, dataset, blocks, losses, fwd, active):
-            # the losses handed over are the ones a fresh pass at the same params gives,
-            # and the listing is theirs
+        def checked_gradient(params, dataset, blocks, losses, fwd):
+            # the losses handed over are the ones a fresh pass at the same params gives
             fresh = losses_at(params, dataset, blocks, cfg)
             assert [x.values.tobytes() for x in losses] == [x.values.tobytes() for x in fresh]
-            listed = [selected_active(b, x) for b, x in zip(blocks, fresh)]
-            assert [[a.tobytes() for a in dataclasses.astuple(x)] for x in active] == [
-                [a.tobytes() for a in dataclasses.astuple(x)] for x in listed
-            ]
             gradients.append(params)
-            return real_grad(params, dataset, blocks, losses, fwd, active)
+            return real_grad(params, dataset, blocks, losses, fwd)
 
         monkeypatch.setattr(trainer, "grad_params", checked_gradient)
         params, history = train(ds, cfg)
@@ -559,9 +554,9 @@ class TestPrefixFloor:
         searches = []  # per line search, in order: "trial" for each trial within the ridge floor, and each check's outcome
         real_floor, real_grad = trainer.floor_rejects, trainer.grad_params
 
-        def listing_gradient(params, dataset, blocks, losses, fwd, active):
+        def listing_gradient(params, dataset, blocks, losses, fwd):
             current["point"] = params
-            return real_grad(params, dataset, blocks, losses, fwd, active)
+            return real_grad(params, dataset, blocks, losses, fwd)
 
         def tracking_search(params, grad, value_fn, current_value, cfg):
             events = []
@@ -656,10 +651,10 @@ class TestWStepOwnsItsPoint:
         point_arrays, alive = [], []  # weak references to the latest gradient's point; per search, how many live
         real_grad, real_search, real_w_step = trainer.grad_params, trainer.line_search, trainer.optimize_W
 
-        def recording_gradient(params, dataset, blocks, losses, fwd, active):
+        def recording_gradient(params, dataset, blocks, losses, fwd):
             arrays = [fwd.aligned] + [scores for _, _, scores in fwd.scores] + [x.values for x in losses]
             point_arrays[:] = [weakref.ref(a) for a in arrays]
-            return real_grad(params, dataset, blocks, losses, fwd, active)
+            return real_grad(params, dataset, blocks, losses, fwd)
 
         def checked_search(params, grad, value_fn, current_value, cfg):
             alive.append(sum(ref() is not None for ref in point_arrays))
@@ -675,6 +670,54 @@ class TestWStepOwnsItsPoint:
         _, history = train(ds, cfg)
         assert len(history) == 3 and len(point_arrays) >= 3
         assert alive == [0] * sum(r.inner_steps for r in history.records)
+
+
+class TestOuterIterationMemory:
+    @pytest.mark.parametrize("held", [False, True], ids=["direct", "arguments-held"])
+    def test_peak_is_the_arrays_alive_in_the_gradient(self, monkeypatch, held):
+        # One outer iteration at n = 10,000: both directions, cosine scores, d = 10 and 40
+        # sampled negatives, so T = 800,000 tetrads. The tracemalloc peak falls in the
+        # W-step's gradient while it scatters. What is alive then, in 8-byte entries:
+        # - the full sets' negatives and weights: 2T;
+        # - the S selected tetrads' negatives and weights (the kept sets), and the current
+        #   point's scores and losses: 4S;
+        # - the gradient's listing of the L selected active tetrads (query, negative,
+        #   weight), its concatenation (query, row, column, weight), and one column's
+        #   gather and products: 9L;
+        # - n x d arrays: H and G, their cosine rows A and B, the first scatter's product
+        #   C B, and the second's output and contiguous operand: 7nd;
+        # and 1 MiB for arrays of n entries or fewer and Python objects. A per-tetrad index
+        # kept past the call that reads it (flat_queries, positive_index, a listing) adds
+        # 3 MiB or more. With held, a wrapper keeps optimize_W's arguments alive for the
+        # whole call, as Python 3.10's call stack does.
+        ds = synth_generate(SynthSpec(n=10_000, latent=5, p=20, q=20, noise=0.1, seed=0))
+        cfg = TrainConfig(embedding_dim=10, symmetric_tetrads=True, normalized_similarity=True,
+                          sample_negatives=40, max_outer_iters=1, max_inner_steps=3)
+        sizes = []  # (S, L) at each gradient
+        real_grad, real_w_step = trainer.grad_params, trainer.optimize_W
+
+        def counting_gradient(params, dataset, blocks, losses, fwd):
+            active = sum(int(np.count_nonzero((x.values > 0.0) & (b.v.values > 0.0))) for b, x in zip(blocks, losses))
+            sizes.append((sum(b.tetrads.total for b in blocks), active))
+            return real_grad(params, dataset, blocks, losses, fwd)
+
+        def holding_w_step(*args):  # args keeps every argument alive until the W-step returns
+            return real_w_step(*args)
+
+        monkeypatch.setattr(trainer, "grad_params", counting_gradient)
+        if held:
+            monkeypatch.setattr(trainer, "optimize_W", holding_w_step)
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        T = 2 * ds.n * cfg.sample_negatives
+        S, L = max(s for s, _ in sizes), max(a for _, a in sizes)
+        assert len(sizes) == 3 and 0 < L < S < T  # the kept sets are cut down, and some selected tetrads are inactive
+        alive = 8 * (2 * T + 4 * S + 9 * L + 7 * ds.n * cfg.embedding_dim) + (1 << 20)
+        assert peak <= alive, f"peak {peak / 2**20:.1f} MiB, arrays alive {alive / 2**20:.1f} MiB"
 
 
 class TestTrain:
