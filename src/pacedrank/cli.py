@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import data as data_mod
 from . import evaluation as eval_mod
 from .core import check_direction, check_sample_size, validate_dataset
@@ -193,7 +195,7 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "split.txt"), "w", encoding="utf-8") as fh:
         for name, idx in (("train", idx_train), ("validation", idx_val), ("test", idx_test)):
-            fh.write(name + " " + " ".join(str(int(i)) for i in idx) + "\n")
+            fh.write(("%s " + " ".join(["%d"] * len(idx)) + "\n") % (name, *idx.tolist()))
 
     params, history = train(train_ds, train_cfg, val_dataset=val_ds)
 
@@ -272,8 +274,9 @@ def cmd_retrieve(args) -> int:
             top_k=args.top_k,
             normalized=ckpt.config.normalized_similarity,
         )
-        for idx, score in zip(ranked.indices, ranked.scores):
-            print(f"{int(idx)} {score:.17g}")
+        rows = np.empty((len(ranked.indices), 2), dtype=object)
+        rows[:, 0], rows[:, 1] = ranked.indices, ranked.scores
+        sys.stdout.writelines(data_mod.format_rows("%d %.17g\n", rows))
     return 0
 
 

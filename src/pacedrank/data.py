@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 
 from .core import Dataset, check_int, check_real, check_seed, validate_dataset
@@ -24,6 +26,13 @@ from .errors import (
 )
 
 HARD_NOISE_FACTOR = 5.0
+# Values per % operation in format_rows, through which feature files, eval results
+# and retrieve's lines are written: a block of rows, or one row if a row is longer. Swept at 2^8 .. 2^18 (2 vCPUs,
+# numpy 2.4.6, best of 8-40 saves): save_features took 1.2-1.3 ms for 100 x 20,
+# 46-58 ms for 300 x 200 and 49-72 ms for 20 x 4096 at every value, against 2.1,
+# 57 and 76 ms value by value. At width 4096 a block's tuple and string peak at
+# 0.24 MiB up to 2^12, 0.98 MiB at 2^14, 3.8 MiB at 2^16 and 15 MiB at 2^18.
+_WRITE_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -123,16 +132,29 @@ def _check_finite(values: np.ndarray, width: int, linenos: list[int], lines: lis
         raise NonFiniteValue(f"line {linenos[row]}, column {col + 1}: non-finite value {tok!r}")
 
 
+def format_rows(line: str, rows: np.ndarray) -> Iterator[str]:
+    """The text of each row of a 2-D array formatted by line, one string per block of rows.
+
+    line holds one % field per column and ends the row. Each block is one
+    % operation on at most _WRITE_ENTRIES values (one row if a row is
+    longer), so what a block builds stays small whatever the array's size.
+    '%.17g' gives the bytes f"{x:.17g}" gives: both format with
+    PyOS_double_to_string.
+    """
+    step = max(1, _WRITE_ENTRIES // max(1, rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        yield line * len(block) % tuple(block.ravel().tolist())
+
+
 def save_features(path, matrix) -> None:
-    """Write a matrix in the feature-file format with 17 significant digits."""
+    """Write a matrix in the feature-file format with 17 significant digits, a block of rows per write."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ConfigInvalid("feature matrix must be 2-dimensional")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for row in matrix:
-                fh.write(" ".join(f"{x:.17g}" for x in row))
-                fh.write("\n")
+            fh.writelines(format_rows(" ".join(["%.17g"] * matrix.shape[1]) + "\n", matrix))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

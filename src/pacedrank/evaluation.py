@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import Dataset, EmbeddingParams, check_direction
+from .data import format_rows
 from .embed import Embedding, embed_images, embed_texts, forward, map_image, map_text, query_rows
 from .errors import ConfigInvalid, DimensionMismatch, InvalidCutoff
 
@@ -46,16 +47,12 @@ class EvalResult:
     query_ids: Optional[tuple[str, ...]] = None
 
     def to_text(self) -> str:
-        """Flat text record: one 'query_id ap' line per query, then a trailer."""
-        lines = ["# per-query average precision"]
-        for i, ap in enumerate(self.per_query):
-            qid = self.query_ids[i] if self.query_ids is not None else str(i)
-            lines.append(f"{qid} {ap:.17g}")
-        lines.append(f"mAP {self.mean:.17g}")
-        lines.append(f"R {self.r}")
-        lines.append(f"direction {self.direction}")
-        lines.append(f"mode {self.mode}")
-        return "\n".join(lines) + "\n"
+        """Flat text record: one 'query_id ap' line per query, then a trailer; query_id is the row index without ids."""
+        rows = np.empty((len(self.per_query), 2), dtype=object)
+        rows[:, 0] = range(len(rows)) if self.query_ids is None else self.query_ids
+        rows[:, 1] = self.per_query
+        trailer = f"mAP {self.mean:.17g}\nR {self.r}\ndirection {self.direction}\nmode {self.mode}\n"
+        return "".join(["# per-query average precision\n", *format_rows("%s %.17g\n", rows), trailer])
 
 
 def _check_mode(mode: str) -> None:

@@ -437,18 +437,24 @@ def _scattered_product(index: np.ndarray, other: np.ndarray, w: np.ndarray, E: n
     return out
 
 
-def _scattered_terms(blocks: Sequence[Block], active: Sequence[Active], A: np.ndarray, B: np.ndarray):
+def _scattered_terms(blocks: Sequence[Block], losses: Sequence[GroupedVector], A: np.ndarray, B: np.ndarray):
     """(s, C B, C^T A), added over the selected active tetrads alone: no n x n array.
 
     C is the image-row matrix of the listed tetrads' weights and s its
-    per-query sums. Every block's listed tetrads are taken in block order,
-    then flat tetrad order; a t2i tetrad (query k, negative j) lands on
-    image row j and text column k. Each sum is one np.bincount per output
-    column, which adds an entry's terms in that order, so the bits depend
-    only on the listing.
+    per-query sums. Each block's selected active tetrads are listed here
+    (selected_active) and taken in block order, then flat tetrad order; a
+    t2i tetrad (query k, negative j) lands on image row j and text column
+    k. Each sum is one np.bincount per output column, which adds an entry's
+    terms in that order, so the bits depend only on the listing. A single
+    block's listing is read as it is (an i2t block's rows are its queries);
+    several blocks' listings are freed once they are concatenated.
     """
-    lists = [(a.queries, *query_pairs(a.queries, a.negatives, b.direction), a.weights) for b, a in zip(blocks, active)]
-    queries, rows, cols, w = (np.concatenate(parts) for parts in zip(*lists))
+    lists = [
+        (a.queries, *query_pairs(a.queries, a.negatives, b.direction), a.weights)
+        for b, a in zip(blocks, map(selected_active, blocks, losses))
+    ]
+    queries, rows, cols, w = lists[0] if len(lists) == 1 else (np.concatenate(parts) for parts in zip(*lists))
+    del lists
     s = np.bincount(queries, weights=w, minlength=A.shape[0])
     return s, _scattered_product(rows, cols, w, B), _scattered_product(cols, rows, w, A)
 
@@ -496,8 +502,7 @@ def grad_loss_term(
         return EmbeddingParams(*(np.zeros_like(a) for a in params.arrays))
     H, G, norms = fwd.emb.H, fwd.emb.G, fwd.emb.norms
     A, B = (H, G) if norms is None else (H / norms[0][:, None], G / norms[1][:, None])
-    active = [selected_active(b, block_loss) for b, block_loss in zip(blocks, losses)]
-    s, CB, CtA = _scattered_terms(blocks, active, A, B)
+    s, CB, CtA = _scattered_terms(blocks, losses, A, B)
     dA = CB - s[:, None] * B
     dB = CtA - s[:, None] * A
     if norms is not None:  # through A = H / |H| and B = G / |G|, row by row

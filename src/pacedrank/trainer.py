@@ -222,11 +222,15 @@ def line_search(
     value_fn(trial, bound) returns f(trial), or a value above bound when a
     lower bound already shows f(trial) > bound; either way the decision is
     the one f's value gives. With bound = +inf it returns f itself. The
-    accepted trial is the last one value_fn is asked about.
+    accepted trial is the last one value_fn is asked about. Raises
+    NonFiniteObjective, before any trial, when |grad|^2 overflows: every
+    bound would be -inf, so no trial could pass.
     """
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
         return 0.0, params, current_value
+    if not np.isfinite(gnorm2):
+        raise NonFiniteObjective("the gradient's squared norm overflows")
     step = cfg.initial_step
     for _ in range(MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
@@ -256,8 +260,8 @@ def optimize_W(
     before its line search; its embedding is not. Returns the final params,
     the smooth value their losses give, the inner steps taken and the
     embedding at the final params. Raises NonFiniteObjective when the
-    entry value or a gradient is not finite, or when a gradient's squared
-    norm overflows, which would make every Armijo bound -inf.
+    entry value or a gradient is not finite, or (from line_search) when a
+    gradient's squared norm overflows.
 
     Each inner step takes the gradient, which lists the selected active
     tetrads itself and drops them, then the longer floor listing
@@ -303,8 +307,6 @@ def optimize_W(
         del fwd, losses  # the point's scores and losses are dropped before its line search
         if not grad.is_finite():
             raise NonFiniteObjective("gradient is not finite")
-        if not np.isfinite(grad.norm_sq()):  # every Armijo bound would be -inf: no trial could pass
-            raise NonFiniteObjective("the gradient's squared norm overflows")
         step, new_params, new_value = line_search(params, grad, value_fn, value, cfg)
         if step == 0.0:
             break

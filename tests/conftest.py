@@ -51,3 +51,14 @@ def at_point(params, dataset, blocks, cfg, normalized=False):
     """(losses, pass) at params for these blocks: the point grad_loss_term and grad_params read."""
     fwd = point(params, dataset, blocks, normalized)
     return block_losses(params, dataset, blocks, cfg, fwd), fwd
+
+
+def extreme_values():
+    """Doubles that stress %.17g: the powers of ten from 1e-300 to 1e300 (every seventh
+    negated too), both zeros, subnormals, the normal and largest extremes, nan, the
+    infinities, and values whose 17 digits are all needed."""
+    powers = 10.0 ** np.arange(-300, 301, dtype=np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf,
+               0.1, 1.0 / 3.0, -2.5e-3, 1e22, 2.0**53 + 2.0, np.nextafter(1.0, 2.0)]
+    return np.concatenate([powers, -powers[::7], special])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pacedrank import data
 from pacedrank.data import (
     SplitSpec,
     SynthSpec,
@@ -20,6 +21,8 @@ from pacedrank.errors import (
     RaggedRows,
     SplitTooSmall,
 )
+
+from conftest import extreme_values
 
 
 class TestLoadFeatures:
@@ -88,6 +91,61 @@ class TestLoadFeatures:
         path = tmp_path / "f.txt"
         save_features(path, matrix)
         assert np.array_equal(load_features(path), matrix)
+
+
+def per_value_features(matrix) -> str:
+    """The feature-file text written value by value, one row at a time."""
+    return "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in np.asarray(matrix, dtype=np.float64))
+
+
+def filled(shape):
+    """A matrix of the given shape cycling through extreme_values()."""
+    return np.resize(extreme_values(), shape)
+
+
+BLOCK = data._WRITE_ENTRIES
+WRITER_SHAPES = {
+    "no-rows": (0, 5),
+    "one-row": (1, 7),
+    "one-column": (13, 1),
+    "no-columns": (3, 0),
+    "one-short-of-a-block": (BLOCK - 1, 1),
+    "one-past-a-block": (BLOCK + 1, 1),
+    "a-block-and-a-row-at-width-20": (BLOCK // 20 + 1, 20),
+    "rows-longer-than-a-block": (3, BLOCK + 1),
+}
+
+
+class TestSaveFeatures:
+    @pytest.mark.parametrize("shape", WRITER_SHAPES.values(), ids=WRITER_SHAPES)
+    def test_bytes_equal_per_value_writer(self, tmp_path, shape):
+        matrix = filled(shape)
+        save_features(tmp_path / "f.txt", matrix)
+        assert (tmp_path / "f.txt").read_bytes() == per_value_features(matrix).encode()
+
+    def test_transposed_input_bytes_equal_per_value_writer(self, tmp_path):
+        matrix = filled((40, 29)).T
+        assert not matrix.flags.c_contiguous
+        save_features(tmp_path / "f.txt", matrix)
+        assert (tmp_path / "f.txt").read_bytes() == per_value_features(matrix).encode()
+
+    def test_every_extreme_value_round_trips_exactly(self, tmp_path):
+        values = extreme_values()
+        matrix = values[np.isfinite(values)].reshape(-1, 1)
+        for m in (matrix, matrix.reshape(1, -1), np.resize(matrix, (BLOCK // 7 + 1, 7))):
+            save_features(tmp_path / "f.txt", m)
+            assert load_features(tmp_path / "f.txt").tobytes() == m.tobytes()  # -0.0 stays -0.0
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (BLOCK // 3, 3), (BLOCK // 3 + 1, 3), (2, BLOCK + 1), (5, 0)])
+    def test_blocks_hold_whole_rows_within_the_bound(self, shape):
+        matrix = filled(shape)
+        line = " ".join(["%.17g"] * shape[1]) + "\n"
+        blocks = list(data.format_rows(line, matrix))
+        rows_per_block = max(1, BLOCK // max(1, shape[1]))  # one row if a row is longer than a block
+        assert [b.count("\n") for b in blocks] == [
+            min(rows_per_block, shape[0] - lo) for lo in range(0, shape[0], rows_per_block)
+        ]
+        assert "".join(blocks) == per_value_features(matrix)
 
 
 class TestSplit:

@@ -3,18 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pacedrank import evaluation
+from pacedrank import data, evaluation
 from pacedrank.core import EmbeddingParams, validate_dataset
 from pacedrank.embed import score_matrix
 from pacedrank.errors import InvalidCutoff
 from pacedrank.evaluation import (
+    EvalResult,
     average_precision,
     mean_ap,
     random_baseline,
     retrieve,
 )
 
-from conftest import random_dataset, random_params
+from conftest import extreme_values, random_dataset, random_params
 
 
 def diagonal_params(n, gain):
@@ -241,6 +242,37 @@ class TestMeanAp:
         assert lines[-2] == "direction i2t"
         assert lines[-1] == "mode by_r"
         assert float(lines[-4].split()[1]) == res.mean
+
+
+def per_line_text(result) -> str:
+    """EvalResult.to_text written one line per query."""
+    lines = ["# per-query average precision"]
+    for i, ap in enumerate(result.per_query):
+        qid = result.query_ids[i] if result.query_ids is not None else str(i)
+        lines.append(f"{qid} {ap:.17g}")
+    lines.append(f"mAP {result.mean:.17g}")
+    lines.append(f"R {result.r}")
+    lines.append(f"direction {result.direction}")
+    lines.append(f"mode {result.mode}")
+    return "\n".join(lines) + "\n"
+
+
+class TestToText:
+    # two values per query line, so a block holds _WRITE_ENTRIES // 2 queries
+    @pytest.mark.parametrize("n", [0, 1, 7, data._WRITE_ENTRIES // 2 - 1, data._WRITE_ENTRIES // 2 + 1])
+    @pytest.mark.parametrize("with_ids", [False, True], ids=["row-index", "ids"])
+    def test_bytes_equal_per_line_text(self, n, with_ids):
+        per_query = np.resize(extreme_values(), n)
+        ids = tuple(f"q{i:04d}:{'hard' if i % 3 else 'clean'}" for i in range(n)) if with_ids else None
+        for mean in (0.1, -0.0, 5e-324, 1.7976931348623157e308, np.nan):
+            result = EvalResult(per_query, mean, "all" if n % 2 else 5, "t2i", "by_r", ids)
+            assert result.to_text() == per_line_text(result)
+
+    def test_mean_ap_result_bytes_equal_per_line_text(self):
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, n=30, p=3, q=3)
+        result = mean_ap(random_params(rng, d=2, p=3, q=3), ds, "i2t", 4)
+        assert result.to_text() == per_line_text(result)
 
 
 class TestRandomBaseline:

@@ -324,6 +324,8 @@ def floor_free_line_search(params, grad, value_fn, current_value, cfg, within_fl
     gnorm2 = grad.norm_sq()
     if gnorm2 == 0.0:
         return 0.0, params, current_value
+    if not np.isfinite(gnorm2):
+        raise NonFiniteObjective("the gradient's squared norm overflows")
     step = cfg.initial_step
     for _ in range(trainer.MAX_BACKTRACKS):
         trial = params.axpy(-step, grad)
@@ -341,7 +343,18 @@ def params_bytes(p):
     return b"".join(a.tobytes() for a in p.arrays)
 
 
+def searched(search, *args):
+    """search(*args), or the message of the NonFiniteObjective it raised."""
+    try:
+        return search(*args)
+    except NonFiniteObjective as exc:
+        return str(exc)
+
+
 def assert_same_search(got, want):
+    if isinstance(want, str):  # the search raised
+        assert got == want
+        return
     assert got[0] == want[0]
     assert params_bytes(got[1]) == params_bytes(want[1])
     assert np.array_equal(got[2], want[2], equal_nan=True)
@@ -354,9 +367,11 @@ EDGE_SEARCHES = {
     # gnorm2 = 1e308: the bound turns positive only at step 2^-14, yet from step 2^-13
     # on the ridge lies below the current value
     "huge-gnorm2": (1e154, 1e300, 1e-4),
-    # gnorm2 overflows to inf, so every bound is -inf and no trial is scored
+    # gnorm2 overflows to inf, so every bound would be -inf: the search raises before
+    # any trial is scored
     "infinite-gnorm2": (1e155, 1e300, 1e-4),
 }
+OVERFLOW = "the gradient's squared norm overflows"
 VALUE_FNS = {"ridge": ridge_value, "nan": lambda p: np.nan, "inf": lambda p: np.inf}
 
 
@@ -480,10 +495,11 @@ class TestRidgeFloor:
         optimize_W(params, dataset, blocks, cfg, embedding_at(params, dataset, cfg))
         (value_fn,) = value_fns
         with np.errstate(over="ignore"):  # gnorm2, the large steps' ridges and sigmoids overflow
-            want = floor_free_line_search(params, grad, unbounded(f), current_value, cfg, within)
+            want = searched(floor_free_line_search, params, grad, unbounded(f), current_value, cfg, within)
             monkeypatch.setattr(embed, "embed_images", counting_embed)
             monkeypatch.setattr(trainer, "forward_pass", counting_pass)
-            got = line_search(params, grad, value_fn, current_value, cfg)
+            got = searched(line_search, params, grad, value_fn, current_value, cfg)
+        assert (want == OVERFLOW) == (case == "infinite-gnorm2")
         assert_same_search(got, want)
         # exactly the trials whose ridge does not exceed the bound are embedded and scored
         assert embedded == [params_bytes(p) for p in within]
@@ -503,7 +519,8 @@ class TestRidgeFloor:
     @pytest.mark.parametrize("value", VALUE_FNS)
     @pytest.mark.parametrize("case", EDGE_SEARCHES)
     def test_edge_values_equal_floor_free(self, case, value):
-        # each trial's value_fn is handed the trial's Armijo bound, even where it overflows
+        # each trial's value_fn is handed the trial's Armijo bound, even where it overflows;
+        # where gnorm2 overflows, no trial is scored and both searches raise
         g, current_value, c = EDGE_SEARCHES[case]
         grad = EmbeddingParams(np.array([[g]]), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         cfg = TrainConfig(sufficient_decrease=c)
@@ -514,11 +531,12 @@ class TestRidgeFloor:
             return VALUE_FNS[value](p)
 
         with np.errstate(over="ignore"):  # gnorm2 and the large steps' ridges overflow to inf
-            got = line_search(scalar_params(1.0), grad, recorded, current_value, cfg)
-            want = floor_free_line_search(scalar_params(1.0), grad, unbounded(VALUE_FNS[value]), current_value, cfg)
+            got = searched(line_search, scalar_params(1.0), grad, recorded, current_value, cfg)
+            want = searched(floor_free_line_search, scalar_params(1.0), grad, unbounded(VALUE_FNS[value]), current_value, cfg)
             gnorm2 = grad.norm_sq()
             steps = cfg.initial_step * cfg.shrink_factor ** np.arange(len(bounds))
             assert bounds == [current_value - c * step * gnorm2 for step in steps]
+        assert (want == OVERFLOW) == (case == "infinite-gnorm2")
         assert_same_search(got, want)
 
 
@@ -683,7 +701,8 @@ class TestOuterIterationMemory:
         #   point's scores and losses: 4S;
         # - the gradient's listing of the L selected active tetrads (query, negative,
         #   weight), its concatenation (query, row, column, weight), and one column's
-        #   gather and products: 9L;
+        #   gather and products: at most 9L, and 7L at once since the listing is freed
+        #   once concatenated;
         # - n x d arrays: H and G, their cosine rows A and B, the first scatter's product
         #   C B, and the second's output and contiguous operand: 7nd;
         # and 1 MiB for arrays of n entries or fewer and Python objects. A per-tetrad index
