@@ -17,8 +17,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import data as data_mod
 from . import evaluation as eval_mod
 from .core import check_direction, check_sample_size, validate_dataset
@@ -274,9 +272,8 @@ def cmd_retrieve(args) -> int:
             top_k=args.top_k,
             normalized=ckpt.config.normalized_similarity,
         )
-        rows = np.empty((len(ranked.indices), 2), dtype=object)
-        rows[:, 0], rows[:, 1] = ranked.indices, ranked.scores
-        sys.stdout.writelines(data_mod.format_rows("%d %.17g\n", rows))
+        for idx, score in zip(ranked.indices, ranked.scores):
+            print(f"{int(idx)} {score:.17g}")
     return 0
 
 

@@ -26,8 +26,8 @@ from .errors import (
 )
 
 HARD_NOISE_FACTOR = 5.0
-# Values per % operation in format_rows, through which feature files, eval results
-# and retrieve's lines are written: a block of rows, or one row if a row is longer. Swept at 2^8 .. 2^18 (2 vCPUs,
+# Values per % operation in format_rows, through which feature files and eval results
+# are written: a block of rows, or one row if a row is longer. Swept at 2^8 .. 2^18 (2 vCPUs,
 # numpy 2.4.6, best of 8-40 saves): save_features took 1.2-1.3 ms for 100 x 20,
 # 46-58 ms for 300 x 200 and 49-72 ms for 20 x 4096 at every value, against 2.1,
 # 57 and 76 ms value by value. At width 4096 a block's tuple and string peak at

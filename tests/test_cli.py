@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pacedrank import data, gradcheck
+from pacedrank import gradcheck
 from pacedrank.cli import GRADCHECK_TOLERANCE, main
 from pacedrank.data import SplitSpec, load_features, save_features, split_indices
 from pacedrank.evaluation import mean_ap, retrieve
@@ -415,27 +415,6 @@ class TestRetrieveCommand:
         loaded = load_checkpoint(ckpt)
         ranked = retrieve(loaded.params, np.eye(4)[0], corpus)
         assert [int(i) for i, _ in lines] == [int(i) for i in ranked.indices]
-
-    @pytest.mark.parametrize("top_k", [None, 3])
-    def test_output_bytes_equal_per_item_print(self, tmp_path, capsys, top_k):
-        # two values per line, so one block of lines and one line past it
-        ckpt, imgs, txts = perfect_fixture(tmp_path)
-        rng = np.random.default_rng(5)
-        corpus = rng.standard_normal((data._WRITE_ENTRIES // 2 + 1, 4))
-        queries = rng.standard_normal((3, 4))
-        corpus[7:9] = corpus[3]  # tied scores keep ascending index order
-        save_features(tmp_path / "corpus.txt", corpus)
-        save_features(tmp_path / "query.txt", queries)
-        argv = ["retrieve", "--checkpoint", str(ckpt), "--query", str(tmp_path / "query.txt"),
-                "--corpus", str(tmp_path / "corpus.txt")]
-        assert main(argv + ([] if top_k is None else ["--top-k", str(top_k)])) == 0
-        params = load_checkpoint(ckpt).params
-        want = []
-        for qi, query in enumerate(load_features(tmp_path / "query.txt")):
-            want.append(f"# query {qi}\n")
-            ranked = retrieve(params, query, load_features(tmp_path / "corpus.txt"), top_k=top_k)
-            want.extend(f"{int(idx)} {score:.17g}\n" for idx, score in zip(ranked.indices, ranked.scores))
-        assert capsys.readouterr().out == "".join(want)
 
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         ckpt, imgs, txts = perfect_fixture(tmp_path)
