@@ -2,8 +2,8 @@
 
 Every number the CLI prints or writes comes from a library call; commands
 only parse arguments, move files, and format. Exit codes: 0 success,
-1 configuration or input error, 2 runtime failure (non-finite objective),
-3 gradient check failure.
+1 configuration or input error or a file that cannot be written, 2 runtime
+failure (non-finite objective), 3 gradient check failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _load_json(path) -> dict:
 
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:
+    if not isinstance(config, dict):
+        raise ConfigInvalid("config must be a JSON object")
     config = copy.deepcopy(config)
     for item in overrides:
         if "=" not in item:
@@ -244,9 +246,9 @@ def cmd_eval(args) -> int:
         mode=args.mode,
         normalized=ckpt.config.normalized_similarity,
     )
-    print(f"{result.mean:.4f}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.to_text())
+    print(f"{result.mean:.4f}")
     return 0
 
 
@@ -262,8 +264,6 @@ def cmd_retrieve(args) -> int:
             f"dim {expected_c}, got {queries.shape[1]} and {corpus.shape[1]}"
         )
     for qi, query in enumerate(queries):
-        if len(queries) > 1:
-            print(f"# query {qi}")
         ranked = eval_mod.retrieve(
             ckpt.params,
             query,
@@ -272,6 +272,8 @@ def cmd_retrieve(args) -> int:
             top_k=args.top_k,
             normalized=ckpt.config.normalized_similarity,
         )
+        if len(queries) > 1:
+            print(f"# query {qi}")
         for idx, score in zip(ranked.indices, ranked.scores):
             print(f"{int(idx)} {score:.17g}")
     return 0
@@ -378,7 +380,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except NonFiniteObjective as exc:
         return _fail(str(exc), 2)
-    except PacedRankError as exc:
+    except (PacedRankError, OSError) as exc:  # OSError: an output file or directory that cannot be made
         return _fail(str(exc), 1)
 
 

@@ -23,8 +23,9 @@ value_fn(trial, bound) per trial. A trial whose ridge alone exceeds the
 Armijo bound is rejected unembedded; otherwise it is embedded and first
 bounded below from the selected tetrads active at the current point or
 close to it (loss.floor_listing, loss.floor_rejects). A trial that falls
-through gets the full pass on the same embedding, so every decision, and
-so every trajectory, is the one full passes give.
+through gets the full pass on the same embedding and clears the listing,
+so the rest of its search runs full passes; every decision, and so every
+trajectory, is the one full passes give.
 
 Checkpoints are a little-endian binary format: magic "SCCM", a u32 format
 version, a length-prefixed JSON header (config, seed, iteration), the four
@@ -267,28 +268,25 @@ def optimize_W(
     tetrads itself and drops them, then the longer floor listing
     (loss.floor_listing) for the line search. value_fn applies the ridge
     floor, embeds the trial once, tries loss.floor_rejects on that
-    embedding while the search holds the floor listing, and gives a trial
-    that falls through the full pass on the same embedding. Once one trial
-    of a search has fallen through, the rest of that search drops the
-    listing and runs full passes only; the floor decides nothing a full
+    embedding while the step's floor listing is not empty, and gives a
+    trial that falls through the full pass on the same embedding. The first
+    trial of a search that falls through clears the listing, so the rest of
+    that search runs full passes only; the floor decides nothing a full
     pass would not, so the trajectory is the same.
     """
     lcfg = cfg.loss_config()
     normalized = cfg.normalized_similarity
     last: dict = {}  # the latest trial's forward pass and per-block losses
-    near = None  # each block's floor listing at params while the current search tries the floor
 
     def value_fn(p, bound):
-        nonlocal near
         last.clear()  # keep at most one pass alive while a trial is scored
         ridge = ridge_value(p)
         if ridge > bound:
             return ridge
         emb = forward(p, dataset, normalized)
-        if near is not None:
-            if floor_rejects(emb, blocks, lcfg, near, ridge, bound):
-                return np.inf
-            near = None  # fell through: the rest of this search runs full passes
+        if near and floor_rejects(emb, blocks, lcfg, near, ridge, bound):
+            return np.inf
+        near.clear()  # fell through: the rest of this search runs full passes
         trial_fwd = forward_pass(emb, blocks)
         trial_losses = block_losses(p, dataset, blocks, lcfg, trial_fwd)
         last.update(fwd=trial_fwd, losses=trial_losses)
@@ -299,10 +297,9 @@ def optimize_W(
     value = smooth_part(params, blocks, losses)
     if not np.isfinite(value):
         raise NonFiniteObjective("smooth subproblem value is not finite")
-    steps = 0
-    for _ in range(cfg.max_inner_steps):
-        steps += 1
+    for steps in range(1, cfg.max_inner_steps + 1):
         grad = grad_params(params, dataset, blocks, losses, fwd)
+        # each block's floor listing at params, which value_fn reads until the search's first fall-through
         near = [floor_listing(b, fwd, lcfg.margin) for b in blocks]
         del fwd, losses  # the point's scores and losses are dropped before its line search
         if not grad.is_finite():
@@ -383,12 +380,15 @@ def train(
     cfg: TrainConfig,
     val_dataset: Optional[Dataset] = None,
 ) -> tuple[EmbeddingParams, TrainHistory]:
-    """Run the full alternating loop and return final params plus history.
+    """Run the full alternating loop and return the params plus history.
 
     Deterministic under (dataset, config): all randomness comes from
     cfg.seed. Convergence is declared once both the smooth objective and
     the total selected mass are relatively stable (below rel_tol) for two
-    consecutive outer iterations, or at max_outer_iters.
+    consecutive outer iterations, or at max_outer_iters. With a validation
+    set and early_stop_patience, training also stops once that many
+    iterations in a row fail to beat the best validation mAP, and the
+    params returned are the best's; otherwise they are the final params.
     """
     if val_dataset is not None and (val_dataset.p, val_dataset.q) != (dataset.p, dataset.q):
         raise DimensionMismatch(f"validation set has p, q = {val_dataset.p}, {val_dataset.q}, "
@@ -419,8 +419,7 @@ def train(
     prev_smooth: Optional[float] = None
     prev_mass: Optional[float] = None
     stable = 0
-    best_val = -np.inf
-    best_params = params
+    best: Optional[tuple[float, EmbeddingParams]] = None  # the best validation mAP and its params
     since_best = 0
 
     for it in range(1, cfg.max_outer_iters + 1):
@@ -462,14 +461,13 @@ def train(
         )
 
         if val_map is not None and cfg.early_stop_patience is not None:
-            if val_map > best_val:
-                best_val = val_map
-                best_params = params
+            if best is None or val_map > best[0]:
+                best = (val_map, params)
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= cfg.early_stop_patience:
-                    return best_params, history
+                    break
 
         if prev_smooth is not None:
             rel_obj = abs(smooth - prev_smooth) / max(1.0, abs(prev_smooth))
@@ -481,9 +479,7 @@ def train(
         if it < cfg.max_outer_iters:  # no pacing is grown past the last iteration
             pacing = PacingState(pacing.lam * cfg.lam_growth, pacing.gamma * cfg.gamma_growth)
 
-    if cfg.early_stop_patience is not None and best_val > -np.inf:
-        return best_params, history
-    return params, history
+    return (params if best is None else best[1]), history
 
 
 # --- checkpoint serialization ---

@@ -184,6 +184,13 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--set", "train.learning_rate=0.1"]) == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, override", [([1, 2], "a=1"), ("x", "a.b=1")], ids=["list", "string"])
+    def test_non_object_config_with_override_exits_one(self, tmp_path, capsys, config, override):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--set", override]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
     def test_set_override_applies(self, tmp_path):
         path, _ = write_config(tmp_path)
         assert main(["train", "--config", str(path), "--set", "train.max_outer_iters=1"]) == 0
@@ -427,6 +434,42 @@ class TestRetrieveCommand:
         )
         assert code == 1
         capsys.readouterr()
+
+    def test_invalid_top_k_prints_nothing(self, tmp_path, capsys):
+        ckpt, imgs, txts = perfect_fixture(tmp_path)  # four queries, each with a header
+        code = main(
+            ["retrieve", "--checkpoint", str(ckpt), "--query", str(imgs), "--corpus", str(txts),
+             "--top-k", "0"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: top_k must be a positive integer")
+
+
+@pytest.mark.parametrize(
+    "case", ["train-dir-is-file", "train-dir-under-file", "eval-out-in-missing-dir", "synth-dir-is-file"]
+)
+def test_unwritable_output_exits_one(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if case.startswith("train"):
+        target = blocker if case == "train-dir-is-file" else blocker / "run"
+        path, _ = write_config(tmp_path, output_dir=str(target))
+        argv = ["train", "--config", str(path)]
+    elif case.startswith("eval"):
+        ckpt, imgs, txts = perfect_fixture(tmp_path)
+        target = tmp_path / "nodir" / "x.txt"
+        argv = ["eval", "--checkpoint", str(ckpt), "--images", str(imgs), "--texts", str(txts),
+                "--out", str(target)]
+    else:
+        target = blocker
+        argv = ["synth", "--n", "10", "--p", "4", "--q", "4", "--latent", "2", "--out", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # eval prints its mAP only once the result file is written
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 class TestGradcheckCommand:

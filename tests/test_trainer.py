@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -867,6 +868,43 @@ class TestTrain:
         from pacedrank.evaluation import mean_ap
 
         assert mean_ap(params, va, "i2t").mean == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "maps, patience, best",
+        [
+            ([0.2, 0.5, 0.5, 0.4], 2, 2),  # a tie does not reset the count
+            ([0.3, 0.2, 0.6, 0.1, 0.1], 2, 3),
+            ([0.6, 0.5, 0.4, 0.3, 0.2, 0.1], None, 6),  # runs to max_outer_iters, returns the final params
+        ],
+    )
+    def test_early_stopping_rule(self, monkeypatch, maps, patience, best):
+        tr, va, _ = split(tiny_corpus(seed=9, n=40), SplitSpec(seed=9))
+        handed = []  # the params each validation mAP is taken at
+
+        def scripted_map(params, *args, **kwargs):
+            handed.append(params)
+            return SimpleNamespace(mean=maps[len(handed) - 1])
+
+        monkeypatch.setattr(trainer, "mean_ap", scripted_map)
+        # the convergence rule does not fire within 6 iterations on this corpus
+        cfg = TrainConfig(embedding_dim=4, max_outer_iters=6, seed=9, early_stop_patience=patience)
+        params, history = train(tr, cfg, val_dataset=va)
+        assert [rec.val_map for rec in history.records] == maps
+        assert params is handed[best - 1]
+
+    def test_patience_without_validation_returns_final_params(self, monkeypatch):
+        tr, _, _ = split(tiny_corpus(seed=9, n=40), SplitSpec(seed=9))
+
+        def no_validation(*args, **kwargs):
+            raise AssertionError("a validation mAP was taken without a validation set")
+
+        monkeypatch.setattr(trainer, "mean_ap", no_validation)
+        cfg = TrainConfig(embedding_dim=4, max_outer_iters=6, seed=9, early_stop_patience=1)
+        params, history = train(tr, cfg)
+        final, unstopped = train(tr, dataclasses.replace(cfg, early_stop_patience=None))
+        assert len(history) == len(unstopped) == 6
+        assert all(rec.val_map is None for rec in history.records)
+        assert params_equal(params, final)
 
     def test_config_validation(self):
         ds = tiny_corpus()
