@@ -2,8 +2,8 @@
 
 Every number the CLI prints or writes comes from a library call; commands
 only parse arguments, move files, and format. Exit codes: 0 success,
-1 configuration or input error or a file that cannot be written, 2 runtime
-failure (non-finite objective), 3 gradient check failure.
+1 usage, configuration or input error or a file that cannot be written,
+2 runtime failure (non-finite objective), 3 gradient check failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import json
 import os
 import sys
@@ -317,8 +318,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1 (exit code 2 means a runtime failure)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
+    parser = _Parser(
         prog="pacedrank",
         description="Cross-modal embedding trainer with paced, diversity-aware sample selection.",
     )
@@ -374,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonFiniteObjective as exc:

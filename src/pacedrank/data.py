@@ -81,9 +81,21 @@ def load_features(path) -> np.ndarray:
     """Parse a whitespace-separated feature file into an n x dim matrix.
 
     Lines starting with '#' and blank lines are skipped. The first data row
-    fixes the width. Errors report 1-based line and column positions, and a
-    file with several faults reports the first in file order: within a line,
-    a wrong token count before its tokens, then tokens left to right.
+    fixes the width. A token is any text float() accepts. Errors report
+    1-based line and column positions, and a file with several faults
+    reports the first in file order: within a line, a wrong token count
+    before its tokens, then tokens left to right.
+
+    A file whose first line is a data row is first read by np.loadtxt's C
+    reader; its matrix is returned when it parses and every value is finite.
+    Anything else (a leading comment or blank line, a token or row loadtxt
+    rejects, a non-finite value) goes to the line scanner below, which is
+    the only code that reports a fault. The two agree bit for bit where
+    both accept a file: loadtxt converts each token with
+    PyOS_string_to_double, which float() also calls, and splits rows on the
+    whitespace str.split does. It accepts a subset of float()'s tokens:
+    underscores, non-ASCII digits, NUL bytes, quotes and '#' make it raise,
+    so such files reach the scanner.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,6 +104,16 @@ def load_features(path) -> np.ndarray:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+    first = lines[0].split() if lines else None
+    if first and not first[0].startswith("#"):  # so loadtxt never meets a file with no rows, where it warns
+        try:
+            matrix = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(matrix).all():
+                return matrix
 
     values: list[float] = []
     linenos: list[int] = []  # the line of each data row

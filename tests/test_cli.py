@@ -50,6 +50,28 @@ def test_help_exits_zero(argv, capsys):
     assert "usage" in capsys.readouterr().out
 
 
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["serve"],
+    "missing-required": ["eval", "--checkpoint", "x"],
+    "bad-choice": ["eval", "--checkpoint", "c", "--images", "i", "--texts", "t", "--direction", "x2y"],
+    "bad-int": ["retrieve", "--checkpoint", "c", "--query", "q", "--corpus", "c", "--top-k", "abc"],
+    "unknown-option": ["gradcheck", "--seeds", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1  # 2 is a runtime failure
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage: pacedrank")
+    assert err[-1].startswith("pacedrank") and ": error: " in err[-1]
+
+
 class TestSynthCommand:
     def test_writes_files_with_n_rows(self, tmp_path):
         out = tmp_path / "corpus"
@@ -197,6 +219,12 @@ class TestTrainCommand:
         history = (tmp_path / "run" / "history.csv").read_text().strip().splitlines()
         assert len(history) - 1 == 1
 
+    def test_overrides_do_not_carry_to_the_next_run(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert main(["train", "--config", str(path), "--set", "a=1", "--set", "b=2"]) == 1
+        assert capsys.readouterr().err == "error: unknown keys in config: ['a', 'b']\n"
+        assert main(["train", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize(
         "section, value",
         [
@@ -330,6 +358,14 @@ class TestEvalCommand:
             assert code == 0
         outs = capsys.readouterr().out.strip().splitlines()
         assert outs == ["1.0000", "1.0000"]
+
+    def test_defaults_hold_after_a_run_that_set_them(self, tmp_path):
+        ckpt, imgs, txts = perfect_fixture(tmp_path)
+        base = ["eval", "--checkpoint", str(ckpt), "--images", str(imgs), "--texts", str(txts)]
+        assert main([*base, "--direction", "t2i", "--r", "5", "--mode", "by_r", "--out", str(tmp_path / "a.txt")]) == 0
+        assert (tmp_path / "a.txt").read_text().splitlines()[-3:] == ["R 5", "direction t2i", "mode by_r"]
+        assert main([*base, "--out", str(tmp_path / "b.txt")]) == 0
+        assert (tmp_path / "b.txt").read_text().splitlines()[-3:] == ["R all", "direction i2t", "mode by_relevant"]
 
     def test_cli_value_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

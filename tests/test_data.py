@@ -98,6 +98,87 @@ def per_value_features(matrix) -> str:
     return "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in np.asarray(matrix, dtype=np.float64))
 
 
+def random_doubles():
+    """Random doubles of every magnitude, with both zeros, subnormals and the largest double."""
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0, np.nextafter(1.0, 2.0)]
+    return np.concatenate([values, special]).reshape(7, 10)
+
+
+def format_table(fmt, matrix):
+    """(file text, the matrix float() reads from it): each value formatted by fmt, a row per line."""
+    tokens = [[fmt % x for x in row] for row in matrix.tolist()]
+    return "".join(" ".join(row) + "\n" for row in tokens), [[float(t) for t in row] for row in tokens]
+
+
+SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\n\r")
+# Each file's text, and the matrix it loads to or the error (type, message) it raises,
+# as the line scanner alone gives them; "{path}" stands for the file's path. A file
+# that np.loadtxt reads in load_features must load to the same bits through it.
+PARSE_TABLE = {
+    "save-features": (per_value_features(random_doubles()), random_doubles()),
+    "6-digits": format_table("%.6g", random_doubles()),
+    "repr": format_table("%r", random_doubles()),
+    "one-row": ("1.5 -2 3e-2\n", [[1.5, -2.0, 0.03]]),
+    "one-column": ("1\n-2.5\n3e-2\n", [[1.0], [-2.5], [0.03]]),
+    "one-value-no-newline": ("7", [[7.0]]),
+    "tabs-and-runs-of-spaces": ("\t1  \t 2\t\n 3\t\t4   \n", [[1.0, 2.0], [3.0, 4.0]]),
+    "crlf": ("1 2\r\n3 4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "cr": ("1 2\r3 4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-and-comment-first": ("\n# c\n1 2\n3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-and-comment-middle": ("1 2\n\n  \n# c 9\n3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-and-comment-last": ("1 2\n3 4\n\n# c\n\t\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "indented-comment": ("1 2\n  #c\n3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "underscore": ("1_0 2\n", [[10.0, 2.0]]),
+    "plus-dot": ("+.5 -.5\n", [[0.5, -0.5]]),
+    "trailing-dot": ("1. -2.\n", [[1.0, -2.0]]),
+    "exponent-forms": ("1E+05 2e-3 .5e1 00012\n", [[100000.0, 0.002, 5.0, 12.0]]),
+    "underflow-to-zero": ("1e-400 -1e-400\n", [[0.0, -0.0]]),
+    "fullwidth-digits": ("１ ２\n", [[1.0, 2.0]]),
+    "arabic-indic-digits": ("١٢ 3\n", [[12.0, 3.0]]),
+    "nul": ("1 \x00\n", (ParseError, "line 1, column 2: cannot parse '\\x00' as a real")),
+    "nul-inside-token": ("1\x002 3\n", (ParseError, "line 1, column 1: cannot parse '1\\x002' as a real")),
+    "double-quoted": ('"1" 2\n', (ParseError, "line 1, column 1: cannot parse '\"1\"' as a real")),
+    "single-quoted": ("'1' 2\n", (ParseError, "line 1, column 1: cannot parse \"'1'\" as a real")),
+    "trailing-comment": ("3 4 #c\n", (ParseError, "line 1, column 3: cannot parse '#c' as a real")),
+    "comma": ("1,2 3\n", (ParseError, "line 1, column 1: cannot parse '1,2' as a real")),
+    "hex-float": ("0x1p3 1\n", (ParseError, "line 1, column 1: cannot parse '0x1p3' as a real")),
+    "nan": ("1 nan\n", (NonFiniteValue, "line 1, column 2: non-finite value 'nan'")),
+    "inf": ("1 2\n-inf 4\n", (NonFiniteValue, "line 2, column 1: non-finite value '-inf'")),
+    "infinity-word": ("Infinity 1\n", (NonFiniteValue, "line 1, column 1: non-finite value 'Infinity'")),
+    "overflow": ("1 1e999\n", (NonFiniteValue, "line 1, column 2: non-finite value '1e999'")),
+    "nan-before-ragged": ("1 nan\n1 2 3\n", (NonFiniteValue, "line 1, column 2: non-finite value 'nan'")),
+    "ragged-short": ("1 2 3\n4 5\n", (RaggedRows, "line 2: expected 3 values, got 2")),
+    "ragged-long": ("1 2\n3 4 5\n", (RaggedRows, "line 2: expected 2 values, got 3")),
+    "empty": ("", (ParseError, "{path}: no data rows")),
+    "blank-only": ("\n  \n", (ParseError, "{path}: no data rows")),
+    "comment-only": ("# only a comment\n", (ParseError, "{path}: no data rows")),
+    **{
+        f"space-U+{ord(c):04X}": (f"1{c}2\n{c}\n{c}3{c}{c}4{c}\n", [[1.0, 2.0], [3.0, 4.0]])
+        for c in SPACES  # every separator str.split knows, a blank line of it included
+    },
+}
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE.values(), ids=PARSE_TABLE)
+def test_parse_table(tmp_path, text, expected):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as exc:
+            load_features(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(path=path)
+    else:
+        got = load_features(path)
+        expected = np.asarray(expected, dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bit for bit: -0.0 stays -0.0
+
+
 def filled(shape):
     """A matrix of the given shape cycling through extreme_values()."""
     return np.resize(extreme_values(), shape)
