@@ -112,6 +112,11 @@ def _parse_run_config(config: dict):
 
     data_sec = config["data"]
     _check_keys(data_sec, _DATA_KEYS, "data")
+    paths = {"output_dir": config["output_dir"]}
+    paths.update((f"data.{key}", data_sec[key]) for key in ("images", "texts") if key in data_sec)
+    for where, value in paths.items():
+        if not isinstance(value, str):  # open() would take an int as a file descriptor
+            raise ConfigInvalid(f"{where} must be a path string, got {value!r}")
     if "synth" in data_sec:
         if "images" in data_sec or "texts" in data_sec:
             raise ConfigInvalid("data section must give either synth or file paths, not both")

@@ -3,7 +3,8 @@
 Conventions: feature matrices are row-major with one item per row, all
 indices are 0-based, and all randomness flows from explicit seeds so that
 repeated runs are bit-identical. Arrays held by these types are locked
-(read-only) after construction and safe to share across threads.
+(read-only) after construction and safe to share across threads; a
+producer hands a fresh array to one through locked.
 
 Per-tetrad data is flat. A TetradSet holds one negative per tetrad plus
 per-query offsets, and a GroupedVector (losses, weights) holds one value
@@ -62,6 +63,16 @@ def check_real(name: str, value) -> None:
         raise ConfigInvalid(f"{name} must be a finite real number, got {value!r}")
 
 
+def locked(values: np.ndarray) -> np.ndarray:
+    """values, locked in place: a producer hands a fresh array to a container through this.
+
+    A container keeps a read-only array that views no writeable one without
+    a copy (_frozen_array), and the producer keeps no writeable reference.
+    """
+    values.flags.writeable = False
+    return values
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     """values as a read-only C-contiguous array; kept, not copied, if it and every array it views are read-only."""
     base = values
@@ -69,9 +80,7 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
         if base.base is None and values.dtype == dtype and values.flags.c_contiguous:
             return values
         base = base.base
-    out = np.array(values, dtype=dtype, order="C")
-    out.flags.writeable = False
-    return out
+    return locked(np.array(values, dtype=dtype, order="C"))
 
 
 @dataclass(frozen=True)
@@ -161,10 +170,7 @@ class EmbeddingParams:
 
     def axpy(self, alpha: float, x: "EmbeddingParams") -> "EmbeddingParams":
         """self + alpha * x, component by component; alpha = -step is a descent step."""
-        out = [a + alpha * b for a, b in zip(self.arrays, x.arrays)]
-        for arr in out:
-            arr.flags.writeable = False  # fresh arrays: locked in place, not copied
-        return EmbeddingParams(*out)
+        return EmbeddingParams(*(locked(a + alpha * b) for a, b in zip(self.arrays, x.arrays)))
 
     @classmethod
     def from_arrays(cls, W1, b1, W2, b2) -> "EmbeddingParams":
@@ -199,9 +205,7 @@ def _group_ids(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The group index of every flat position in lo..hi-1: k repeated as often as group k holds one."""
     first = int(np.searchsorted(offsets, lo, side="right")) - 1
     last = int(np.searchsorted(offsets, hi, side="left"))
-    ids = np.repeat(np.arange(first, last), np.diff(np.clip(offsets[first : last + 1], lo, hi)))
-    ids.flags.writeable = False
-    return ids
+    return np.repeat(np.arange(first, last), np.diff(np.clip(offsets[first : last + 1], lo, hi)))
 
 
 # Tetrads per chunk of TetradSet's checks. Swept at 2^16 .. 2^21 (2 vCPUs, numpy 2.4.6)
@@ -274,8 +278,7 @@ class TetradSet:
         rows, cols = (self.negatives, queries) if transposed else (queries, self.negatives)
         positions = rows * self.n
         positions += cols
-        positions.flags.writeable = False
-        return positions
+        return locked(positions)
 
     @property
     def is_full(self) -> bool:
@@ -296,6 +299,7 @@ def _all_negatives(n: int) -> np.ndarray:
 
 def check_sample_size(m: int, n: int) -> None:
     """Raise unless each query of n items can get m distinct sampled negatives."""
+    check_int("sample size", m)
     if m < 1:
         raise ConfigInvalid("sample size must be at least 1")
     if m > n - 1:
@@ -378,6 +382,8 @@ def build_tetrads(
     Both paths pick ascending positions idx among the n-1 other items and
     map them to items j = idx + (idx >= k), which skips query k itself.
     """
+    if seed is not None:
+        check_seed(seed)
     n = dataset.n
     if m is None:
         negatives = _all_negatives(n)
@@ -385,8 +391,7 @@ def build_tetrads(
         check_sample_size(m, n)
         negatives = _sample_positions(n, m, np.random.default_rng(seed))
         negatives += negatives >= np.arange(n, dtype=np.int64)[:, None]
-    negatives.flags.writeable = False  # its raveled view is then kept, not copied
-    return TetradSet(n, np.arange(n + 1) * negatives.shape[1], negatives.ravel())
+    return TetradSet(n, np.arange(n + 1) * negatives.shape[1], locked(negatives).ravel())
 
 
 @dataclass(frozen=True)
@@ -469,9 +474,11 @@ class PacingState:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and np.isfinite(self.lam)):
+        check_real("lam", self.lam)
+        check_real("gamma", self.gamma)
+        if not self.lam > 0.0:
             raise ConfigInvalid("lam must be a positive finite real")
-        if not (self.gamma >= 0.0 and np.isfinite(self.gamma)):
+        if not self.gamma >= 0.0:
             raise ConfigInvalid("gamma must be a nonnegative finite real")
 
 
@@ -482,5 +489,6 @@ class LossConfig:
     margin: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (self.margin >= 0.0 and np.isfinite(self.margin)):
+        check_real("margin", self.margin)
+        if not self.margin >= 0.0:
             raise ConfigInvalid("margin must be a nonnegative finite real")

@@ -47,6 +47,7 @@ class SplitSpec:
     def __post_init__(self) -> None:
         check_seed(self.seed)
         for name, frac in (("train", self.train), ("validation", self.validation), ("test", self.test)):
+            check_real(name, frac)
             if not (0.0 < frac < 1.0):
                 raise ConfigInvalid(f"{name} fraction must lie in (0, 1)")
         if abs(self.train + self.validation + self.test - 1.0) > 1e-9:
@@ -239,6 +240,7 @@ def skewed_synth(spec: SynthSpec, hard_query_fraction: float) -> Dataset:
     rounds to zero hard queries reproduces it exactly. Hard rows are marked
     in the ids as "q####:hard", clean rows as "q####:clean".
     """
+    check_real("hard query fraction", hard_query_fraction)
     if not (0.0 < hard_query_fraction < 1.0):
         raise ConfigInvalid("hard query fraction must lie in (0, 1)")
     rng, latents, map_img, map_txt, noise_img, noise_txt = synth_components(spec)

@@ -53,10 +53,11 @@ thread counts. The weighted loss sums the products of the strictly
 positive weights in flat tetrad order; group masses add each group's
 weights in index order. Tetrads with zero weight therefore cannot perturb
 either value even at the bit level, which lets the trainer's W-step run on
-each block cut down to its selected tetrads. Where every weight is positive,
-the weighted sum reads whole arrays, with no gather. No per-tetrad index
-(a set's flat_queries, the weights' positive_index) is cached: each is
-built where it is read and dropped with that call.
+each block cut down to its selected tetrads (selected), listed by the rule
+that lists the gradient's and the floor's tetrads (_listing). Where every
+weight is positive, the weighted sum reads whole arrays, with no gather.
+No per-tetrad index (a set's flat_queries, the weights' positive_index) is
+cached: each is built where it is read and dropped with that call.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .core import (
     LossConfig,
     PacingState,
     TetradSet,
+    locked,
 )
 from .embed import Embedding, forward, pair_scores, query_pairs, query_rows
 from .errors import AlignmentError, ConfigInvalid, IndexOutOfRange
@@ -200,7 +202,20 @@ def _listing(block: Block, values: np.ndarray, above: float) -> Active:
     v = block.v
     pos = np.flatnonzero((values > above) & (v.values > 0.0))
     queries = np.repeat(np.arange(block.tetrads.n), np.diff(np.searchsorted(pos, block.tetrads.offsets)))
-    return Active(queries, block.tetrads.negatives[pos], v.values[pos])
+    return Active(queries, locked(block.tetrads.negatives[pos]), locked(v.values[pos]))
+
+
+def selected(block: Block) -> Block:
+    """The block cut down to its tetrads with v > 0, with their weights; the block itself when every v > 0.
+
+    The trainer's W-step reads these alone, which gives the same bits. They
+    are listed by the rule the gradient and the floor list by (_listing).
+    """
+    if block.v.positive_count == block.tetrads.total:
+        return block
+    a = _listing(block, block.v.values, 0.0)
+    tetrads = TetradSet(block.tetrads.n, np.searchsorted(a.queries, np.arange(block.tetrads.n + 1)), a.negatives)
+    return Block(tetrads, block.direction, ImportanceVector(a.weights, tetrads.offsets))
 
 
 def selected_active(block: Block, losses: GroupedVector) -> Active:
@@ -309,8 +324,7 @@ def all_losses(
         raise ConfigInvalid(f"normalized={normalized} contradicts the scores of the given pass")
     hinges = _hinge_args(fwd, tetrads, direction, cfg.margin)
     np.maximum(0.0, hinges, out=hinges)
-    hinges.flags.writeable = False  # locked, so GroupedVector keeps it without a copy
-    return GroupedVector(hinges, tetrads.offsets)
+    return GroupedVector(locked(hinges), tetrads.offsets)
 
 
 def weighted_sum_from(losses: GroupedVector, v: ImportanceVector) -> float:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroupedVector, ImportanceVector, PacingState
+from .core import GroupedVector, ImportanceVector, PacingState, check_real, locked
 from .errors import ConfigInvalid, EmptyGroup, GroupTooLarge
 
 ORACLE_MAX_GROUP = 64
@@ -64,10 +64,7 @@ def _check_group(losses: np.ndarray, lam: float, gamma: float) -> np.ndarray:
         raise EmptyGroup("loss group must be a nonempty 1-D vector")
     if not np.isfinite(losses).all() or (losses < 0.0).any():
         raise ConfigInvalid("losses must be finite and nonnegative")
-    if not (lam > 0.0 and np.isfinite(lam)):
-        raise ConfigInvalid("lam must be positive")
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ConfigInvalid("gamma must be nonnegative")
+    PacingState(lam, gamma)  # raises ConfigInvalid unless lam > 0 and gamma >= 0 are finite reals
     return losses
 
 
@@ -194,8 +191,7 @@ def update_importance(losses: GroupedVector, pacing: PacingState) -> ImportanceV
     if losses.n_groups == 0:
         raise EmptyGroup("no query groups to solve")
     weights = _spld_weights(losses.values, losses.offsets, pacing.lam, pacing.gamma)
-    weights.flags.writeable = False  # locked, so ImportanceVector keeps it without a copy
-    return ImportanceVector(weights, losses.offsets)
+    return ImportanceVector(locked(weights), losses.offsets)
 
 
 def init_lambda(losses: Sequence[GroupedVector], fraction: float) -> float:
@@ -205,6 +201,7 @@ def init_lambda(losses: Sequence[GroupedVector], fraction: float) -> float:
     easiness threshold at the first importance update. Quantiles repeat
     np.quantile's linear interpolation operation for operation.
     """
+    check_real("fraction", fraction)
     if not (0.0 < fraction <= 1.0):
         raise ConfigInvalid("fraction must lie in (0, 1]")
     if not any(block.n_groups for block in losses):

@@ -9,11 +9,10 @@ recorded history makes auditable.
 
 The W-step minimises ridge + sum v * loss, on which a tetrad with v = 0
 has no effect, so train hands it each block cut down to its selected
-tetrads and their weights (_selected), with the embedding at its entry
-point. A set with its zero-weight tetrads removed gives the same value and
-gradient bits (loss), so every trajectory is the one the full sets give.
-After the W-step the full set is scored once, from the final embedding,
-for the weight solve; those losses are then dropped.
+tetrads (loss.selected), with the embedding at its entry point; every
+trajectory is the one the full sets give. After the W-step the full set is
+scored once, from the final embedding, for the weight solve; those losses
+are then dropped.
 
 The W-step owns every pass and loss vector it reads: each point it scores
 is embedded once and gets one pass (loss.forward_pass) for all blocks, the
@@ -51,10 +50,8 @@ from .core import (
     Dataset,
     EmbeddingParams,
     GroupedVector,
-    ImportanceVector,
     LossConfig,
     PacingState,
-    TetradSet,
     build_tetrads,
     check_int,
     check_real,
@@ -80,6 +77,7 @@ from .loss import (
     forward_pass,
     grad_params,
     ridge_value,
+    selected,
     smooth_part,
     with_penalties,
 )
@@ -347,34 +345,6 @@ def _check_growth(pacing: PacingState, cfg: TrainConfig) -> None:
                                     f"max_outer_iters = {cfg.max_outer_iters}")
 
 
-def _selected(blocks: list[Block]) -> list[Block]:
-    """Each block cut down to its selected tetrads (v > 0), with their weights.
-
-    A tetrad with v = 0 adds nothing to the W-step's value, gradient or line
-    search, and a set with its zero-weight tetrads removed gives the same
-    bits (loss's pruned-set contract), so the W-step reads only these. The
-    tetrads are negatives[sel], sel = v.positive_index built once per
-    block, with each group's offset the number of entries of sel before it,
-    and the weights are gathered at the same positions. A block whose
-    weights are all positive is kept as it is.
-    """
-    kept = []
-    for b in blocks:
-        if b.v.positive_count < b.tetrads.total:
-            sel = b.v.positive_index
-            offsets = np.searchsorted(sel, b.tetrads.offsets)
-            tetrads = TetradSet(b.tetrads.n, offsets, _locked(b.tetrads.negatives[sel]))
-            b = Block(tetrads, b.direction, ImportanceVector(_locked(b.v.values[sel]), tetrads.offsets))
-        kept.append(b)
-    return kept
-
-
-def _locked(values: np.ndarray) -> np.ndarray:
-    """A fresh array, locked so that the container it goes into keeps it without a copy."""
-    values.flags.writeable = False
-    return values
-
-
 def train(
     dataset: Dataset,
     cfg: TrainConfig,
@@ -425,7 +395,7 @@ def train(
     for it in range(1, cfg.max_outer_iters + 1):
         obj_entry = with_penalties(smooth, blocks, pacing)
         # the W-step reads the selected tetrads alone
-        params, smooth, inner_steps, emb = optimize_W(params, dataset, _selected(blocks), cfg, emb)
+        params, smooth, inner_steps, emb = optimize_W(params, dataset, [selected(b) for b in blocks], cfg, emb)
         obj_after_w = with_penalties(smooth, blocks, pacing)
         # the full set's losses at the final params, from the final embedding, for the weight solve only
         smooth = _update_weights(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -310,6 +311,24 @@ class TestTrainCommand:
         path, _ = write_config(tmp_path, eval=eval_sec)
         assert main(["train", "--config", str(path)]) == 1
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("data.images", 987654), ("data.texts", ["a"]), ("output_dir", 7), ("output_dir", None)],
+        ids=["unopened-descriptor", "list", "int-dir", "null-dir"],
+    )
+    def test_non_string_path_exits_one_before_writing(self, tmp_path, monkeypatch, capsys, key, value):
+        # open() takes an int as a file descriptor; 987654 is not open, so nothing is read or closed
+        monkeypatch.chdir(tmp_path)  # a directory named by a number would land here
+        if key == "output_dir":
+            path, _ = write_config(tmp_path, output_dir=value)
+        else:  # the paths are checked before any file is read
+            data = {"images": "images.txt", "texts": "texts.txt", key.split(".")[1]: value}
+            path, _ = write_config(tmp_path, data=data)
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be a path string")
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_rerun_byte_identical(self, tmp_path):
         path_a, _ = write_config(tmp_path, output_dir=str(tmp_path / "a"))

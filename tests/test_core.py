@@ -22,7 +22,8 @@ from pacedrank.errors import (
     ShapeMismatch,
     TooSmall,
 )
-from pacedrank.loss import all_losses, tetrad_loss
+from pacedrank.data import SplitSpec, SynthSpec, skewed_synth
+from pacedrank.loss import Block, all_losses, selected, tetrad_loss
 from pacedrank.spl import update_importance
 
 from conftest import cached_arrays
@@ -359,6 +360,14 @@ class TestGroupedVector:
             v = update_importance(losses, PacingState(lam=1.0, gamma=0.5))
             assert v.offsets is tetrads.offsets
             assert not v.values.flags.writeable
+            # the W-step's cut-down to the selected tetrads hands its arrays over the same way
+            some_zero = ImportanceVector(np.where(np.arange(tetrads.total) % 3 == 0, 0.0, v.values), tetrads.offsets)
+            kept = selected(Block(tetrads, "i2t", some_zero))
+            assert kept.tetrads.total == some_zero.positive_count < tetrads.total
+            assert kept.v.offsets is kept.tetrads.offsets
+            assert not kept.tetrads.negatives.flags.writeable and not kept.v.values.flags.writeable
+            every = Block(tetrads, "i2t", ImportanceVector(np.full(tetrads.total, 0.5), tetrads.offsets))
+            assert selected(every) is every
 
 
 class TestConfigTypes:
@@ -372,3 +381,29 @@ class TestConfigTypes:
         with pytest.raises(ConfigInvalid):
             LossConfig(margin=-0.1)
         assert LossConfig(margin=0.0).margin == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda ds: SplitSpec(train="a"), id="split-fraction-string"),
+            pytest.param(lambda ds: LossConfig(margin="x"), id="margin-string"),
+            pytest.param(lambda ds: LossConfig(margin=True), id="margin-bool"),
+            pytest.param(lambda ds: PacingState(lam="1", gamma=0.0), id="lam-string"),
+            pytest.param(lambda ds: PacingState(lam=True, gamma=False), id="pacing-bools"),
+            pytest.param(lambda ds: skewed_synth(SynthSpec(n=8, latent=2, p=3, q=3), "x"), id="hard-fraction-string"),
+            pytest.param(lambda ds: build_tetrads(ds, 2.5), id="sample-size-float"),
+            pytest.param(lambda ds: build_tetrads(ds, 3, seed=1.5), id="seed-float"),
+            pytest.param(lambda ds: build_tetrads(ds, 3, seed=-1), id="seed-negative"),
+        ],
+    )
+    def test_mistyped_argument_raises_config_invalid(self, call):
+        ds = validate_dataset(np.zeros((6, 2)), np.zeros((6, 3)))
+        with pytest.raises(ConfigInvalid):
+            call(ds)
+
+    def test_numpy_floats_accepted(self):
+        half = np.float64(0.5)
+        assert LossConfig(margin=half).margin == half
+        assert PacingState(lam=half, gamma=half).gamma == half
+        assert SplitSpec(np.float64(0.6), np.float64(0.2), np.float64(0.2)).train == 0.6
+        assert skewed_synth(SynthSpec(n=8, latent=2, p=3, q=3), half).n == 8

@@ -235,6 +235,28 @@ class TestUpdateImportance:
             lam, gamma = lam * 1.3, gamma * 1.3
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda losses: init_lambda(losses, "a"), id="init-lambda-fraction-string"),
+        pytest.param(lambda losses: init_lambda(losses, True), id="init-lambda-fraction-bool"),
+        pytest.param(lambda losses: solve_spld([0.1], "a", 0.0), id="solve-spld-lam-string"),
+        pytest.param(lambda losses: solve_spld([0.1], 1.0, "b"), id="solve-spld-gamma-string"),
+        pytest.param(lambda losses: solve_spl([0.1], True), id="solve-spl-lam-bool"),
+    ],
+)
+def test_mistyped_argument_raises_config_invalid(call):
+    losses = [GroupedVector.from_groups([np.array([0.1, 0.2])])]
+    with pytest.raises(ConfigInvalid):
+        call(losses)
+
+
+def test_numpy_floats_accepted():
+    losses = [GroupedVector.from_groups([np.array([0.1, 0.2])])]
+    assert init_lambda(losses, np.float64(1.0)) == 0.2
+    assert solve_spld([0.1], np.float64(0.5), np.float64(0.0)).weights.tolist() == [1.0]
+
+
 class TestInitLambda:
     def test_median_interpolation(self):
         losses = GroupedVector.from_groups([np.array([1.0, 2.0, 3.0, 4.0])])

@@ -641,7 +641,7 @@ class TestSelectedWStep:
         if zero_block:  # the last block selects nothing
             last = blocks[-1].tetrads
             blocks[-1] = Block(last, blocks[-1].direction, ImportanceVector(np.zeros(last.total), last.offsets))
-        kept = trainer._selected(blocks)
+        kept = [loss.selected(b) for b in blocks]
         # cut down to the selected tetrads
         assert [k.tetrads.total for k in kept] == [b.v.positive_count for b in blocks]
         assert all(k.tetrads.total < b.tetrads.total for k, b in zip(kept, blocks))
