@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -33,8 +34,8 @@ from .trainer import (
 )
 
 _DATA_KEYS = {"images", "texts", "synth"}
-_SYNTH_KEYS = {"n", "latent", "p", "q", "noise", "seed", "hard_fraction"}
-_SPLIT_KEYS = {"train", "validation", "test", "seed"}
+_SYNTH_KEYS = {f.name for f in dataclasses.fields(data_mod.SynthSpec)} | {"hard_fraction"}
+_SPLIT_KEYS = {f.name for f in dataclasses.fields(data_mod.SplitSpec)}
 _EVAL_KEYS = {"direction", "r", "mode"}
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -102,8 +103,6 @@ def _section(where: str):
 
 
 def _parse_run_config(config: dict):
-    import dataclasses
-
     _check_keys(config, {"output_dir", "data", "split", "train", "eval"}, "config")
     if "output_dir" not in config:
         raise ConfigInvalid("config requires output_dir")
@@ -194,13 +193,13 @@ def _write_history_csv(path, history) -> None:
 def cmd_train(args) -> int:
     config = _apply_overrides(_load_json(args.config), args.set or [])
     out_dir, dataset, split_spec, train_cfg, eval_cfg = _parse_run_config(config)
-    idx_train, idx_val, idx_test = data_mod.split_indices(dataset.n, split_spec)
-    train_ds, val_ds, test_ds = data_mod.split(dataset, split_spec)
+    parts = data_mod.split_indices(dataset.n, split_spec)
+    train_ds, val_ds, test_ds = (data_mod._take(dataset, idx) for idx in parts)
     if train_cfg.sample_negatives is not None:  # fail before the run directory exists
         check_sample_size(train_cfg.sample_negatives, train_ds.n)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "split.txt"), "w", encoding="utf-8") as fh:
-        for name, idx in (("train", idx_train), ("validation", idx_val), ("test", idx_test)):
+        for name, idx in zip(("train", "validation", "test"), parts):
             fh.write(("%s " + " ".join(["%d"] * len(idx)) + "\n") % (name, *idx.tolist()))
 
     params, history = train(train_ds, train_cfg, val_dataset=val_ds)
@@ -303,16 +302,11 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     data_mod.save_features(os.path.join(args.out, "images.txt"), dataset.images)
     data_mod.save_features(os.path.join(args.out, "texts.txt"), dataset.texts)
-    manifest = {
-        "n": spec.n,
-        "latent": spec.latent,
-        "p": spec.p,
-        "q": spec.q,
-        "noise": spec.noise,
-        "seed": spec.seed,
-        "hard_fraction": args.hard_fraction,
-        "files": {"images": "images.txt", "texts": "texts.txt"},
-    }
+    manifest = dict(
+        dataclasses.asdict(spec),
+        hard_fraction=args.hard_fraction,
+        files={"images": "images.txt", "texts": "texts.txt"},
+    )
     if dataset.ids is not None:
         with open(os.path.join(args.out, "ids.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(dataset.ids) + "\n")

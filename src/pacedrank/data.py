@@ -87,16 +87,15 @@ def load_features(path) -> np.ndarray:
     reports the first in file order: within a line, a wrong token count
     before its tokens, then tokens left to right.
 
-    A file whose first line is a data row is first read by np.loadtxt's C
-    reader; its matrix is returned when it parses and every value is finite.
-    Anything else (a leading comment or blank line, a token or row loadtxt
-    rejects, a non-finite value) goes to the line scanner below, which is
-    the only code that reports a fault. The two agree bit for bit where
-    both accept a file: loadtxt converts each token with
-    PyOS_string_to_double, which float() also calls, and splits rows on the
-    whitespace str.split does. It accepts a subset of float()'s tokens:
-    underscores, non-ASCII digits, NUL bytes, quotes and '#' make it raise,
-    so such files reach the scanner.
+    Blank and '#' lines are dropped first (line.lstrip() strips the
+    whitespace str.split splits on), and the data lines go to one np.loadtxt
+    call. Its C reader converts tokens with PyOS_string_to_double, which
+    float() also calls, and splits rows on str.split's whitespace, so its
+    matrix, returned when every value is finite, has the bits the scan below
+    gives. It accepts a subset of float()'s tokens: underscores, non-ASCII
+    digits, NUL bytes, quotes and a '#' after a value make it raise. Such a
+    file, a fault, a non-finite value and a file with no data line go to one
+    scanning pass over the lines, the only code that reports a fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,10 +105,10 @@ def load_features(path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
-    first = lines[0].split() if lines else None
-    if first and not first[0].startswith("#"):  # so loadtxt never meets a file with no rows, where it warns
+    rows = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+    if rows:  # loadtxt warns on a file with no rows
         try:
-            matrix = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            matrix = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
         else:
@@ -117,7 +116,6 @@ def load_features(path) -> np.ndarray:
                 return matrix
 
     values: list[float] = []
-    linenos: list[int] = []  # the line of each data row
     width = None
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
@@ -126,33 +124,18 @@ def load_features(path) -> np.ndarray:
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
-            _check_finite(np.array(values), width, linenos, lines)
             raise RaggedRows(f"line {lineno}: expected {width} values, got {len(tokens)}")
-        linenos.append(lineno)
-        try:
-            values.extend(map(float, tokens))
-        except ValueError:
-            del values[(len(linenos) - 1) * width :]
-            for col, tok in enumerate(tokens, start=1):
-                try:
-                    values.append(float(tok))
-                except ValueError as exc:
-                    _check_finite(np.array(values), width, linenos, lines)
-                    raise ParseError(f"line {lineno}, column {col}: cannot parse {tok!r} as a real") from exc
+        for col, tok in enumerate(tokens, start=1):
+            try:
+                value = float(tok)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}, column {col}: cannot parse {tok!r} as a real") from exc
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"line {lineno}, column {col}: non-finite value {tok!r}")
+            values.append(value)
     if not values:
         raise ParseError(f"{path}: no data rows")
-    matrix = np.array(values).reshape(len(linenos), width)
-    _check_finite(matrix.ravel(), width, linenos, lines)
-    return matrix
-
-
-def _check_finite(values: np.ndarray, width: int, linenos: list[int], lines: list[str]) -> None:
-    """Raise NonFiniteValue at the first non-finite of the flat row-major values, if any."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row, col = divmod(int(bad[0]), width)
-        tok = lines[linenos[row] - 1].split()[col]
-        raise NonFiniteValue(f"line {linenos[row]}, column {col + 1}: non-finite value {tok!r}")
+    return np.array(values).reshape(-1, width)
 
 
 def format_rows(line: str, rows: np.ndarray) -> Iterator[str]:

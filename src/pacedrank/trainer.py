@@ -455,10 +455,6 @@ def train(
 # --- checkpoint serialization ---
 
 
-def _config_to_json(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def _config_from_json(payload: dict) -> TrainConfig:
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(payload) - known
@@ -503,7 +499,7 @@ def _unpack_matrix(cur: _Cursor, vector: bool) -> np.ndarray:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write a checkpoint atomically; the trailing digest detects corruption."""
     header = json.dumps(
-        {"config": _config_to_json(ckpt.config), "seed": ckpt.seed, "iteration": ckpt.iteration},
+        {"config": dataclasses.asdict(ckpt.config), "seed": ckpt.seed, "iteration": ckpt.iteration},
         sort_keys=True,
     ).encode("utf-8")
     body = bytearray()

@@ -150,6 +150,15 @@ PARSE_TABLE = {
     "infinity-word": ("Infinity 1\n", (NonFiniteValue, "line 1, column 1: non-finite value 'Infinity'")),
     "overflow": ("1 1e999\n", (NonFiniteValue, "line 1, column 2: non-finite value '1e999'")),
     "nan-before-ragged": ("1 nan\n1 2 3\n", (NonFiniteValue, "line 1, column 2: non-finite value 'nan'")),
+    "inf-before-bad-token": ("inf abc\n", (NonFiniteValue, "line 1, column 1: non-finite value 'inf'")),
+    "bad-token-before-inf": ("abc inf\n", (ParseError, "line 1, column 1: cannot parse 'abc' as a real")),
+    "ragged-before-nan": ("1 2\n3\nnan 4\n", (RaggedRows, "line 2: expected 2 values, got 1")),
+    "ragged-row-holding-nan": ("1 2\nnan 1 2\n", (RaggedRows, "line 2: expected 2 values, got 3")),
+    "bad-token-after-comment-and-blank": (
+        "# h\n\n1 2\n3 x\n", (ParseError, "line 4, column 2: cannot parse 'x' as a real")
+    ),
+    "underscore-then-nan": ("1_0 2\n3 nan\n", (NonFiniteValue, "line 2, column 2: non-finite value 'nan'")),
+    "inf-before-later-bad-token": ("1 2\n3 inf\n4 y\n", (NonFiniteValue, "line 2, column 2: non-finite value 'inf'")),
     "ragged-short": ("1 2 3\n4 5\n", (RaggedRows, "line 2: expected 3 values, got 2")),
     "ragged-long": ("1 2\n3 4 5\n", (RaggedRows, "line 2: expected 2 values, got 3")),
     "empty": ("", (ParseError, "{path}: no data rows")),
